@@ -47,6 +47,7 @@ from .ident import (
 )
 from .io import (
     read_experiment_csv,
+    read_inputs_csv,
     read_system_json,
     read_trajectory_csv,
     read_weights_json,
@@ -81,7 +82,6 @@ from .lti import (
 from .willems import (
     DataDictionary,
     Membership,
-    WindowSpec,
     build_data_matrix,
     check_rank_condition,
     datadriven_simulate,
@@ -128,7 +128,6 @@ __all__ = [
     "pe_length_bound",
     # dictionaries / fundamental lemma
     "DataDictionary",
-    "WindowSpec",
     "Membership",
     "build_data_matrix",
     "check_rank_condition",
@@ -146,6 +145,7 @@ __all__ = [
     "identify",
     # file formats
     "read_trajectory_csv",
+    "read_inputs_csv",
     "write_trajectory_csv",
     "read_experiment_csv",
     "write_experiment_csv",

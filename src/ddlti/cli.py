@@ -27,6 +27,7 @@ from .hankel import excitation_report, max_excitation_order, pe_length_bound
 from .ident import CorruptedTrajectory, identify, scan_order, segment_trajectory
 from .io import (
     read_experiment_csv,
+    read_inputs_csv,
     read_system_json,
     read_trajectory_csv,
     read_weights_json,
@@ -120,7 +121,7 @@ def cmd_dd_simulate(args) -> int:
     past = read_trajectory_csv(args.past)
     if not np.all(past.present):
         raise InputError("the past record must be complete")
-    future_start, future_u = _read_inputs(args.future, past.m)
+    future_start, future_u = read_inputs_csv(args.future, past.m)
 
     depth = args.depth
     if depth is None:
@@ -145,20 +146,6 @@ def cmd_dd_simulate(args) -> int:
             u=future_u, y=ys, start_time=future_start))
         print(f"wrote continuation to {args.out}")
     return 0
-
-
-def _read_inputs(path, m: int):
-    """Future inputs: trajectory CSV with y columns optional."""
-    from .io import _collect, _group_columns, _parse_times, _read_rows
-    header, rows = _read_rows(path)
-    u_cols = _group_columns(header, "u")
-    if len(u_cols) != m:
-        raise InputError(f"{path}: expected u1..u{m} columns")
-    start = _parse_times(path, rows)
-    u = _collect(path, rows, u_cols)
-    if not np.all(np.isfinite(u)):
-        raise InputError(f"{path}: future inputs must be complete")
-    return start, u
 
 
 def cmd_identify(args) -> int:

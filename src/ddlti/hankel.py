@@ -15,11 +15,10 @@ mosaic matrix has full row rank kd.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, numerical_rank
+from ._linalg import DEFAULT_RANK_RTOL, as_samples, rank_from_singular_values
 from .errors import DepthTooLargeError, InputError
 
 
@@ -37,9 +36,7 @@ class SignalSegment:
     start_time: int = 0
 
     def __post_init__(self):
-        w = np.asarray(self.samples, dtype=float)
-        if w.ndim == 1:
-            w = w[:, None]
+        w = as_samples(self.samples)
         if w.ndim != 2:
             raise InputError(f"signal must be 1-D or 2-D, got ndim={w.ndim}")
         if w.shape[0] == 0 or w.shape[1] == 0:
@@ -55,12 +52,6 @@ class SignalSegment:
     @property
     def channels(self) -> int:
         return self.samples.shape[1]
-
-    def window(self, start: int, length: int) -> np.ndarray:
-        """Samples ``start .. start+length-1`` flattened time-major to (length*d,)."""
-        if start < 0 or start + length > self.length:
-            raise InputError("window exceeds the signal range")
-        return self.samples[start:start + length].reshape(-1)
 
 
 def _coerce_one(signal) -> SignalSegment:
@@ -87,21 +78,38 @@ def _coerce_segments(signals) -> list[SignalSegment]:
     return segs
 
 
+def _check_depth(segs, depth: int) -> None:
+    if depth < 1:
+        raise InputError("depth must be at least 1")
+    for i, s in enumerate(segs):
+        if s.length < depth:
+            raise DepthTooLargeError(
+                f"depth {depth} exceeds the length {s.length} of signal {i}"
+            )
+
+
+def _mosaic(segs, depth: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Depth-``depth`` mosaic of validated segments, written into ``out``.
+
+    The blocks are overlapping strided views of the samples, so ``out`` is the
+    only copy; it is allocated C-ordered because concatenating such views on
+    their own would follow their row-fastest layout into Fortran order.
+    """
+    views = [
+        np.lib.stride_tricks.sliding_window_view(s.samples, depth, axis=0)
+        .transpose(2, 1, 0).reshape(depth * s.channels, -1)
+        for s in segs
+    ]
+    if out is None:
+        out = np.empty((views[0].shape[0], sum(v.shape[1] for v in views)))
+    return np.concatenate(views, axis=1, out=out)
+
+
 def hankel_matrix(signal, depth: int) -> np.ndarray:
     """Depth-``depth`` block Hankel matrix of one signal, shape (depth*d, T-depth+1)."""
     seg = _coerce_one(signal)
-    if depth < 1:
-        raise InputError("depth must be at least 1")
-    T, d = seg.length, seg.channels
-    if depth > T:
-        raise DepthTooLargeError(
-            f"depth {depth} exceeds the signal length {T}"
-        )
-    cols = T - depth + 1
-    H = np.empty((depth * d, cols))
-    for j in range(cols):
-        H[:, j] = seg.samples[j:j + depth].reshape(-1)
-    return H
+    _check_depth([seg], depth)
+    return _mosaic([seg], depth)
 
 
 def mosaic_hankel(signals, depth: int) -> np.ndarray:
@@ -114,14 +122,8 @@ def mosaic_hankel(signals, depth: int) -> np.ndarray:
     ``sum_i (T_i - depth + 1)`` columns, blocks in input order.
     """
     segs = _coerce_segments(signals)
-    if depth < 1:
-        raise InputError("depth must be at least 1")
-    for i, s in enumerate(segs):
-        if s.length < depth:
-            raise DepthTooLargeError(
-                f"depth {depth} exceeds the length {s.length} of signal {i}"
-            )
-    return np.hstack([hankel_matrix(s, depth) for s in segs])
+    _check_depth(segs, depth)
+    return _mosaic(segs, depth)
 
 
 def pe_length_bound(depth: int, channels: int, n_signals: int = 1) -> int:
@@ -153,7 +155,7 @@ def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> E
     """Rank diagnostics for the depth-k mosaic Hankel matrix of ``signals``."""
     H = mosaic_hankel(signals, depth)
     sv = np.linalg.svd(H, compute_uv=False)
-    rank = numerical_rank(H, rtol)
+    rank = rank_from_singular_values(sv, rtol)
     return ExcitationReport(
         exciting=rank == H.shape[0],
         depth=depth,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, numerical_rank
+from ._linalg import DEFAULT_RANK_RTOL, as_samples, numerical_rank, rank_from_singular_values
 from .errors import (
     ExcitationError,
     InputError,
@@ -30,9 +30,9 @@ from .willems import build_data_matrix, datadriven_simulate
 class CorruptedTrajectory:
     """A time-indexed input/output record where whole samples may be missing.
 
-    ``u`` is (T, m) and ``y`` is (T, p); a missing sample is a row of NaNs in
-    both.  Missingness strikes a time step as a whole: rows that are only
-    partially NaN are rejected.
+    ``u`` is (T, m) and ``y`` is (T, p), 1-D input being a single channel; a
+    missing sample is a row of NaNs in both.  Missingness strikes a time step
+    as a whole: rows that are only partially NaN are rejected.
     """
 
     u: np.ndarray
@@ -40,8 +40,8 @@ class CorruptedTrajectory:
     start_time: int = 0
 
     def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        y = np.atleast_2d(np.asarray(self.y, dtype=float))
+        u = as_samples(self.u)
+        y = as_samples(self.y)
         if u.ndim != 2 or y.ndim != 2:
             raise InputError("u and y must be 2-D (one row per time step)")
         if u.shape[0] != y.shape[0]:
@@ -127,12 +127,6 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
     return pairs
 
 
-def _stacked_rank(io_pairs, depth: int, rtol: float) -> tuple[int, int]:
-    """Rank of [input mosaic; output mosaic] at the given depth, plus m."""
-    d = build_data_matrix(io_pairs, depth)
-    return numerical_rank(d.matrix, rtol), d.m
-
-
 def estimate_order(io_pairs, max_depth: int, rtol: float = DEFAULT_RANK_RTOL) -> int:
     """Order estimate from the rank of the stacked input/output mosaic.
 
@@ -150,10 +144,9 @@ def estimate_order(io_pairs, max_depth: int, rtol: float = DEFAULT_RANK_RTOL) ->
         raise OrderUndeterminedError(
             "order estimation needs windows of depth at least 2"
         )
-    est = []
-    for d in (depth - 1, depth):
-        rank, m = _stacked_rank(pairs, d, rtol)
-        est.append(rank - m * d)
+    m = pairs[0][0].channels
+    est = [numerical_rank(build_data_matrix(pairs, d).matrix, rtol) - m * d
+           for d in (depth - 1, depth)]
     if est[0] != est[1] or est[1] < 0:
         raise OrderUndeterminedError(
             f"order estimate did not stabilize (got {est[0]} at depth "
@@ -246,7 +239,8 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
         for j in range(c):
             H[i * p:(i + 1) * p, j * m:(j + 1) * m] = mk[i + j + 1]
             Hs[i * p:(i + 1) * p, j * m:(j + 1) * m] = mk[i + j + 2]
-    rank = numerical_rank(H, rtol)
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    rank = rank_from_singular_values(s, rtol)
     if rank < order:
         raise OrderInfeasibleError(
             f"impulse-response Hankel matrix has rank {rank} < requested "
@@ -258,11 +252,12 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
             f"order {order}; truncating",
             stacklevel=2,
         )
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
     root = np.sqrt(s[:order])
     O = U[:, :order] * root
     R = root[:, None] * Vt[:order]
-    A = np.linalg.pinv(O) @ Hs @ np.linalg.pinv(R)
+    # O and R have orthogonal columns and rows, so their pseudo-inverses
+    # come from the same SVD: O+ = diag(1/root) U', R+ = V diag(1/root).
+    A = (U[:, :order].T @ Hs @ Vt[:order].T) / np.outer(root, root)
     B = R[:, :m]
     C = O[:p, :]
     return LtiSystem(A=A, B=B, C=C, D=mk[0])

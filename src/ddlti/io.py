@@ -119,6 +119,19 @@ def read_trajectory_csv(path) -> CorruptedTrajectory:
         raise ParseError(f"{path}: {e}") from e
 
 
+def read_inputs_csv(path, m: int) -> tuple[int, np.ndarray]:
+    """First time index and complete (T, m) inputs of a ``t,u1..um[,y..]`` CSV."""
+    header, rows = _read_rows(path)
+    u_cols = _group_columns(header, "u")
+    if len(u_cols) != m:
+        raise ParseError(f"{path}: expected u1..u{m} columns")
+    start = _parse_times(path, rows)
+    u = _collect(path, rows, u_cols)
+    if not np.all(np.isfinite(u)):
+        raise ParseError(f"{path}: future inputs must be complete")
+    return start, u
+
+
 def write_trajectory_csv(path, ct: CorruptedTrajectory) -> None:
     """Write a record in the trajectory CSV schema (NaN rows become blanks)."""
     with _open_text(path, "w") as fh:

@@ -27,7 +27,7 @@ from ._linalg import (
     DEFAULT_RANK_RTOL,
     as_matrix,
     lstsq_minnorm,
-    numerical_rank,
+    rank_from_singular_values,
     relative_residual,
 )
 from .errors import (
@@ -181,9 +181,11 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
         P = A'PA - A'PB (R + B'PB)^{-1} B'PA + Q
 
     solved by the structure-preserving doubling iteration (quadratically
-    convergent for stabilizable pairs), with a plain fixed-point iteration
-    from P = Q as fallback.  Returns (P, K) with the stationary gain
-    K = -(R + B'PB)^{-1} B'PA; the closed loop A + BK is verified stable.
+    convergent for stabilizable pairs).  Doubling can stop short of the
+    Riccati residual tolerance (e.g. with a tiny input weight R); a doubling
+    result that misses it, or a doubling breakdown, falls back to a plain
+    fixed-point iteration from P = Q.  Returns (P, K) with the stationary
+    gain K = -(R + B'PB)^{-1} B'PA; the closed loop A + BK is verified stable.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -277,12 +279,14 @@ def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
 def identify_ab(batch: ExperimentBatch, rtol: float = DEFAULT_RANK_RTOL):
     """Recover (A, B) exactly from full-row-rank data: Xp = [A B] [Xm; Um]."""
     S = np.vstack([batch.Xm, batch.Um])
-    if numerical_rank(S, rtol) < batch.n + batch.m:
+    U, s, Vt = np.linalg.svd(S, full_matrices=False)
+    rank = rank_from_singular_values(s, rtol)
+    if rank < batch.n + batch.m:
         raise InsufficientDataError(
-            f"[Xm; Um] has rank {numerical_rank(S, rtol)} < {batch.n + batch.m}; "
+            f"[Xm; Um] has rank {rank} < {batch.n + batch.m}; "
             "the experiments do not determine the dynamics"
         )
-    AB = lstsq_minnorm(S.T, batch.Xp.T).T
+    AB = (batch.Xp @ Vt.T / s) @ U.T  # Xp S+, with S+ = V diag(1/s) U'
     return AB[:, :batch.n], AB[:, batch.n:]
 
 

@@ -11,11 +11,11 @@ function of its arguments; the dataclasses are frozen and safe to share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_matrix, numerical_rank
+from ._linalg import DEFAULT_RANK_RTOL, as_matrix, as_samples, numerical_rank
 from .errors import InputError
 
 
@@ -79,7 +79,8 @@ class StateTrajectory:
     """A finite input/state/output record of a system run.
 
     ``u``, ``x`` and ``y`` hold samples at times ``start_time .. start_time+T-1``
-    (one row per step); ``final_state`` is ``x(start_time + T)``.
+    (one row per step, 1-D input being a single channel); ``final_state`` is
+    ``x(start_time + T)``.
     """
 
     u: np.ndarray
@@ -89,9 +90,9 @@ class StateTrajectory:
     start_time: int = 0
 
     def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.u, float))
+        u = as_samples(self.u)
         x = np.asarray(self.x, float).reshape(u.shape[0], -1)
-        y = np.atleast_2d(np.asarray(self.y, float))
+        y = as_samples(self.y)
         if not (u.shape[0] == x.shape[0] == y.shape[0]):
             raise InputError("u, x, y must have the same number of samples")
         object.__setattr__(self, "u", u)
@@ -121,9 +122,7 @@ def simulate(sys: LtiSystem, x0, u_seq, start_time: int = 0) -> StateTrajectory:
     StateTrajectory
         States, inputs and outputs over T steps plus the terminal state.
     """
-    u = np.asarray(u_seq, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = as_samples(u_seq)
     T = u.shape[0]
     if u.shape[1] != sys.m:
         raise InputError(f"input samples must have dimension {sys.m}, got {u.shape[1]}")

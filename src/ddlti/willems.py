@@ -15,13 +15,13 @@ model: new outputs are completed one step at a time from the data alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from ._linalg import DEFAULT_RANK_RTOL, lstsq_minnorm, numerical_rank, relative_residual
 from .errors import InconsistentPastError, InputError
-from .hankel import SignalSegment, _coerce_segments, hankel_matrix, mosaic_hankel
+from .hankel import SignalSegment, _check_depth, _coerce_segments, _mosaic, mosaic_hankel
 from .lti import LtiSystem
 
 
@@ -29,17 +29,16 @@ from .lti import LtiSystem
 class DataDictionary:
     """Stacked input/output mosaic-Hankel matrix of depth L.
 
-    ``input_block`` holds the depth-L input mosaic (mL x N) and
-    ``output_block`` the matching output mosaic (pL x N); columns are aligned,
-    so column c of the stacked matrix is the c-th recorded length-L window,
-    inputs over outputs, flattened time-major.
+    ``matrix`` is the one (m+p)L x N array: the depth-L input mosaic in its
+    first mL rows, the matching output mosaic below.  Column c is the c-th
+    recorded length-L window, inputs over outputs, flattened time-major.
+    ``input_block`` and ``output_block`` are row-slice views of it.
     """
 
     inputs: tuple[SignalSegment, ...]
     outputs: tuple[SignalSegment, ...]
     depth: int
-    input_block: np.ndarray
-    output_block: np.ndarray
+    matrix: np.ndarray
 
     @property
     def m(self) -> int:
@@ -51,28 +50,17 @@ class DataDictionary:
 
     @property
     def n_columns(self) -> int:
-        return self.input_block.shape[1]
+        return self.matrix.shape[1]
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The full (m+p)L x N data matrix, input rows above output rows."""
-        return np.vstack([self.input_block, self.output_block])
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Split of a dictionary's depth L into a fixed past and a step to fill in."""
-
-    past_len: int
-    future_len: int
-
-    def __post_init__(self):
-        if self.past_len < 0 or self.future_len < 1:
-            raise InputError("past_len must be >= 0 and future_len >= 1")
+    def input_block(self) -> np.ndarray:
+        """The depth-L input mosaic (mL x N), a view of ``matrix``."""
+        return self.matrix[:self.m * self.depth]
 
     @property
-    def total(self) -> int:
-        return self.past_len + self.future_len
+    def output_block(self) -> np.ndarray:
+        """The depth-L output mosaic (pL x N), a view of ``matrix``."""
+        return self.matrix[self.m * self.depth:]
 
 
 def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
@@ -108,12 +96,14 @@ def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
             )
         ins.append(useg)
         outs.append(yseg)
-    U = mosaic_hankel(ins, depth)
-    Y = mosaic_hankel(outs, depth)
-    return DataDictionary(
-        inputs=tuple(ins), outputs=tuple(outs), depth=depth,
-        input_block=U, output_block=Y,
-    )
+    ins, outs = _coerce_segments(ins), _coerce_segments(outs)  # channel counts agree
+    _check_depth(ins, depth)
+    mL = depth * ins[0].channels
+    M = np.empty((mL + depth * outs[0].channels,
+                  sum(u.length - depth + 1 for u in ins)))
+    _mosaic(ins, depth, out=M[:mL])
+    _mosaic(outs, depth, out=M[mL:])
+    return DataDictionary(inputs=tuple(ins), outputs=tuple(outs), depth=depth, matrix=M)
 
 
 def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
@@ -224,7 +214,6 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     (F, p) ndarray of completed outputs.
     """
     L, m, p = dictionary.depth, dictionary.m, dictionary.p
-    spec = WindowSpec(past_len=L - 1, future_len=1)
 
     def shape2(a, d, name):
         a = np.asarray(a, dtype=float)
@@ -237,31 +226,29 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     wu = shape2(past_u, m, "past_u")
     wy = shape2(past_y, p, "past_y")
     fu = shape2(future_u, m, "future_u")
-    if wu.shape[0] != spec.past_len or wy.shape[0] != spec.past_len:
+    if wu.shape[0] != L - 1 or wy.shape[0] != L - 1:
         raise InputError(
-            f"past must have exactly {spec.past_len} samples for depth {L}"
+            f"past must have exactly {L - 1} samples for depth {L}"
         )
 
-    M = dictionary.matrix
-    known_rows = np.concatenate([
-        np.arange(m * L),                       # all L stacked inputs
-        m * L + np.arange(p * (L - 1)),         # the L-1 past outputs
-    ])
-    new_rows = m * L + p * (L - 1) + np.arange(p)
-    A_known = M[known_rows]
-    A_new = M[new_rows]
+    # Known rows: all L inputs, then the L-1 past outputs; the last p rows
+    # give the new output.  Every step solves against the same A_known, so its
+    # min-norm solution operator is formed once, with lstsq(rcond=None)'s cutoff.
+    k = m * L + p * (L - 1)
+    A_known, A_new = dictionary.matrix[:k], dictionary.matrix[k:]
+    A_pinv = np.linalg.pinv(A_known, rcond=np.finfo(float).eps * max(A_known.shape))
 
-    out = np.empty((fu.shape[0], p))
-    for t in range(fu.shape[0]):
-        b = np.concatenate([wu.reshape(-1), fu[t], wy.reshape(-1)])
-        g = lstsq_minnorm(A_known, b)
+    F = fu.shape[0]
+    us = np.vstack([wu, fu])
+    ys = np.vstack([wy, np.empty((F, p))])
+    for t in range(F):
+        b = np.concatenate([us[t:t + L].reshape(-1), ys[t:t + L - 1].reshape(-1)])
+        g = A_pinv @ b
         res = relative_residual(A_known, g, b)
         if res > tol:
             raise InconsistentPastError(
                 f"recorded data cannot explain the given past at step {t} "
                 f"(relative residual {res:.3e} > {tol:.1e})"
             )
-        out[t] = A_new @ g
-        wu = np.vstack([wu[1:], fu[t]]) if L > 1 else wu
-        wy = np.vstack([wy[1:], out[t]]) if L > 1 else wy
-    return out
+        ys[t + L - 1] = A_new @ g
+    return ys[L - 1:]

@@ -168,11 +168,3 @@ def test_max_excitation_order():
     us = pe_inputs(rng, 1, 11, 1, 5)
     assert dd.max_excitation_order(us[0]) >= 5
     assert dd.max_excitation_order(np.zeros(8)) == 0
-
-
-def test_segment_window_helper():
-    seg = dd.SignalSegment(np.arange(10.0).reshape(5, 2), start_time=3)
-    assert_allclose(seg.window(1, 2), [2.0, 3.0, 4.0, 5.0])
-    assert seg.start_time == 3
-    with pytest.raises(dd.InputError):
-        seg.window(4, 3)

@@ -35,6 +35,12 @@ def test_partially_missing_row_rejected():
         dd.CorruptedTrajectory(u=u, y=y)
 
 
+def test_one_dimensional_record_is_one_channel():
+    ct = dd.CorruptedTrajectory(u=np.arange(5.0), y=np.arange(5.0))
+    assert (ct.length, ct.m, ct.p) == (5, 1, 1)
+    assert_allclose(ct.u[:, 0], np.arange(5.0))
+
+
 def test_segmentation_of_fixture(record):
     pairs = dd.segment_trajectory(record, min_len=5)
     assert [(u.start_time, u.length) for u, _ in pairs] == [(0, 5), (6, 6), (13, 6)]

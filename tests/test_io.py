@@ -87,6 +87,27 @@ def test_trajectory_missing_file():
         dd.read_trajectory_csv("/nonexistent/rec.csv")
 
 
+def test_read_inputs_with_and_without_outputs(tmp_path):
+    path = tmp_path / "future.csv"
+    path.write_text("t,u1,u2\n4,1,2\n5,3,4\n")
+    start, u = dd.read_inputs_csv(path, 2)
+    assert start == 4
+    assert_allclose(u, [[1.0, 2.0], [3.0, 4.0]])
+    path.write_text("t,u1,y1\n0,1.5,\n1,-2,7\n")
+    start, u = dd.read_inputs_csv(path, 1)
+    assert start == 0
+    assert_allclose(u, [[1.5], [-2.0]])
+
+
+def test_read_inputs_rejects_incomplete_or_wrong_width(tmp_path):
+    path = tmp_path / "future.csv"
+    path.write_text("t,u1\n0,1\n1,\n2,0\n")
+    with pytest.raises(dd.ParseError, match="future inputs must be complete"):
+        dd.read_inputs_csv(path, 1)
+    with pytest.raises(dd.ParseError, match="expected u1..u2 columns"):
+        dd.read_inputs_csv(path, 2)
+
+
 # --- experiment CSV ---------------------------------------------------------
 
 def test_experiment_roundtrip(tmp_path):

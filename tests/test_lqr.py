@@ -80,6 +80,20 @@ def test_dare_matches_scipy():
         assert dd.spectral_radius(sys.A + sys.B @ K) < 1.0
 
 
+def test_dare_fixed_point_fallback_matches_scipy():
+    # With this tiny input weight doubling converges in four steps but stalls
+    # at a Riccati residual of about 9e-11, above the 1e-12 tolerance; only
+    # the fixed-point fallback brings the residual under it.
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    A = np.array([[0.7, 1.6], [0.7, -2.6]])
+    B = np.array([[0.9], [0.4]])
+    Q, R = np.eye(2), 1e-6 * np.eye(1)
+    P, K = dd.dare_solve(A, B, Q, R)
+    P_ref = scipy_linalg.solve_discrete_are(A, B, Q, R)
+    assert_allclose(P, P_ref, rtol=1e-8, atol=1e-8)
+    assert dd.spectral_radius(A + B @ K) < 1.0
+
+
 def test_dare_reactor_residual(reactor):
     P, K = dd.dare_solve(reactor.A, reactor.B, np.eye(4), np.eye(2))
     S = np.eye(2) + reactor.B.T @ P @ reactor.B

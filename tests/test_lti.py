@@ -46,6 +46,13 @@ def test_verify_trajectory(known_system):
     assert not dd.verify_trajectory(known_system, bad)
 
 
+def test_state_trajectory_one_dimensional_is_one_channel():
+    traj = dd.StateTrajectory(u=np.arange(4.0), x=np.arange(4.0),
+                              y=np.arange(4.0), final_state=[4.0])
+    assert traj.length == 4
+    assert traj.u.shape == traj.x.shape == traj.y.shape == (4, 1)
+
+
 def test_static_system_n0():
     sys = dd.LtiSystem(A=np.zeros((0, 0)), B=np.zeros((0, 2)),
                        C=np.zeros((3, 0)), D=np.arange(6.0).reshape(3, 2))

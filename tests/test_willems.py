@@ -40,6 +40,9 @@ def test_dictionary_rejects_misaligned_pairs():
         dd.build_data_matrix([(np.ones((5, 1)), np.ones((4, 1)))], 2)
     with pytest.raises(dd.DepthTooLargeError):
         dd.build_data_matrix([(np.ones((3, 1)), np.ones((3, 1)))], 4)
+    with pytest.raises(dd.InputError, match="channel count"):
+        dd.build_data_matrix([(np.ones((5, 1)), np.ones((5, 1))),
+                              (np.ones((5, 1)), np.ones((5, 2)))], 2)
 
 
 def test_rank_condition_controllable_pe():
@@ -196,15 +199,6 @@ def test_datadriven_simulate_invariant_to_segment_order(record):
     y1 = dd.datadriven_simulate(d1, np.zeros((2, 1)), np.zeros((2, 1)), future_u)
     y2 = dd.datadriven_simulate(d2, np.zeros((2, 1)), np.zeros((2, 1)), future_u)
     assert_allclose(y1, y2, atol=1e-9)
-
-
-def test_window_spec_validation():
-    spec = dd.WindowSpec(past_len=2, future_len=1)
-    assert spec.total == 3
-    with pytest.raises(dd.InputError):
-        dd.WindowSpec(past_len=-1, future_len=1)
-    with pytest.raises(dd.InputError):
-        dd.WindowSpec(past_len=1, future_len=0)
 
 
 def test_past_length_enforced(record):
