@@ -180,12 +180,8 @@ def max_excitation_order(signals, rtol: float = DEFAULT_RANK_RTOL) -> int:
     """Largest k for which the signals are collectively exciting of order k (0 if none)."""
     segs = _coerce_segments(signals)
     best = 0
-    for depth in range(1, max(s.length for s in segs) + 1):
-        try:
-            if is_persistently_exciting(segs, depth, rtol):
-                best = depth
-            else:
-                break
-        except DepthTooLargeError:
+    for depth in range(1, min(s.length for s in segs) + 1):
+        if not is_persistently_exciting(segs, depth, rtol):
             break
+        best = depth
     return best

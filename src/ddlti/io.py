@@ -249,17 +249,7 @@ def read_weights_json(path) -> LqrWeights:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write a JSON object, converting arrays to nested lists."""
-    def conv(v):
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [conv(x) for x in v]
-        return v
+    """Write a JSON object, converting arrays and numpy scalars to lists and numbers."""
     with _open_text(path, "w") as fh:
-        json.dump(conv(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2, default=lambda v: v.tolist())
         fh.write("\n")

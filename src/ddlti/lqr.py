@@ -15,6 +15,10 @@ being negative semidefinite, and the gain is read off the data through a
 right inverse of Xm annihilating L(P).  This module implements that
 pipeline with explicit certification at every step, plus an SDPA export so
 the semidefinite program can be cross-checked by an external solver.
+
+Every data-side quantity is a Gram form of the 2n+m data rows (De Persis &
+Tesi, IEEE TAC 2020): the data is factored once, [Xm; Xp; Um]' = QR, and all
+of the above works on R, with L(P) = Q C Q' for an r x r core C, r <= 2n+m.
 """
 from __future__ import annotations
 
@@ -100,7 +104,7 @@ class LqrWeights:
         for name, M in (("Q", Q), ("R", R)):
             if M.shape[0] != M.shape[1]:
                 raise InputError(f"{name} must be square, got {M.shape}")
-            if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.abs(M).max())):
+            if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.abs(M).max(initial=0.0))):
                 raise InputError(f"{name} must be symmetric")
         q_eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
         if q_eigs.size and q_eigs[0] < -1e-10 * max(1.0, q_eigs[-1]):
@@ -120,7 +124,9 @@ class LqrSolution:
     fields are the certificates: largest eigenvalue of the data-side
     operator L(P) (must be <= 0 up to tolerance), the relative residual of
     the Riccati equation, the residual of the right-inverse solve that
-    produced K, and the closed-loop spectral radius (< 1).
+    produced K, and the closed-loop spectral radius (< 1).  Both data-side
+    certificates are computed on the r x r core of L(P); ``lmi_max_eig``
+    includes L(P)'s N - r zero eigenvalues, so it is >= 0 when N > r.
     """
 
     P: np.ndarray
@@ -276,18 +282,26 @@ def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
     return 0.5 * (L + L.T)
 
 
-def identify_ab(batch: ExperimentBatch, rtol: float = DEFAULT_RANK_RTOL):
-    """Recover (A, B) exactly from full-row-rank data: Xp = [A B] [Xm; Um]."""
-    S = np.vstack([batch.Xm, batch.Um])
-    U, s, Vt = np.linalg.svd(S, full_matrices=False)
+def _factor_ab(batch: ExperimentBatch, rtol: float):
+    """(A, B) and the column blocks [Rx, Rp, Ru] = R of [Xm; Xp; Um]' = QR."""
+    n = batch.n
+    R = np.linalg.qr(np.vstack([batch.Xm, batch.Xp, batch.Um]).T, mode="r")
+    Rx, Rp, Ru = R[:, :n], R[:, n:2 * n], R[:, 2 * n:]
+    U, s, Vt = np.linalg.svd(np.hstack([Rx, Ru]), full_matrices=False)
     rank = rank_from_singular_values(s, rtol)
-    if rank < batch.n + batch.m:
+    if rank < n + batch.m:
         raise InsufficientDataError(
-            f"[Xm; Um] has rank {rank} < {batch.n + batch.m}; "
+            f"[Xm; Um] has rank {rank} < {n + batch.m}; "
             "the experiments do not determine the dynamics"
         )
-    AB = (batch.Xp @ Vt.T / s) @ U.T  # Xp S+, with S+ = V diag(1/s) U'
-    return AB[:, :batch.n], AB[:, batch.n:]
+    AB = (Rp.T @ U / s) @ Vt  # Xp S+, as [Xm; Um] = Vt' diag(s) U' Q'
+    return AB[:, :n], AB[:, n:], Rx, Rp, Ru
+
+
+def identify_ab(batch: ExperimentBatch, rtol: float = DEFAULT_RANK_RTOL):
+    """Recover (A, B) exactly from full-row-rank data: Xp = [A B] [Xm; Um]."""
+    A, B, *_ = _factor_ab(batch, rtol)
+    return A, B
 
 
 def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
@@ -309,37 +323,37 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
         If any data-side certificate (LMI negativity, right-inverse
         residual, closed-loop stability) fails at ``tol_cert``.
     """
-    A, B = identify_ab(batch, rtol)
+    A, B, Rx, Rp, Ru = _factor_ab(batch, rtol)
     P, _ = dare_solve(A, B, weights.Q, weights.R, tol=riccati_tol, max_iter=max_iter)
 
-    L = lmi_operator(P, batch, weights)
-    Xm, Xp, Um = batch.Xm, batch.Xp, batch.Um
-    scale = max(
-        np.linalg.norm(Xm.T @ P @ Xm),
-        np.linalg.norm(Xp.T @ P @ Xp),
-        np.linalg.norm(Xm.T @ weights.Q @ Xm),
-        np.linalg.norm(Um.T @ weights.R @ Um),
-        1.0,
-    )
-    lmi_max_eig = float(np.linalg.eigvalsh(L)[-1])
+    # Q's columns are orthonormal: C has L(P)'s term norms and nonzero spectrum.
+    terms = (Rx @ P @ Rx.T, Rp @ P @ Rp.T,
+             Rx @ weights.Q @ Rx.T, Ru @ weights.R @ Ru.T)
+    scale = max(*(np.linalg.norm(T) for T in terms), 1.0)
+    C = terms[0] - terms[1] - terms[2] - terms[3]
+    C = 0.5 * (C + C.T)
+    lmi_max_eig = float(np.linalg.eigvalsh(C)[-1])
+    if batch.n_columns > C.shape[0]:
+        lmi_max_eig = max(lmi_max_eig, 0.0)
     if lmi_max_eig > tol_cert * scale:
         raise CertificationError(
             f"data-side operator L(P) is not negative semidefinite: "
             f"max eigenvalue {lmi_max_eig:.3e} exceeds {tol_cert:.1e} x scale {scale:.3e}"
         )
 
-    # Right inverse of Xm annihilating L(P): one stacked least-squares solve.
+    # Right inverse X = QY of Xm annihilating L(P): [Rx'; C] Y = [I; 0] has the
+    # min-norm solution and the residual of [Xm; L(P)] X = [I; 0].
     n = batch.n
-    S = np.vstack([Xm, L])
-    rhs = np.vstack([np.eye(n), np.zeros((batch.n_columns, n))])
-    Xdag = lstsq_minnorm(S, rhs)
-    ri_residual = relative_residual(S, Xdag, rhs)
+    S = np.vstack([Rx.T, C])
+    rhs = np.vstack([np.eye(n), np.zeros((C.shape[0], n))])
+    Y = lstsq_minnorm(S, rhs)
+    ri_residual = relative_residual(S, Y, rhs)
     if ri_residual > tol_cert:
         raise CertificationError(
             f"no right inverse of Xm annihilates L(P) to tolerance: "
             f"residual {ri_residual:.3e} > {tol_cert:.1e}"
         )
-    K = Um @ Xdag
+    K = Ru.T @ Y
 
     radius = spectral_radius(A + B @ K) if n else 0.0
     if radius >= 1.0:

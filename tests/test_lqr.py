@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -238,6 +241,171 @@ def test_lqr_certification_failure_on_corrupted_data(reactor):
                              boundaries=batch.boundaries)
     with pytest.raises(dd.CertificationError):
         dd.lqr_from_data(bad, eye_weights())
+
+
+def pooled_batch(seed, q):
+    """q reactor experiments of 10 steps, N = 10 q, as the benchmark pools them."""
+    exps = dd.generate_experiments(dd.batch_reactor(), q, 10, pe_order=5,
+                                   rng=np.random.default_rng(seed))
+    return dd.assemble_batch(exps)
+
+
+def dare_gain(sys, W):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    P = scipy_linalg.solve_discrete_are(sys.A, sys.B, W.Q, W.R)
+    return -np.linalg.solve(W.R + sys.B.T @ P @ sys.B, sys.B.T @ P @ sys.A)
+
+
+# Exact N=800 batches that the N x N certificate refused with "no right
+# inverse" (residuals 1.4e-6 to 2.7e-6) at one and at two BLAS threads.
+@pytest.mark.parametrize("seed", [3, 60, 64, 78])
+def test_lqr_certifies_exact_pooled_batches(reactor, seed):
+    batch = pooled_batch(seed, 80)
+    W = eye_weights()
+    sol = dd.lqr_from_data(batch, W)
+    # A right inverse with relative residual tol_cert moves K by at most
+    # tol_cert sqrt(n) ||Um||_2 / sigma_min(Xm), to first order.
+    smin = np.linalg.svd(batch.Xm, compute_uv=False)[-1]
+    bound = 1e-6 * np.sqrt(batch.n) * np.linalg.norm(batch.Um, 2) / smin
+    assert np.abs(sol.K - dare_gain(reactor, W)).max() <= bound
+    assert sol.right_inverse_residual <= 1e-6
+
+
+def test_lqr_refuses_corrupted_pooled_batch():
+    batch = pooled_batch(3, 80)
+    Xp = batch.Xp.copy()
+    Xp[2, 417] += 1e-3 * np.linalg.norm(Xp[:, 417])
+    bad = dd.ExperimentBatch(Xm=batch.Xm, Xp=Xp, Um=batch.Um,
+                             boundaries=batch.boundaries)
+    with pytest.raises(dd.CertificationError):
+        dd.lqr_from_data(bad, eye_weights())
+
+
+# --- the factor route computes the N x N operator's certificates ----------
+
+EPS = np.finfo(float).eps
+
+
+def lmi_error_bound(batch, W, P):
+    """Bound on how far the factor route's terms of L(P) and the N x N
+    route's can lie apart, in Frobenius norm.
+
+    G sums ||X||_F^2 ||M||_F over the four terms X'MX of L(P), a bound on
+    each term's norm.  Forming a term by two products of inner dimension
+    d <= max(n, m) errs by at most 2 d eps ||X||_F^2 ||M||_F, and the three
+    subtractions and the symmetrization by 4 eps G more; each route forms
+    its operator once.  Householder QR is backward stable: R is the exact
+    factor of the data moved column-wise by c N k eps, k = 2n+m (Higham,
+    Accuracy and Stability, Thm 19.4), which moves each term by twice that
+    relative amount.  c = 4 stands for the small constants of the LAPACK
+    bounds here and below.
+    """
+    n, m, N = batch.n, batch.m, batch.n_columns
+    c = 4
+    fro = np.linalg.norm
+    G = (fro(batch.Xm) ** 2 * fro(P) + fro(batch.Xp) ** 2 * fro(P)
+         + fro(batch.Xm) ** 2 * fro(W.Q) + fro(batch.Um) ** 2 * fro(W.R))
+    return EPS * G * (2 * c * N * (2 * n + m) + 2 * (2 * max(n, m) + 4)), G
+
+
+def nxn_route(batch, W, P):
+    """lambda_max of L(P), its scale and the right-inverse residual, all
+    computed on the N x N operator, with the right inverse's [Xm; L] and X."""
+    Xm, Xp, Um = batch.Xm, batch.Xp, batch.Um
+    L = dd.lmi_operator(P, batch, W)
+    scale = max(np.linalg.norm(Xm.T @ P @ Xm), np.linalg.norm(Xp.T @ P @ Xp),
+                np.linalg.norm(Xm.T @ W.Q @ Xm), np.linalg.norm(Um.T @ W.R @ Um),
+                1.0)
+    S = np.vstack([Xm, L])
+    rhs = np.vstack([np.eye(batch.n), np.zeros((batch.n_columns, batch.n))])
+    X = np.linalg.lstsq(S, rhs, rcond=None)[0]
+    ri = np.linalg.norm(S @ X - rhs) / np.sqrt(batch.n)
+    return float(np.linalg.eigvalsh(L)[-1]), scale, ri, S, X
+
+
+def single_run_batch(seed, T=7):
+    """One T-step reactor run: N = 7 lies in [n+m, 2n+m), so R is N x (2n+m)."""
+    rng = np.random.default_rng(seed)
+    traj = dd.simulate(dd.batch_reactor(), rng.standard_normal(4),
+                       rng.uniform(0.0, 1.0, size=(T, 2)))
+    return dd.assemble_batch([traj])
+
+
+@pytest.mark.parametrize("make", [lambda: reactor_batch(seed=21),
+                                  lambda: reactor_batch(seed=22, q=3, T=8),
+                                  lambda: single_run_batch(23)],
+                         ids=["N30", "N24", "N7"])
+def test_lqr_certificates_match_nxn_operator(make):
+    batch = make()
+    W = eye_weights()
+    sol = dd.lqr_from_data(batch, W)
+    A, B = dd.identify_ab(batch)
+    P, _ = dd.dare_solve(A, B, W.Q, W.R)
+    assert np.array_equal(P, sol.P)
+    lam, _, ri, S, X = nxn_route(batch, W, P)
+    N, n = batch.n_columns, batch.n
+    r = min(N, 2 * n + batch.m)
+    dL, G = lmi_error_bound(batch, W, P)
+    # Weyl: each route's lambda_max is within its forming error and its
+    # eigensolver's backward error (c dim eps ||L||_2 <= c dim eps G) of the
+    # exact one, and max(., 0) over the N - r added zeros is 1-Lipschitz.
+    assert abs(sol.lmi_max_eig - lam) <= dL + 4 * (N + r) * EPS * G
+    # The least-squares residual moves by at most ||E|| ||X|| when the matrix
+    # moves by E.  E gathers L's forming error, QR's move of Xm, and both
+    # solvers' backward errors (c (n+N) eps ||S||_F); evaluating a residual
+    # adds (N+1) eps ||S||_F ||X||_F on each route.  Both solutions have the
+    # norm of X to first order, taken twice for the larger of the two.
+    nS, nX = np.linalg.norm(S), np.linalg.norm(X)
+    E = dL + 4 * N * (2 * n + batch.m) * EPS * np.linalg.norm(batch.Xm) \
+        + 2 * 4 * (n + N) * EPS * nS
+    bound = (2 * E * nX + 2 * (N + 1) * EPS * nS * nX) / np.sqrt(n)
+    assert abs(sol.right_inverse_residual - ri) <= bound
+    assert sol.right_inverse_residual <= 1e-8
+
+
+def test_lmi_refusal_reports_nxn_eigenvalue_and_scale():
+    # Two swapped successor states: the data fit no LTI model, and L(P) has
+    # a clearly positive eigenvalue.
+    batch = reactor_batch(seed=24)
+    Xp = batch.Xp.copy()
+    Xp[:, [3, 7]] = Xp[:, [7, 3]]
+    bad = dd.ExperimentBatch(Xm=batch.Xm, Xp=Xp, Um=batch.Um,
+                             boundaries=batch.boundaries)
+    W = eye_weights()
+    with pytest.raises(dd.CertificationError, match="not negative semidefinite") as err:
+        dd.lqr_from_data(bad, W)
+    lam_msg, scale_msg = map(float, re.search(
+        r"max eigenvalue (\S+) exceeds .* scale (\S+)", str(err.value)).groups())
+    A, B = dd.identify_ab(bad)
+    P, _ = dd.dare_solve(A, B, W.Q, W.R)
+    lam, scale, *_ = nxn_route(bad, W, P)
+    dL, G = lmi_error_bound(bad, W, P)
+    N = bad.n_columns
+    # The message prints 4 significant digits: relative rounding <= 5e-4.
+    assert abs(lam_msg - lam) <= 5e-4 * abs(lam) + dL + 4 * (N + 10) * EPS * G
+    assert abs(scale_msg - scale) <= 5e-4 * scale + dL
+
+
+def test_lqr_never_forms_an_nxn_array():
+    batch = pooled_batch(0, 160)
+    N = batch.n_columns
+    tracemalloc.start()
+    try:
+        dd.lqr_from_data(batch, eye_weights())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N
+
+
+def test_lqr_static_plant():
+    # n = 0: nothing to regulate; the gain is an m x 0 matrix.
+    rng = np.random.default_rng(25)
+    batch = dd.ExperimentBatch(Xm=np.zeros((0, 6)), Xp=np.zeros((0, 6)),
+                               Um=rng.standard_normal((1, 6)), boundaries=(0,))
+    sol = dd.lqr_from_data(batch, dd.LqrWeights(Q=np.zeros((0, 0)), R=np.eye(1)))
+    assert sol.K.shape == (1, 0)
+    assert sol.P.shape == (0, 0)
 
 
 def test_weights_validation():
