@@ -1,10 +1,12 @@
 """Identification from a single record with missing samples.
 
 The pipeline: split the record into maximal complete runs, estimate the
-system order from the rank of the stacked input/output mosaic matrix,
-recover impulse-response (Markov) matrices by data-driven simulation over
-the runs, and realize a state-space model with the Ho-Kalman algorithm.
-Everything operates on exact (noise-free) data.
+system order from the rank of the stacked input/output mosaic matrix (the
+window depth grows until rank minus mL stops growing: that first stall is
+the order, see :func:`scan_order`), recover impulse-response (Markov)
+matrices by one batched data-driven simulation over the runs, and realize a
+state-space model with the Ho-Kalman algorithm.  Everything operates on
+exact (noise-free) data.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .errors import (
 )
 from .hankel import SignalSegment, _coerce_one, is_persistently_exciting
 from .lti import LtiSystem, markov_parameters
-from .willems import build_data_matrix, datadriven_simulate
+from .willems import _complete, build_data_matrix
 
 
 @dataclass(frozen=True)
@@ -104,27 +106,23 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
     """
     if min_len < 1:
         raise InputError("min_len must be at least 1")
-    mask = ct.present
-    pairs = []
-    t = 0
-    while t < ct.length:
-        if not mask[t]:
-            t += 1
-            continue
-        s = t
-        while t < ct.length and mask[t]:
-            t += 1
-        if t - s >= min_len:
-            start = ct.start_time + s
-            pairs.append((
-                SignalSegment(ct.u[s:t], start_time=start),
-                SignalSegment(ct.y[s:t], start_time=start),
-            ))
+    # Run starts and stops alternate where the mask, padded with False, flips.
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], ct.present, [False]]))).tolist()
+    pairs = [(SignalSegment(ct.u[s:t], start_time=ct.start_time + s),
+              SignalSegment(ct.y[s:t], start_time=ct.start_time + s))
+             for s, t in zip(edges[::2], edges[1::2]) if t - s >= min_len]
     if not pairs:
         raise NoUsableDataError(
             f"no complete run of length >= {min_len} in the record"
         )
     return pairs
+
+
+def _order_at(pairs, depth: int, rtol: float) -> int:
+    """rank(H_L) - mL for the depth-L data matrix of ``pairs``: the order
+    estimate once L exceeds the lag of exciting exact data."""
+    d = build_data_matrix(pairs, depth)
+    return numerical_rank(d.matrix, rtol) - d.m * depth
 
 
 def estimate_order(io_pairs, max_depth: int, rtol: float = DEFAULT_RANK_RTOL) -> int:
@@ -144,9 +142,7 @@ def estimate_order(io_pairs, max_depth: int, rtol: float = DEFAULT_RANK_RTOL) ->
         raise OrderUndeterminedError(
             "order estimation needs windows of depth at least 2"
         )
-    m = pairs[0][0].channels
-    est = [numerical_rank(build_data_matrix(pairs, d).matrix, rtol) - m * d
-           for d in (depth - 1, depth)]
+    est = [_order_at(pairs, d, rtol) for d in (depth - 1, depth)]
     if est[0] != est[1] or est[1] < 0:
         raise OrderUndeterminedError(
             f"order estimate did not stabilize (got {est[0]} at depth "
@@ -163,8 +159,10 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
 
     For each input channel, a data-driven simulation is run with ``order``
     zero past samples (pinning the zero state) and a unit impulse on that
-    channel: the resulting outputs are the Markov parameters.  Requires the
-    recorded inputs to be collectively exciting of order 2*order + 1.
+    channel: the resulting outputs are the Markov parameters.  The m
+    simulations run as one batch, so the dictionary is pseudo-inverted
+    once.  Requires the recorded inputs to be collectively exciting of
+    order 2*order + 1.
 
     Returns a (count, p, m) array: entry 0 is the feedthrough, entry k the
     response k steps after the impulse.
@@ -190,15 +188,10 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
         )
     d = build_data_matrix(usable, L)
     m, p = d.m, d.p
-    out = np.empty((count, p, m))
-    for j in range(m):
-        impulse = np.zeros((count, m))
-        impulse[0, j] = 1.0
-        ys = datadriven_simulate(
-            d, np.zeros((order, m)), np.zeros((order, p)), impulse, tol=tol,
-        )
-        out[:, :, j] = ys
-    return out
+    # Impulse j sits on the batch axis: input channel j is 1 at step 0.
+    impulses = np.zeros((count, m, m))
+    impulses[0] = np.eye(m)
+    return _complete(d, np.zeros((order, m, m)), np.zeros((order, p, m)), impulses, tol)
 
 
 def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
@@ -267,38 +260,38 @@ def scan_order(segments, max_order: int | None = None,
                rtol: float = DEFAULT_RANK_RTOL) -> int:
     """Order estimate over complete runs, choosing the window depth automatically.
 
-    Scans the depth downward from the largest the data supports: a depth-L
-    estimate needs every run used to carry at least one full window and
-    enough total columns that the rank is data- rather than column-limited.
-    The first depth with a stable estimate wins.
+    Scans the depth upward from 1.  At depth L the data matrix stacks the
+    windows of every run at least L long; the scan stops, undetermined, at
+    the first depth whose column count falls below its (m+p)L rows, since
+    columns only fall as L grows.  The estimate rank(H_L) - mL grows
+    strictly with L up to the lag and equals the order n from there on
+    (Markovsky & Dörfler, "Identifiability in the behavioral setting",
+    IEEE TAC 2023), so the first depth whose estimate equals the previous
+    depth's, and is nonnegative, gives the order; deeper windows add nothing.
     """
     segments = [(_coerce_one(u), _coerce_one(y)) for u, y in segments]
     if not segments:
         raise InputError("at least one complete run is required")
-    m = segments[0][0].channels
-    p = segments[0][1].channels
-
+    m, p = segments[0][0].channels, segments[0][1].channels
     cap = max(u.length for u, _ in segments)
     if max_order is not None:
         if max_order < 0:
             raise InputError("max_order must be nonnegative")
         cap = min(cap, max_order + 1)
-    order = None
-    failure = None
-    for depth in range(cap, 1, -1):
+    order, seen = None, []
+    for depth in range(1, cap + 1):
         pairs = [(u, y) for u, y in segments if u.length >= depth]
-        n_cols = sum(u.length - depth + 1 for u, _ in pairs)
-        if n_cols < (m + p) * depth:
-            continue
-        try:
-            order = estimate_order(pairs, depth, rtol)
+        if sum(u.length - depth + 1 for u, _ in pairs) < (m + p) * depth:
             break
-        except OrderUndeterminedError as e:
-            failure = e
+        seen.append(_order_at(pairs, depth, rtol))
+        if depth > 1 and seen[-2] == seen[-1] >= 0:
+            order = seen[-1]
+            break
     if order is None:
+        estimates = ", ".join(f"{e} at depth {d}" for d, e in enumerate(seen, 1))
         raise OrderUndeterminedError(
-            "no window depth produced a stable order estimate"
-            + (f" (last failure: {failure})" if failure else "")
+            "no window depth produced a stable order estimate "
+            f"(estimates: {estimates or 'none, no depth had enough columns'})"
         )
     if max_order is not None and order > max_order:
         raise OrderUndeterminedError(

@@ -227,24 +227,30 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     wy = shape2(past_y, p, "past_y")
     fu = shape2(future_u, m, "future_u")
     if wu.shape[0] != L - 1 or wy.shape[0] != L - 1:
-        raise InputError(
-            f"past must have exactly {L - 1} samples for depth {L}"
-        )
+        raise InputError(f"past must have exactly {L - 1} samples for depth {L}")
+    return _complete(dictionary, wu[..., None], wy[..., None], fu[..., None], tol)[..., 0]
 
+
+def _complete(dictionary: DataDictionary, wu, wy, fu, tol: float) -> np.ndarray:
+    """The sliding completion of :func:`datadriven_simulate` for a batch of
+    trajectories along the trailing axis: past (L-1, m, B) and (L-1, p, B),
+    future inputs (F, m, B); returns the (F, p, B) completed outputs."""
+    L, p = dictionary.depth, dictionary.p
     # Known rows: all L inputs, then the L-1 past outputs; the last p rows
-    # give the new output.  Every step solves against the same A_known, so its
-    # min-norm solution operator is formed once, with lstsq(rcond=None)'s cutoff.
-    k = m * L + p * (L - 1)
+    # give the new output.  Every step and every trajectory solves against the
+    # same A_known, so its min-norm solution operator is formed once, with
+    # lstsq(rcond=None)'s cutoff.
+    k = dictionary.m * L + p * (L - 1)
     A_known, A_new = dictionary.matrix[:k], dictionary.matrix[k:]
     A_pinv = np.linalg.pinv(A_known, rcond=np.finfo(float).eps * max(A_known.shape))
 
-    F = fu.shape[0]
-    us = np.vstack([wu, fu])
-    ys = np.vstack([wy, np.empty((F, p))])
+    F, _, nb = fu.shape
+    us = np.concatenate([wu, fu])
+    ys = np.concatenate([wy, np.empty((F, p, nb))])
     for t in range(F):
-        b = np.concatenate([us[t:t + L].reshape(-1), ys[t:t + L - 1].reshape(-1)])
+        b = np.concatenate([us[t:t + L].reshape(-1, nb), ys[t:t + L - 1].reshape(-1, nb)])
         g = A_pinv @ b
-        res = relative_residual(A_known, g, b)
+        res = max(relative_residual(A_known, g[:, j], b[:, j]) for j in range(nb))
         if res > tol:
             raise InconsistentPastError(
                 f"recorded data cannot explain the given past at step {t} "

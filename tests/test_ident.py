@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 import ddlti as dd
 from conftest import pe_inputs, random_system
 
+EPS = np.finfo(float).eps
+
 
 def make_record(sys, rng, T, missing, pe_order=None):
     """Simulate T steps and blank the given time indices."""
@@ -243,3 +245,82 @@ def test_scan_order_matches_estimate(record):
     assert dd.scan_order(pairs) == 2
     with pytest.raises(dd.OrderUndeterminedError):
         dd.scan_order(pairs, max_order=1)
+
+
+def test_scan_order_undetermined_lists_estimates(record):
+    pairs = dd.segment_trajectory(record)
+    with pytest.raises(dd.OrderUndeterminedError,
+                       match=r"^no window depth produced a stable order estimate "
+                             r"\(estimates: 1 at depth 1, 2 at depth 2\)$"):
+        dd.scan_order(pairs, max_order=1)
+
+
+def test_scan_order_stops_at_first_stall(monkeypatch):
+    # rank(H_L) - mL equals rank O_L, which stops growing at the observability
+    # index l; so the scan never needs a window deeper than l + 1.
+    built = []
+    real = dd.ident.build_data_matrix
+
+    def spy(pairs, depth):
+        built.append(depth)
+        return real(pairs, depth)
+
+    monkeypatch.setattr(dd.ident, "build_data_matrix", spy)
+    rng = np.random.default_rng(10)
+    for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
+        sys = random_system(rng, n, m, p)
+        obs = np.vstack([sys.C @ np.linalg.matrix_power(sys.A, k) for k in range(n)])
+        lag = next(k for k in range(1, n + 1) if dd.numerical_rank(obs[:k * p]) == n)
+        ct = make_record(sys, rng, 300, missing=[100, 211])
+        built.clear()
+        assert dd.scan_order(dd.segment_trajectory(ct)) == n
+        assert max(built) == lag + 1
+
+
+def test_recover_markov_inverts_the_dictionary_once(monkeypatch):
+    calls = []
+    real = np.linalg.pinv
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    rng = np.random.default_rng(11)
+    sys = random_system(rng, 3, 2, 2)
+    u = pe_inputs(rng, 1, dd.pe_length_bound(7, 2, 1) + 5, 2, 7)[0]
+    traj = dd.simulate(sys, rng.standard_normal(3), u)
+    mk = dd.recover_markov_parameters([(traj.u, traj.y)], order=3, count=7)
+    assert len(calls) == 1
+    assert_allclose(mk, dd.markov_parameters(sys, 7), atol=1e-8)
+
+
+def test_recover_markov_batch_matches_per_channel_simulation():
+    rng = np.random.default_rng(12)
+    n, m, p = 3, 2, 2
+    sys = random_system(rng, n, m, p)
+    L, count = n + 1, 2 * n + 1
+    u = pe_inputs(rng, 1, dd.pe_length_bound(n + L, m, 1) + 8, m, n + L)[0]
+    traj = dd.simulate(sys, rng.standard_normal(n), u)
+    mk = dd.recover_markov_parameters([(traj.u, traj.y)], order=n, count=count)
+    d = dd.build_data_matrix([(traj.u, traj.y)], L)
+
+    # Each step of each impulse is re-run through datadriven_simulate on the
+    # window the batch saw, so no error is carried between steps.  Both runs
+    # apply the same min-norm operator to the same right-hand side, so they
+    # differ by at most the bound test_datadriven_simulate_matches_lstsq_loop
+    # derives: 2 max(shape) eps kappa(A_known) ||A_new|| ||g||.
+    k = m * L + p * (L - 1)
+    A_known, A_new = d.matrix[:k], d.matrix[k:]
+    s = np.linalg.svd(A_known, compute_uv=False)
+    kappa = s[0] / s[s > EPS * max(A_known.shape) * s[0]][-1]
+    for j in range(m):
+        us = np.zeros((n + count, m))
+        us[n, j] = 1.0
+        ys = np.vstack([np.zeros((n, p)), mk[:, :, j]])
+        for t in range(count):
+            y = dd.datadriven_simulate(d, us[t:t + n], ys[t:t + n], us[t + n:t + L])[0]
+            b = np.concatenate([us[t:t + L].reshape(-1), ys[t:t + n].reshape(-1)])
+            g = np.linalg.lstsq(A_known, b, rcond=None)[0]
+            bound = 2 * max(A_known.shape) * EPS * kappa * np.linalg.norm(A_new, 2) * np.linalg.norm(g)
+            assert np.linalg.norm(y - mk[t, :, j]) <= bound
