@@ -10,7 +10,6 @@ simulation, identification from records with missing samples, and LQR
 design directly from state/input experiments.
 """
 from ._linalg import DEFAULT_RANK_RTOL, numerical_rank
-from .benchmarks import batch_reactor
 from .errors import (
     CertificationError,
     DdltiError,
@@ -36,7 +35,6 @@ from .hankel import (
     pe_length_bound,
 )
 from .ident import (
-    CorruptedTrajectory,
     IdentificationResult,
     estimate_order,
     ho_kalman,
@@ -59,7 +57,6 @@ from .lqr import (
     ExperimentBatch,
     InstabilityReport,
     LqrSolution,
-    LqrWeights,
     assemble_batch,
     dare_solve,
     export_sdp,
@@ -70,8 +67,11 @@ from .lqr import (
     lqr_from_data,
 )
 from .lti import (
+    CorruptedTrajectory,
+    LqrWeights,
     LtiSystem,
     StateTrajectory,
+    batch_reactor,
     is_controllable,
     markov_parameters,
     response_maps,

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 #: Default relative singular-value cutoff for every rank decision.
 DEFAULT_RANK_RTOL = 1e-8
 
@@ -45,8 +47,6 @@ def as_samples(a) -> np.ndarray:
 
 def as_matrix(M, name: str) -> np.ndarray:
     """Coerce to a 2-D float array, raising with the argument name on failure."""
-    from .errors import InputError
-
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise InputError(f"{name} must be a 2-D matrix, got shape {A.shape}")

@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import DEFAULT_RANK_RTOL
 from .errors import DdltiError, DepthTooLargeError, InputError
 from .hankel import excitation_report, max_excitation_order, pe_length_bound
-from .ident import CorruptedTrajectory, identify, scan_order, segment_trajectory
+from .ident import identify, scan_order, segment_trajectory
 from .io import (
     read_experiment_csv,
     read_inputs_csv,
@@ -42,7 +42,7 @@ from .lqr import (
     instability_report,
     lqr_from_data,
 )
-from .lti import simulate
+from .lti import CorruptedTrajectory, simulate
 from .willems import build_data_matrix, datadriven_simulate
 
 

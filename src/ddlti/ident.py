@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_samples, numerical_rank, rank_from_singular_values
+from ._linalg import DEFAULT_RANK_RTOL, numerical_rank, rank_from_singular_values
 from .errors import (
     ExcitationError,
     InputError,
@@ -23,67 +23,9 @@ from .errors import (
     OrderInfeasibleError,
     OrderUndeterminedError,
 )
-from .hankel import SignalSegment, _coerce_one, is_persistently_exciting
-from .lti import LtiSystem, markov_parameters
-from .willems import _complete, build_data_matrix
-
-
-@dataclass(frozen=True)
-class CorruptedTrajectory:
-    """A time-indexed input/output record where whole samples may be missing.
-
-    ``u`` is (T, m) and ``y`` is (T, p), 1-D input being a single channel; a
-    missing sample is a row of NaNs in both.  Missingness strikes a time step
-    as a whole: rows that are only partially NaN are rejected.
-    """
-
-    u: np.ndarray
-    y: np.ndarray
-    start_time: int = 0
-
-    def __post_init__(self):
-        u = as_samples(self.u)
-        y = as_samples(self.y)
-        if u.ndim != 2 or y.ndim != 2:
-            raise InputError("u and y must be 2-D (one row per time step)")
-        if u.shape[0] != y.shape[0]:
-            raise InputError("u and y must cover the same time steps")
-        if u.shape[0] == 0:
-            raise InputError("record must contain at least one time step")
-        u_ok = np.all(np.isfinite(u), axis=1)
-        y_ok = np.all(np.isfinite(y), axis=1)
-        u_gone = np.all(~np.isfinite(u), axis=1)
-        y_gone = np.all(~np.isfinite(y), axis=1)
-        whole = (u_ok & y_ok) | (u_gone & y_gone)
-        if not np.all(whole):
-            bad = int(np.flatnonzero(~whole)[0])
-            raise InputError(
-                f"sample at step {self.start_time + bad} is partially missing; "
-                "a missing sample must blank the whole (u, y) row"
-            )
-        object.__setattr__(self, "u", u.copy())
-        object.__setattr__(self, "y", y.copy())
-
-    @property
-    def length(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.u.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.y.shape[1]
-
-    @property
-    def present(self) -> np.ndarray:
-        """Boolean mask, True where the sample is present."""
-        return np.all(np.isfinite(self.u), axis=1)
-
-    @property
-    def missing_times(self) -> np.ndarray:
-        return self.start_time + np.flatnonzero(~self.present)
+from .hankel import SignalSegment, is_persistently_exciting
+from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
+from .willems import _complete, _pair_segments, build_data_matrix
 
 
 @dataclass(frozen=True)
@@ -134,7 +76,7 @@ def estimate_order(io_pairs, max_depth: int, rtol: float = DEFAULT_RANK_RTOL) ->
     disagreement means the window is still resolving dynamics (or the data
     are too poor) and raises :class:`OrderUndeterminedError`.
     """
-    pairs = [(_coerce_one(u), _coerce_one(y)) for u, y in io_pairs]
+    pairs = _pair_segments(io_pairs)
     if not pairs:
         raise InputError("at least one input/output pair is required")
     depth = min(max_depth, min(u.length for u, _ in pairs))
@@ -171,7 +113,7 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
         raise InputError("count must be at least 1")
     if order < 0:
         raise InputError("order must be nonnegative")
-    pairs = [(_coerce_one(u), _coerce_one(y)) for u, y in io_pairs]
+    pairs = _pair_segments(io_pairs)
     L = order + 1
     usable = [(u, y) for u, y in pairs if u.length >= L]
     if not usable:
@@ -269,7 +211,7 @@ def scan_order(segments, max_order: int | None = None,
     IEEE TAC 2023), so the first depth whose estimate equals the previous
     depth's, and is nonnegative, gives the order; deeper windows add nothing.
     """
-    segments = [(_coerce_one(u), _coerce_one(y)) for u, y in segments]
+    segments = _pair_segments(segments)
     if not segments:
         raise InputError("at least one complete run is required")
     m, p = segments[0][0].channels, segments[0][1].channels

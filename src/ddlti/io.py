@@ -1,8 +1,8 @@
 """File formats: trajectory/experiment CSV and system/weights JSON.
 
 Trajectory CSV (identification input): header ``t,u1..um,y1..yp``; one row
-per time step with consecutive integer t; a missing sample is a row whose
-u/y fields are all empty (or ``nan``).
+per time step with consecutive whole-number t (``3`` or ``3.0``); a missing
+sample is a row whose u/y fields are all empty (or ``nan``).
 
 Experiment CSV (state-measured runs for LQR): the same plus state columns
 ``x1..xn``; the file ends with a terminal row carrying only ``t`` and the
@@ -20,9 +20,7 @@ import os
 import numpy as np
 
 from .errors import ParseError
-from .ident import CorruptedTrajectory
-from .lti import LtiSystem, StateTrajectory
-from .lqr import LqrWeights
+from .lti import CorruptedTrajectory, LqrWeights, LtiSystem, StateTrajectory
 
 
 def _open_text(path, mode="r"):
@@ -80,9 +78,12 @@ def _parse_times(path, rows) -> int:
     times = []
     for line_no, row in enumerate(rows, start=2):
         try:
-            times.append(int(float(row[0])))
+            t = float(row[0])
+            if not t.is_integer():  # also rejects inf and nan
+                raise ValueError
         except (ValueError, IndexError):
             raise ParseError(f"{path}: line {line_no}: bad time index {row[:1]!r}") from None
+        times.append(int(t))
     start = times[0]
     for k, t in enumerate(times):
         if t != start + k:
@@ -239,11 +240,9 @@ def write_system_json(path, sys: LtiSystem) -> None:
 def read_weights_json(path) -> LqrWeights:
     """Load LQR weights from {"Q","R"} JSON."""
     obj = _json_load(path)
+    Q, R = _json_matrix(obj, "Q", path), _json_matrix(obj, "R", path)
     try:
-        return LqrWeights(Q=_json_matrix(obj, "Q", path),
-                          R=_json_matrix(obj, "R", path))
-    except ParseError:
-        raise
+        return LqrWeights(Q=Q, R=R)
     except Exception as e:
         raise ParseError(f"{path}: {e}") from e
 

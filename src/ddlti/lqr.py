@@ -41,13 +41,8 @@ from .errors import (
     InsufficientDataError,
     RiccatiDivergenceError,
 )
-from .hankel import (
-    SignalSegment,
-    _coerce_segments,
-    is_persistently_exciting,
-    pe_length_bound,
-)
-from .lti import LtiSystem, StateTrajectory, simulate, spectral_radius
+from .hankel import SignalSegment, _coerce_one, is_persistently_exciting, pe_length_bound
+from .lti import LqrWeights, LtiSystem, StateTrajectory, simulate, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -92,31 +87,6 @@ class ExperimentBatch:
 
 
 @dataclass(frozen=True)
-class LqrWeights:
-    """Quadratic cost weights: Q symmetric PSD on states, R symmetric PD on inputs."""
-
-    Q: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        Q = as_matrix(self.Q, "Q")
-        R = as_matrix(self.R, "R")
-        for name, M in (("Q", Q), ("R", R)):
-            if M.shape[0] != M.shape[1]:
-                raise InputError(f"{name} must be square, got {M.shape}")
-            if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.abs(M).max(initial=0.0))):
-                raise InputError(f"{name} must be symmetric")
-        q_eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-        if q_eigs.size and q_eigs[0] < -1e-10 * max(1.0, q_eigs[-1]):
-            raise InputError("Q must be positive semidefinite")
-        r_eigs = np.linalg.eigvalsh(0.5 * (R + R.T))
-        if r_eigs.size == 0 or r_eigs[0] <= 0.0:
-            raise InputError("R must be positive definite")
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
-        object.__setattr__(self, "R", 0.5 * (R + R.T))
-
-
-@dataclass(frozen=True)
 class LqrSolution:
     """Certified output of :func:`lqr_from_data`.
 
@@ -154,8 +124,8 @@ def assemble_batch(experiments) -> ExperimentBatch:
             u = exp.u
         else:
             x, u = exp
-            x = _coerce_segments(x)[0].samples
-            u = _coerce_segments(u)[0].samples
+            x = _coerce_one(x).samples
+            u = _coerce_one(u).samples
         if x.shape[0] != u.shape[0] + 1:
             raise InputError(
                 f"experiment {i}: states must have one more sample than "
@@ -248,13 +218,14 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
 
     resid_tol = max(tol, 1e-12)
     P = doubling()
-    if P is None or _dare_residual(A, B, Q, R, P) > resid_tol:
+    residual = np.inf if P is None else _dare_residual(A, B, Q, R, P)
+    if residual > resid_tol:
         P = fixed_point()
-    if P is None:
-        raise RiccatiDivergenceError(
-            f"Riccati iteration did not converge within {max_iter} steps"
-        )
-    residual = _dare_residual(A, B, Q, R, P)
+        if P is None:
+            raise RiccatiDivergenceError(
+                f"Riccati iteration did not converge within {max_iter} steps"
+            )
+        residual = _dare_residual(A, B, Q, R, P)
     if residual > resid_tol:
         raise RiccatiDivergenceError(
             f"Riccati residual {residual:.3e} exceeds tolerance {resid_tol:.1e}"

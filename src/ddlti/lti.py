@@ -1,4 +1,4 @@
-"""Discrete-time LTI state-space systems: exact simulation and structural tests.
+"""Discrete-time LTI systems, the records they produce, and LQR cost weights.
 
 Systems follow the update/output laws
 
@@ -6,8 +6,12 @@ Systems follow the update/output laws
     y(t)   = C x(t) + D u(t)
 
 with state dimension ``n >= 0`` (``n = 0`` gives the static map ``y = D u``),
-``m >= 1`` inputs and ``p >= 1`` outputs.  Everything in this module is a pure
-function of its arguments; the dataclasses are frozen and safe to share.
+``m >= 1`` inputs and ``p >= 1`` outputs.  Records: :class:`StateTrajectory`
+(an input/state/output run) and :class:`CorruptedTrajectory` (an
+input/output record with missing samples); weights: :class:`LqrWeights`.
+Every time series is read one way: one row per step, a 1-D array being one
+channel.  Everything in this module is a pure function of its arguments; the
+dataclasses are frozen and safe to share.
 """
 from __future__ import annotations
 
@@ -80,7 +84,7 @@ class StateTrajectory:
 
     ``u``, ``x`` and ``y`` hold samples at times ``start_time .. start_time+T-1``
     (one row per step, 1-D input being a single channel); ``final_state`` is
-    ``x(start_time + T)``.
+    ``x(start_time + T)``, with one entry per column of ``x``.
     """
 
     u: np.ndarray
@@ -90,19 +94,128 @@ class StateTrajectory:
     start_time: int = 0
 
     def __post_init__(self):
-        u = as_samples(self.u)
-        x = np.asarray(self.x, float).reshape(u.shape[0], -1)
-        y = as_samples(self.y)
+        u, x, y = as_samples(self.u), as_samples(self.x), as_samples(self.y)
         if not (u.shape[0] == x.shape[0] == y.shape[0]):
             raise InputError("u, x, y must have the same number of samples")
+        final_state = np.asarray(self.final_state, float).reshape(-1)
+        if final_state.shape[0] != x.shape[1]:
+            raise InputError(f"final_state must have {x.shape[1]} entries, got {final_state.size}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "final_state", np.asarray(self.final_state, float).reshape(-1))
+        object.__setattr__(self, "final_state", final_state)
 
     @property
     def length(self) -> int:
         return self.u.shape[0]
+
+
+@dataclass(frozen=True)
+class CorruptedTrajectory:
+    """A time-indexed input/output record where whole samples may be missing.
+
+    ``u`` is (T, m) and ``y`` is (T, p), 1-D input being a single channel; a
+    missing sample is a row of NaNs in both.  Missingness strikes a time step
+    as a whole: rows that are only partially NaN are rejected.
+    """
+
+    u: np.ndarray
+    y: np.ndarray
+    start_time: int = 0
+
+    def __post_init__(self):
+        u = as_samples(self.u)
+        y = as_samples(self.y)
+        if u.ndim != 2 or y.ndim != 2:
+            raise InputError("u and y must be 2-D (one row per time step)")
+        if u.shape[0] != y.shape[0]:
+            raise InputError("u and y must cover the same time steps")
+        if u.shape[0] == 0:
+            raise InputError("record must contain at least one time step")
+        u_ok = np.all(np.isfinite(u), axis=1)
+        y_ok = np.all(np.isfinite(y), axis=1)
+        u_gone = np.all(~np.isfinite(u), axis=1)
+        y_gone = np.all(~np.isfinite(y), axis=1)
+        whole = (u_ok & y_ok) | (u_gone & y_gone)
+        if not np.all(whole):
+            bad = int(np.flatnonzero(~whole)[0])
+            raise InputError(
+                f"sample at step {self.start_time + bad} is partially missing; "
+                "a missing sample must blank the whole (u, y) row"
+            )
+        object.__setattr__(self, "u", u.copy())
+        object.__setattr__(self, "y", y.copy())
+
+    @property
+    def length(self) -> int:
+        return self.u.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.u.shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.y.shape[1]
+
+    @property
+    def present(self) -> np.ndarray:
+        """Boolean mask, True where the sample is present."""
+        return np.all(np.isfinite(self.u), axis=1)
+
+    @property
+    def missing_times(self) -> np.ndarray:
+        return self.start_time + np.flatnonzero(~self.present)
+
+
+@dataclass(frozen=True)
+class LqrWeights:
+    """Quadratic cost weights: Q symmetric PSD on states, R symmetric PD on inputs."""
+
+    Q: np.ndarray
+    R: np.ndarray
+
+    def __post_init__(self):
+        Q = as_matrix(self.Q, "Q")
+        R = as_matrix(self.R, "R")
+        for name, M in (("Q", Q), ("R", R)):
+            if not np.all(np.isfinite(M)):
+                raise InputError(f"{name} contains non-finite entries")
+            if M.shape[0] != M.shape[1]:
+                raise InputError(f"{name} must be square, got {M.shape}")
+            if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.abs(M).max(initial=0.0))):
+                raise InputError(f"{name} must be symmetric")
+        q_eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+        if q_eigs.size and q_eigs[0] < -1e-10 * max(1.0, q_eigs[-1]):
+            raise InputError("Q must be positive semidefinite")
+        r_eigs = np.linalg.eigvalsh(0.5 * (R + R.T))
+        if r_eigs.size == 0 or r_eigs[0] <= 0.0:
+            raise InputError("R must be positive definite")
+        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
+        object.__setattr__(self, "R", 0.5 * (R + R.T))
+
+
+def batch_reactor() -> LtiSystem:
+    """The classic open-loop-unstable batch reactor, sampled at 0.5 s.
+
+    A standard benchmark for data-driven and robust control studies; the
+    discretized state matrix has an eigenvalue well outside the unit circle,
+    which makes long open-loop experiments numerically hopeless and short
+    ones attractive.  Full state measurement (C = I, D = 0).
+    """
+    A = np.array([
+        [2.622, 0.320, 1.834, -1.066],
+        [-0.238, 0.187, -0.136, 0.202],
+        [0.161, 0.789, 0.286, 0.606],
+        [-0.104, 0.764, 0.089, 0.736],
+    ])
+    B = np.array([
+        [0.465, -1.550],
+        [1.314, 0.085],
+        [2.055, -0.673],
+        [2.023, -0.160],
+    ])
+    return LtiSystem(A=A, B=B, C=np.eye(4), D=np.zeros((4, 2)))
 
 
 def simulate(sys: LtiSystem, x0, u_seq, start_time: int = 0) -> StateTrajectory:

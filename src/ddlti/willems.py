@@ -19,9 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, lstsq_minnorm, numerical_rank, relative_residual
+from ._linalg import (DEFAULT_RANK_RTOL, as_samples, lstsq_minnorm, numerical_rank,
+                      relative_residual)
 from .errors import InconsistentPastError, InputError
-from .hankel import SignalSegment, _check_depth, _coerce_segments, _mosaic, mosaic_hankel
+from .hankel import (SignalSegment, _check_depth, _coerce_one, _coerce_segments, _mosaic,
+                     mosaic_hankel)
 from .lti import LtiSystem
 
 
@@ -63,6 +65,24 @@ class DataDictionary:
         return self.matrix[self.m * self.depth:]
 
 
+def _pair_segments(io_pairs) -> list[tuple[SignalSegment, SignalSegment]]:
+    """(input, output) segment pairs, each of one length, whose inputs share a
+    channel count and whose outputs share another."""
+    pairs = []
+    for i, pair in enumerate(io_pairs):
+        try:
+            u, y = pair
+        except (TypeError, ValueError):
+            raise InputError("each element must be an (input, output) pair") from None
+        u, y = _coerce_one(u), _coerce_one(y)
+        if u.length != y.length:
+            raise InputError(f"pair {i}: input length {u.length} != output length {y.length}")
+        pairs.append((u, y))
+    for side in zip(*pairs):  # all inputs, then all outputs
+        _coerce_segments(side)
+    return pairs
+
+
 def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
     """Assemble the depth-L data dictionary from paired input/output records.
 
@@ -79,24 +99,10 @@ def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
     DataDictionary
         With ``N = sum_i (T_i - L + 1)`` columns.
     """
-    pairs = list(io_pairs)
+    pairs = _pair_segments(io_pairs)
     if not pairs:
         raise InputError("at least one input/output pair is required")
-    ins, outs = [], []
-    for i, pair in enumerate(pairs):
-        try:
-            u, y = pair
-        except (TypeError, ValueError):
-            raise InputError("each element must be an (input, output) pair") from None
-        useg = _coerce_segments(u)[0]
-        yseg = _coerce_segments(y)[0]
-        if useg.length != yseg.length:
-            raise InputError(
-                f"pair {i}: input length {useg.length} != output length {yseg.length}"
-            )
-        ins.append(useg)
-        outs.append(yseg)
-    ins, outs = _coerce_segments(ins), _coerce_segments(outs)  # channel counts agree
+    ins, outs = (list(side) for side in zip(*pairs))
     _check_depth(ins, depth)
     mL = depth * ins[0].channels
     M = np.empty((mL + depth * outs[0].channels,
@@ -119,7 +125,7 @@ def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
     us = _coerce_segments(input_segments)
     if isinstance(state_segments, (SignalSegment, np.ndarray)):
         state_segments = [state_segments]
-    xs = [s.samples if isinstance(s, SignalSegment) else np.atleast_2d(np.asarray(s, float))
+    xs = [as_samples(s.samples if isinstance(s, SignalSegment) else s)
           for s in state_segments]
     if len(xs) != len(us):
         raise InputError("state and input records must come in matching numbers")
@@ -214,18 +220,10 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     (F, p) ndarray of completed outputs.
     """
     L, m, p = dictionary.depth, dictionary.m, dictionary.p
-
-    def shape2(a, d, name):
-        a = np.asarray(a, dtype=float)
-        if a.ndim == 1:
-            a = a[:, None] if d == 1 else a.reshape(-1, d)
+    wu, wy, fu = as_samples(past_u), as_samples(past_y), as_samples(future_u)
+    for name, a, d in (("past_u", wu, m), ("past_y", wy, p), ("future_u", fu, m)):
         if a.ndim != 2 or a.shape[1] != d:
             raise InputError(f"{name} must have {d} channels")
-        return a
-
-    wu = shape2(past_u, m, "past_u")
-    wy = shape2(past_y, p, "past_y")
-    fu = shape2(future_u, m, "future_u")
     if wu.shape[0] != L - 1 or wy.shape[0] != L - 1:
         raise InputError(f"past must have exactly {L - 1} samples for depth {L}")
     return _complete(dictionary, wu[..., None], wy[..., None], fu[..., None], tol)[..., 0]
@@ -250,7 +248,11 @@ def _complete(dictionary: DataDictionary, wu, wy, fu, tol: float) -> np.ndarray:
     for t in range(F):
         b = np.concatenate([us[t:t + L].reshape(-1, nb), ys[t:t + L - 1].reshape(-1, nb)])
         g = A_pinv @ b
-        res = max(relative_residual(A_known, g[:, j], b[:, j]) for j in range(nb))
+        # Each trajectory's relative residual, with relative_residual's rule
+        # (plain ||A g - b|| where b = 0); the worst one is checked.
+        r = np.linalg.norm(A_known @ g - b, axis=0)
+        b_norm = np.linalg.norm(b, axis=0)
+        res = float(np.divide(r, b_norm, out=r, where=b_norm > 0.0).max())
         if res > tol:
             raise InconsistentPastError(
                 f"recorded data cannot explain the given past at step {t} "

@@ -63,6 +63,13 @@ def test_identify_malformed_csv(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_identify_infinite_time_index(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,u1,y1\n0,1,2\ninf,3,4\n")
+    assert main(["identify", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_identify_missing_file(capsys):
     assert main(["identify", "/no/such/file.csv"]) == 1
 
@@ -210,6 +217,15 @@ def test_lqr_end_to_end(tmp_path, capsys, reactor, eye_weights_json):
     _, K_model = dd.dare_solve(reactor.A, reactor.B, np.eye(4), np.eye(2))
     assert np.linalg.norm(K - K_model) <= 1e-6
     assert payload["closed_loop_radius"] < 1.0
+
+
+def test_lqr_non_finite_weights(tmp_path, reactor, capsys):
+    files = reactor_experiment_files(tmp_path, reactor)
+    weights = tmp_path / "w.json"
+    weights.write_text('{"Q": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]], '
+                       '"R": [[Infinity,0],[0,1]]}')
+    assert main(["lqr", *files, "--weights", str(weights)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_lqr_rank_deficient_data(tmp_path, reactor, eye_weights_json, capsys):

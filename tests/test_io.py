@@ -45,6 +45,20 @@ def test_trajectory_rejects_gap_in_time(tmp_path):
         dd.read_trajectory_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan", "1.5"])
+def test_trajectory_rejects_non_integer_time(tmp_path, cell):
+    path = tmp_path / "rec.csv"
+    path.write_text(f"t,u1,y1\n0,1,2\n{cell},3,4\n")
+    with pytest.raises(dd.ParseError, match="line 3: bad time index"):
+        dd.read_trajectory_csv(path)
+
+
+def test_trajectory_accepts_whole_float_time(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("t,u1,y1\n3.0,1,2\n4,3,4\n")
+    assert dd.read_trajectory_csv(path).start_time == 3
+
+
 def test_trajectory_rejects_partial_row(tmp_path):
     path = tmp_path / "rec.csv"
     path.write_text("t,u1,y1\n0,1,2\n1,,4\n")

@@ -1,0 +1,37 @@
+"""Modules depend only downward: each imports only modules earlier in ORDER."""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ddlti"
+
+#: Every module of the package, lowest layer first.
+ORDER = ["errors", "_linalg", "lti", "io", "hankel", "willems", "ident", "lqr", "cli",
+         "__init__"]
+
+
+def relative_imports(path: Path) -> set[str]:
+    """Package modules a source file imports, at top level or inside functions."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import name
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(ORDER)
+
+
+def test_modules_import_only_lower_layers():
+    upward = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ORDER:
+            continue
+        rank = ORDER.index(path.stem)
+        for dep in sorted(relative_imports(path)):
+            if dep not in ORDER or ORDER.index(dep) >= rank:
+                upward.append(f"{path.stem} -> {dep}")
+    assert upward == []

@@ -55,6 +55,15 @@ def test_assemble_rejects_bad_input():
         dd.assemble_batch([(np.ones((5, 2)), np.ones((5, 1)))])  # no terminal state
 
 
+def test_assemble_reads_nested_lists_one_row_per_step():
+    x = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    u = [[1.0], [2.0]]
+    batch = dd.assemble_batch([(x, u)])
+    assert_allclose(batch.Xm, np.array(x[:2]).T)
+    assert_allclose(batch.Xp, np.array(x[1:]).T)
+    assert_allclose(batch.Um, np.array(u).T)
+
+
 # --- Riccati solver -------------------------------------------------------
 
 def test_dare_zero_dynamics():
@@ -415,6 +424,14 @@ def test_weights_validation():
         dd.LqrWeights(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), R=np.eye(2))
     with pytest.raises(dd.InputError):
         dd.LqrWeights(Q=-np.eye(2), R=np.eye(2))
+
+
+def test_weights_reject_non_finite_entries():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(dd.InputError, match="Q contains non-finite entries"):
+            dd.LqrWeights(Q=[[bad]], R=[[1.0]])
+        with pytest.raises(dd.InputError, match="R contains non-finite entries"):
+            dd.LqrWeights(Q=[[1.0]], R=[[1.0, 0.0], [0.0, bad]])
 
 
 # --- SDPA export ----------------------------------------------------------

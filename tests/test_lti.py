@@ -53,6 +53,20 @@ def test_state_trajectory_one_dimensional_is_one_channel():
     assert traj.u.shape == traj.x.shape == traj.y.shape == (4, 1)
 
 
+def test_state_trajectory_rejects_transposed_states(reactor):
+    rng = np.random.default_rng(6)
+    traj = dd.simulate(reactor, rng.standard_normal(4), rng.standard_normal((6, 2)))
+    with pytest.raises(dd.InputError, match="same number of samples"):
+        dd.StateTrajectory(u=traj.u, x=traj.x.T, y=traj.y, final_state=traj.final_state)
+
+
+def test_state_trajectory_rejects_short_final_state(reactor):
+    rng = np.random.default_rng(6)
+    traj = dd.simulate(reactor, rng.standard_normal(4), rng.standard_normal((6, 2)))
+    with pytest.raises(dd.InputError, match="final_state must have 4 entries"):
+        dd.StateTrajectory(u=traj.u, x=traj.x, y=traj.y, final_state=traj.final_state[:3])
+
+
 def test_static_system_n0():
     sys = dd.LtiSystem(A=np.zeros((0, 0)), B=np.zeros((0, 2)),
                        C=np.zeros((3, 0)), D=np.arange(6.0).reshape(3, 2))

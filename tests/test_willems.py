@@ -86,6 +86,16 @@ def test_rank_condition_static_system_reduces_to_pe():
         dd.is_persistently_exciting(u, 3)
 
 
+def test_rank_condition_one_dimensional_states_are_one_channel():
+    rng = np.random.default_rng(7)
+    sys = random_system(rng, 1, 1, 1)
+    for u in (pe_inputs(rng, 1, 30, 1, 4)[0], np.ones((30, 1))):
+        traj = dd.simulate(sys, rng.standard_normal(1), u)
+        assert traj.x.shape == (30, 1)
+        assert dd.check_rank_condition(sys, [traj.x[:, 0]], [u], 3) == \
+            dd.check_rank_condition(sys, [traj.x], [u], 3)
+
+
 def test_synthesize_selects_columns(record):
     d = dd.build_data_matrix(fixture_pairs(record), 3)
     g = np.zeros(d.n_columns)
@@ -199,6 +209,17 @@ def test_datadriven_simulate_invariant_to_segment_order(record):
     y1 = dd.datadriven_simulate(d1, np.zeros((2, 1)), np.zeros((2, 1)), future_u)
     y2 = dd.datadriven_simulate(d2, np.zeros((2, 1)), np.zeros((2, 1)), future_u)
     assert_allclose(y1, y2, atol=1e-9)
+
+
+def test_datadriven_simulate_rejects_flat_multichannel_past():
+    rng = np.random.default_rng(8)
+    sys = random_system(rng, 1, 2, 1)
+    u = pe_inputs(rng, 1, 40, 2, 4)[0]
+    traj = dd.simulate(sys, rng.standard_normal(1), u)
+    d = dd.build_data_matrix([(traj.u, traj.y)], 3)
+    assert dd.datadriven_simulate(d, traj.u[:2], traj.y[:2], traj.u[2:5]).shape == (3, 1)
+    with pytest.raises(dd.InputError, match="past_u must have 2 channels"):
+        dd.datadriven_simulate(d, traj.u[:2].reshape(-1), traj.y[:2], traj.u[2:5])
 
 
 def test_past_length_enforced(record):
