@@ -36,7 +36,6 @@ from .hankel import (
 )
 from .ident import (
     IdentificationResult,
-    estimate_order,
     ho_kalman,
     identify,
     recover_markov_parameters,
@@ -138,7 +137,6 @@ __all__ = [
     "CorruptedTrajectory",
     "IdentificationResult",
     "segment_trajectory",
-    "estimate_order",
     "scan_order",
     "recover_markov_parameters",
     "ho_kalman",

@@ -2,8 +2,9 @@
 
 Every error carries an ``exit_code`` so that CLI failures map onto a stable,
 scriptable code: 1 I/O and malformed input, 2 excitation failure, 3 not
-enough data (rank deficiency, unusable records, inconsistent past windows),
-4 certification or Riccati failure, 5 undetermined model order.
+enough data (rank deficiency, unusable records, inconsistent past windows,
+non-unique completions), 4 certification or Riccati failure, 5 undetermined
+model order.
 """
 
 

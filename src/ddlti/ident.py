@@ -4,9 +4,9 @@ The pipeline: split the record into maximal complete runs, estimate the
 system order from the rank of the stacked input/output mosaic matrix (the
 window depth grows until rank minus mL stops growing: that first stall is
 the order, see :func:`scan_order`), recover impulse-response (Markov)
-matrices by one batched data-driven simulation over the runs, and realize a
-state-space model with the Ho-Kalman algorithm.  Everything operates on
-exact (noise-free) data.
+matrices by one batched data-driven simulation on the matrix of that stall,
+certified unique, and realize a state-space model with the Ho-Kalman
+algorithm.  Everything operates on exact (noise-free) data.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hankel import SignalSegment, is_persistently_exciting
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
-from .willems import _complete, _pair_segments, build_data_matrix
+from .willems import DataDictionary, _complete, _pair_segments, build_data_matrix
 
 
 @dataclass(frozen=True)
@@ -60,54 +60,15 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
     return pairs
 
 
-def _order_at(pairs, depth: int, rtol: float) -> int:
-    """rank(H_L) - mL for the depth-L data matrix of ``pairs``: the order
-    estimate once L exceeds the lag of exciting exact data."""
-    d = build_data_matrix(pairs, depth)
-    return numerical_rank(d.matrix, rtol) - d.m * depth
-
-
-def estimate_order(io_pairs, max_depth: int, rtol: float = DEFAULT_RANK_RTOL) -> int:
-    """Order estimate from the rank of the stacked input/output mosaic.
-
-    At depth L the stack has rank mL + n on exact, sufficiently exciting
-    data, so the estimate is rank minus mL at the largest feasible
-    L <= max_depth.  The estimate must agree at depths L and L-1; a
-    disagreement means the window is still resolving dynamics (or the data
-    are too poor) and raises :class:`OrderUndeterminedError`.
-    """
-    pairs = _pair_segments(io_pairs)
-    if not pairs:
-        raise InputError("at least one input/output pair is required")
-    depth = min(max_depth, min(u.length for u, _ in pairs))
-    if depth < 2:
-        raise OrderUndeterminedError(
-            "order estimation needs windows of depth at least 2"
-        )
-    est = [_order_at(pairs, d, rtol) for d in (depth - 1, depth)]
-    if est[0] != est[1] or est[1] < 0:
-        raise OrderUndeterminedError(
-            f"order estimate did not stabilize (got {est[0]} at depth "
-            f"{depth - 1}, {est[1]} at depth {depth}); the data are "
-            "insufficiently exciting for this window"
-        )
-    return est[1]
-
-
 def recover_markov_parameters(io_pairs, order: int, count: int,
                               rtol: float = DEFAULT_RANK_RTOL,
                               tol: float = 1e-6) -> np.ndarray:
     """First ``count`` impulse-response matrices, from data alone.
 
-    For each input channel, a data-driven simulation is run with ``order``
-    zero past samples (pinning the zero state) and a unit impulse on that
-    channel: the resulting outputs are the Markov parameters.  The m
-    simulations run as one batch, so the dictionary is pseudo-inverted
-    once.  Requires the recorded inputs to be collectively exciting of
-    order 2*order + 1.
-
-    Returns a (count, p, m) array: entry 0 is the feedthrough, entry k the
-    response k steps after the impulse.
+    Completes the m impulse responses on the depth-(order+1) dictionary,
+    after checking that the recorded inputs are collectively exciting of
+    order 2*order + 1.  Returns a (count, p, m) array: entry 0 is the
+    feedthrough, entry k the response k steps after the impulse.
     """
     if count < 1:
         raise InputError("count must be at least 1")
@@ -128,12 +89,20 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
             f"recorded inputs are not collectively exciting of order {need}, "
             f"as impulse recovery at order {order} requires"
         )
-    d = build_data_matrix(usable, L)
-    m, p = d.m, d.p
+    return _impulse_response(build_data_matrix(usable, L), count, rtol, tol)
+
+
+def _impulse_response(d: DataDictionary, count: int, rtol: float, tol: float) -> np.ndarray:
+    """First ``count`` Markov parameters completed on ``d``: for each input
+    channel, a unit impulse after a zero past of depth-1 samples, which pins
+    the zero state once depth-1 reaches the lag.  The m impulses run as one
+    batch, so ``d`` is pseudo-inverted once."""
+    L, m, p = d.depth, d.m, d.p
     # Impulse j sits on the batch axis: input channel j is 1 at step 0.
     impulses = np.zeros((count, m, m))
     impulses[0] = np.eye(m)
-    return _complete(d, np.zeros((order, m, m)), np.zeros((order, p, m)), impulses, tol)
+    return _complete(d, np.zeros((L - 1, m, m)), np.zeros((L - 1, p, m)), impulses,
+                     tol, rtol)
 
 
 def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
@@ -168,12 +137,12 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
         )
     c = (K - 1) // 2
     r = K - 1 - c
-    H = np.empty((r * p, c * m))
-    Hs = np.empty((r * p, c * m))
-    for i in range(r):
-        for j in range(c):
-            H[i * p:(i + 1) * p, j * m:(j + 1) * m] = mk[i + j + 1]
-            Hs[i * p:(i + 1) * p, j * m:(j + 1) * m] = mk[i + j + 2]
+    # Block (i, j) of H is markov[i + j + 1] and of Hs markov[i + j + 2]: both
+    # are r x c slices of the one block-Hankel window view of markov[1:].
+    W = np.lib.stride_tricks.sliding_window_view(mk[1:], c, axis=0)  # (K-c, p, m, c)
+    blocks = W.transpose(0, 1, 3, 2).reshape(K - c, p, c * m)
+    H = blocks[:r].reshape(r * p, c * m)
+    Hs = blocks[1:r + 1].reshape(r * p, c * m)
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
     rank = rank_from_singular_values(s, rtol)
     if rank < order:
@@ -211,6 +180,12 @@ def scan_order(segments, max_order: int | None = None,
     IEEE TAC 2023), so the first depth whose estimate equals the previous
     depth's, and is nonnegative, gives the order; deeper windows add nothing.
     """
+    return _scan(segments, max_order, rtol)[0]
+
+
+def _scan(segments, max_order: int | None, rtol: float) -> tuple[int, DataDictionary]:
+    """The order :func:`scan_order` returns, with the data matrix it was read
+    from: the depth-L* dictionary of the first stall."""
     segments = _pair_segments(segments)
     if not segments:
         raise InputError("at least one complete run is required")
@@ -225,12 +200,13 @@ def scan_order(segments, max_order: int | None = None,
         pairs = [(u, y) for u, y in segments if u.length >= depth]
         if sum(u.length - depth + 1 for u, _ in pairs) < (m + p) * depth:
             break
-        seen.append(_order_at(pairs, depth, rtol))
+        d = build_data_matrix(pairs, depth)
+        seen.append(numerical_rank(d.matrix, rtol) - m * depth)
         if depth > 1 and seen[-2] == seen[-1] >= 0:
             order = seen[-1]
             break
     if order is None:
-        estimates = ", ".join(f"{e} at depth {d}" for d, e in enumerate(seen, 1))
+        estimates = ", ".join(f"{e} at depth {L}" for L, e in enumerate(seen, 1))
         raise OrderUndeterminedError(
             "no window depth produced a stable order estimate "
             f"(estimates: {estimates or 'none, no depth had enough columns'})"
@@ -239,27 +215,29 @@ def scan_order(segments, max_order: int | None = None,
         raise OrderUndeterminedError(
             f"estimated order {order} exceeds the requested cap {max_order}"
         )
-    return order
+    return order, d
 
 
 def identify(ct: CorruptedTrajectory, max_order: int | None = None,
              rtol: float = DEFAULT_RANK_RTOL, tol: float = 1e-6) -> IdentificationResult:
     """Full pipeline: segmentation, order estimation, impulse recovery, realization.
 
+    The impulses are completed on the depth-L* matrix at which the order
+    scan stalled: L* - 1 reaches the lag on exciting data, and the completion
+    raises :class:`InsufficientDataError` when the data do not determine the
+    impulse responses.  The segment report lists the runs at least L* long.
+
     ``max_order`` caps the order search; by default the cap is what the data
     can support.  ``rtol`` is the rank tolerance shared by every rank
     decision; ``tol`` bounds the relative residual of the completion solves.
     """
     segments = segment_trajectory(ct, min_len=1)
-    order = scan_order(segments, max_order=max_order, rtol=rtol)
+    order, d = _scan(segments, max_order, rtol)
     count = 2 * order + 1
-    markov = recover_markov_parameters(segments, order, count, rtol=rtol, tol=tol)
+    markov = _impulse_response(d, count, rtol, tol)
     system = ho_kalman(markov, order, rtol)
-    check = markov_parameters(system, count)
-    residual = float(np.max(np.abs(check - markov))) if count else 0.0
-
-    used = [(u.start_time, u.length) for u, _ in segments
-            if u.length >= order + 1]
+    residual = float(np.max(np.abs(markov_parameters(system, count) - markov)))
+    used = [(u.start_time, u.length) for u, _ in segments if u.length >= d.depth]
     return IdentificationResult(
         system=system, order=order, markov=markov,
         segment_report=tuple(used), residual=residual,

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import (DEFAULT_RANK_RTOL, as_samples, lstsq_minnorm, numerical_rank,
                       relative_residual)
-from .errors import InconsistentPastError, InputError
+from .errors import InconsistentPastError, InputError, InsufficientDataError
 from .hankel import (SignalSegment, _check_depth, _coerce_one, _coerce_segments, _mosaic,
                      mosaic_hankel)
 from .lti import LtiSystem
@@ -34,21 +34,17 @@ class DataDictionary:
     ``matrix`` is the one (m+p)L x N array: the depth-L input mosaic in its
     first mL rows, the matching output mosaic below.  Column c is the c-th
     recorded length-L window, inputs over outputs, flattened time-major.
-    ``input_block`` and ``output_block`` are row-slice views of it.
+    ``m`` is the input channel count; ``p`` follows from the row count.
+    ``input_block`` and ``output_block`` are row-slice views of ``matrix``.
     """
 
-    inputs: tuple[SignalSegment, ...]
-    outputs: tuple[SignalSegment, ...]
     depth: int
     matrix: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.inputs[0].channels
+    m: int
 
     @property
     def p(self) -> int:
-        return self.outputs[0].channels
+        return self.matrix.shape[0] // self.depth - self.m
 
     @property
     def n_columns(self) -> int:
@@ -109,7 +105,7 @@ def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
                   sum(u.length - depth + 1 for u in ins)))
     _mosaic(ins, depth, out=M[:mL])
     _mosaic(outs, depth, out=M[mL:])
-    return DataDictionary(inputs=tuple(ins), outputs=tuple(outs), depth=depth, matrix=M)
+    return DataDictionary(depth=depth, matrix=M, m=ins[0].channels)
 
 
 def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
@@ -200,9 +196,11 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     outputs) are solved for g by minimum-norm least squares, the remaining p
     rows evaluate to the new output, and the window slides forward.
 
-    The completed output is unique when L-1 past samples pin the underlying
-    state, i.e. the past is at least as long as the (observable) system
-    order.
+    The completed output is unique exactly when the known rows determine the
+    last p: on exact data, when the L-1 past samples pin the state (L-1 at
+    least the lag) and the data span every length-L trajectory.  This is
+    checked at rank tolerance :data:`DEFAULT_RANK_RTOL`; a non-unique
+    completion raises :class:`InsufficientDataError`.
 
     Parameters
     ----------
@@ -226,13 +224,16 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
             raise InputError(f"{name} must have {d} channels")
     if wu.shape[0] != L - 1 or wy.shape[0] != L - 1:
         raise InputError(f"past must have exactly {L - 1} samples for depth {L}")
-    return _complete(dictionary, wu[..., None], wy[..., None], fu[..., None], tol)[..., 0]
+    return _complete(dictionary, wu[..., None], wy[..., None], fu[..., None], tol,
+                     DEFAULT_RANK_RTOL)[..., 0]
 
 
-def _complete(dictionary: DataDictionary, wu, wy, fu, tol: float) -> np.ndarray:
+def _complete(dictionary: DataDictionary, wu, wy, fu, tol: float, rtol: float) -> np.ndarray:
     """The sliding completion of :func:`datadriven_simulate` for a batch of
     trajectories along the trailing axis: past (L-1, m, B) and (L-1, p, B),
-    future inputs (F, m, B); returns the (F, p, B) completed outputs."""
+    future inputs (F, m, B); returns the (F, p, B) completed outputs.  Raises
+    :class:`InsufficientDataError` when the known rows do not determine the
+    new output, with rank tolerance ``rtol``."""
     L, p = dictionary.depth, dictionary.p
     # Known rows: all L inputs, then the L-1 past outputs; the last p rows
     # give the new output.  Every step and every trajectory solves against the
@@ -240,7 +241,22 @@ def _complete(dictionary: DataDictionary, wu, wy, fu, tol: float) -> np.ndarray:
     # lstsq(rcond=None)'s cutoff.
     k = dictionary.m * L + p * (L - 1)
     A_known, A_new = dictionary.matrix[:k], dictionary.matrix[k:]
-    A_pinv = np.linalg.pinv(A_known, rcond=np.finfo(float).eps * max(A_known.shape))
+    eps = np.finfo(float).eps
+    A_pinv = np.linalg.pinv(A_known, rcond=eps * max(A_known.shape))
+    # The new output is unique exactly when the rows of A_new lie in the row
+    # space of A_known (Markovsky & Rapisarda, IJC 2008); A_pinv @ A_known
+    # projects onto it.  By the rank rule, the part of A_new left outside adds
+    # rank once it exceeds rtol, here relative to A_new so that the outputs'
+    # scale does not matter; the backward-stable SVD behind A_pinv leaves up
+    # to max(shape) * eps of it on rows that do lie in the space.
+    defect = relative_residual(A_new @ A_pinv, A_known, A_new)
+    cutoff = rtol + eps * max(A_known.shape)
+    if defect > cutoff:
+        raise InsufficientDataError(
+            f"the data at depth {L} do not determine the new output "
+            f"(row-space defect {defect:.3e} > {cutoff:.1e}); a deeper window "
+            "or more exciting data is needed"
+        )
 
     F, _, nb = fu.shape
     us = np.concatenate([wu, fu])

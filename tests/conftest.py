@@ -10,6 +10,10 @@ import ddlti as dd
 
 DATA_DIR = Path(__file__).parent / "data"
 RECORD_CSV = DATA_DIR / "corrupted_record.csv"
+#: Four 4-sample runs of a two-output second-order system; see
+#: ``short_runs_system``.  No run is long enough for an order-5 excitation
+#: test, yet the runs' depth-2 windows determine the system.
+SHORT_RUNS_CSV = DATA_DIR / "short_runs_record.csv"
 
 
 def random_system(rng, n, m, p, *, radius=0.9, minimal=True, max_tries=200):
@@ -34,6 +38,13 @@ def random_system(rng, n, m, p, *, radius=0.9, minimal=True, max_tries=200):
     raise RuntimeError("could not draw a suitable random system")
 
 
+def lag(sys):
+    """Observability index of an observable system with n >= 1: the least k
+    whose k-step observability matrix has rank n."""
+    obs = np.vstack([sys.C @ np.linalg.matrix_power(sys.A, k) for k in range(sys.n)])
+    return next(k for k in range(1, sys.n + 1) if dd.numerical_rank(obs[:k * sys.p]) == sys.n)
+
+
 def pe_inputs(rng, q, lengths, m, order, max_tries=100):
     """q input records (given lengths), collectively exciting of ``order``."""
     if np.isscalar(lengths):
@@ -55,6 +66,15 @@ def simulate_records(rng, sys, lengths, order):
 def known_system():
     """The second-order SISO system behind the shipped fixture record."""
     return dd.LtiSystem(A=[[1, 0], [1, 1]], B=[[1], [0]], C=[[0, 1]], D=[[1]])
+
+
+@pytest.fixture
+def short_runs_system():
+    """The system behind ``short_runs_record.csv``: the record is its response
+    from x0 = (1, -1) to inputs ``rng.integers(-2, 3, size=(19, 1))`` with
+    ``rng = np.random.default_rng(19)``, with samples 4, 9 and 14 blanked."""
+    return dd.LtiSystem(A=[[1, 0], [1, 1]], B=[[1], [0]], C=[[1, 0], [0, 1]],
+                        D=[[0], [1]])
 
 
 @pytest.fixture

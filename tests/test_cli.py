@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import ddlti as dd
 from ddlti.cli import main
-from conftest import RECORD_CSV
+from conftest import RECORD_CSV, SHORT_RUNS_CSV
 
 
 @pytest.fixture
@@ -54,6 +54,19 @@ def test_identify_fixture(tmp_path, capsys, known_system):
     assert sys_hat.n == 2
     assert_allclose(dd.markov_parameters(sys_hat, 8),
                     dd.markov_parameters(known_system, 8), atol=1e-8)
+
+
+def test_identify_short_runs(tmp_path, capsys, short_runs_system):
+    # No run reaches the 5 samples an order-5 excitation test needs; the
+    # depth-2 windows of all four runs still determine the system.
+    out = tmp_path / "model.json"
+    rc = main(["identify", str(SHORT_RUNS_CSV), "--out", str(out)])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "segments used (start, length): [(0, 4), (5, 4), (10, 4), (15, 4)]" in text
+    assert "estimated order: 2" in text
+    assert_allclose(dd.markov_parameters(dd.read_system_json(out), 8),
+                    dd.markov_parameters(short_runs_system, 8), atol=1e-8)
 
 
 def test_identify_malformed_csv(tmp_path, capsys):
@@ -176,6 +189,22 @@ def test_dd_simulate_impulse_completion(tmp_path, capsys):
     cont = dd.read_trajectory_csv(out)
     assert cont.start_time == 0
     assert_allclose(cont.y[:, 0], [1.0, 0.0, 1.0, 2.0, 3.0], atol=1e-8)
+
+
+def test_dd_simulate_refuses_a_past_shorter_than_the_lag(tmp_path, capsys, known_system):
+    # The fixture's model has lag 2: one past sample leaves the continuation
+    # undetermined, and the data-driven answer would be one of many.
+    rng = np.random.default_rng(0)
+    ref = dd.simulate(known_system, rng.standard_normal(2), rng.standard_normal((5, 1)))
+    past = tmp_path / "past.csv"
+    dd.write_trajectory_csv(past, dd.CorruptedTrajectory(u=ref.u[:1], y=ref.y[:1]))
+    future = tmp_path / "future.csv"
+    future.write_text("t,u1\n" + "".join(f"{t},{float(v)!r}\n"
+                                          for t, v in enumerate(ref.u[1:, 0], 1)))
+    rc = main(["dd-simulate", str(RECORD_CSV), "--past", str(past),
+               "--future", str(future), "--depth", "2"])
+    assert rc == 3
+    assert "at depth 2 do not determine the new output" in capsys.readouterr().err
 
 
 def test_dd_simulate_wrong_past_length(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import pe_inputs, random_system
+from conftest import lag, pe_inputs, random_system
 
 EPS = np.finfo(float).eps
 
@@ -66,36 +66,6 @@ def test_segmentation_alternating():
     with pytest.raises(dd.NoUsableDataError):
         dd.segment_trajectory(ct, min_len=2)
     assert len(dd.segment_trajectory(ct, min_len=1)) == 3
-
-
-def test_estimate_order_fixture(record):
-    pairs = dd.segment_trajectory(record)
-    assert dd.estimate_order(pairs, max_depth=3) == 2
-
-
-def test_estimate_order_static_data():
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((15, 1))
-    pairs = [(u, 2.0 * u)]
-    assert dd.estimate_order(pairs, max_depth=4) == 0
-
-
-def test_estimate_order_random_third_order():
-    rng = np.random.default_rng(1)
-    sys = random_system(rng, 3, 1, 1)
-    u = pe_inputs(rng, 1, 40, 1, 8)[0]
-    traj = dd.simulate(sys, rng.standard_normal(3), u)
-    assert dd.estimate_order([(traj.u, traj.y)], max_depth=4) == 3
-
-
-def test_estimate_order_unstable_raises():
-    # second-order data examined with windows too shallow to settle
-    rng = np.random.default_rng(2)
-    sys = random_system(rng, 2, 1, 1)
-    u = pe_inputs(rng, 1, 30, 1, 6)[0]
-    traj = dd.simulate(sys, rng.standard_normal(2), u)
-    with pytest.raises(dd.OrderUndeterminedError):
-        dd.estimate_order([(traj.u, traj.y)], max_depth=2)
 
 
 def test_recover_markov_fixture(record):
@@ -245,6 +215,22 @@ def test_scan_order_matches_estimate(record):
     assert dd.scan_order(pairs) == 2
     with pytest.raises(dd.OrderUndeterminedError):
         dd.scan_order(pairs, max_order=1)
+    # static data
+    u = np.random.default_rng(0).standard_normal((15, 1))
+    assert dd.scan_order([(u, 2.0 * u)], max_order=3) == 0
+    # a random third-order system
+    rng = np.random.default_rng(1)
+    sys = random_system(rng, 3, 1, 1)
+    u = pe_inputs(rng, 1, 40, 1, 8)[0]
+    traj = dd.simulate(sys, rng.standard_normal(3), u)
+    assert dd.scan_order([(traj.u, traj.y)], max_order=3) == 3
+    # second-order data examined with windows too shallow to settle
+    rng = np.random.default_rng(2)
+    sys = random_system(rng, 2, 1, 1)
+    u = pe_inputs(rng, 1, 30, 1, 6)[0]
+    traj = dd.simulate(sys, rng.standard_normal(2), u)
+    with pytest.raises(dd.OrderUndeterminedError):
+        dd.scan_order([(traj.u, traj.y)], max_order=1)
 
 
 def test_scan_order_undetermined_lists_estimates(record):
@@ -257,24 +243,38 @@ def test_scan_order_undetermined_lists_estimates(record):
 
 def test_scan_order_stops_at_first_stall(monkeypatch):
     # rank(H_L) - mL equals rank O_L, which stops growing at the observability
-    # index l; so the scan never needs a window deeper than l + 1.
-    built = []
-    real = dd.ident.build_data_matrix
+    # index l; so the scan never needs a window deeper than l + 1, and
+    # identify completes its impulses on that last matrix: every depth is
+    # built once, the one dictionary is pseudo-inverted once, and no
+    # separate excitation test runs.
+    built, inverted, excitation_tests = [], [], []
 
-    def spy(pairs, depth):
-        built.append(depth)
-        return real(pairs, depth)
+    def spy(owner, name, log, note):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(dd.ident, "build_data_matrix", spy)
+        def call(*args, **kwargs):
+            log.append(note(*args))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    spy(dd.ident, "build_data_matrix", built, lambda pairs, depth: depth)
+    spy(np.linalg, "pinv", inverted, lambda A: A.shape)
+    spy(dd.ident, "is_persistently_exciting", excitation_tests, lambda u, depth, rtol: depth)
     rng = np.random.default_rng(10)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)
-        obs = np.vstack([sys.C @ np.linalg.matrix_power(sys.A, k) for k in range(n)])
-        lag = next(k for k in range(1, n + 1) if dd.numerical_rank(obs[:k * p]) == n)
         ct = make_record(sys, rng, 300, missing=[100, 211])
         built.clear()
         assert dd.scan_order(dd.segment_trajectory(ct)) == n
-        assert max(built) == lag + 1
+        assert max(built) == lag(sys) + 1
+        built.clear()
+        inverted.clear()
+        res = dd.identify(ct)
+        assert res.order == n
+        assert built == list(range(1, lag(sys) + 2))
+        assert len(inverted) == 1
+        assert excitation_tests == []
+        assert_allclose(res.markov, dd.markov_parameters(sys, 2 * n + 1), atol=1e-8)
 
 
 def test_recover_markov_inverts_the_dictionary_once(monkeypatch):

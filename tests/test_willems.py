@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import pe_inputs, random_system
+from conftest import lag, pe_inputs, random_system
 
 
 def fixture_pairs(record):
@@ -188,6 +188,25 @@ def test_datadriven_simulate_matches_model():
         ref = dd.simulate(sys, x0, uu)
         ys = dd.datadriven_simulate(d, ref.u[:n], ref.y[:n], ref.u[n:])
         assert_allclose(ys, ref.y[n:], atol=1e-8)
+
+
+def test_datadriven_simulate_refuses_completions_below_the_lag():
+    # A past of L-1 < l samples leaves part of the state free, so the new
+    # output is one of many, even on exact, richly exciting data.
+    rng = np.random.default_rng(10)
+    for n, m, p in [(3, 1, 1), (4, 1, 2)]:
+        sys = random_system(rng, n, m, p)
+        l = lag(sys)
+        data = dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((400, m)))
+        ref = dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((l + 3, m)))
+        for L in range(1, l + 3):
+            d = dd.build_data_matrix([(data.u, data.y)], L)
+            args = (d, ref.u[:L - 1], ref.y[:L - 1], ref.u[L - 1:L + 1])
+            if L <= l:
+                with pytest.raises(dd.InsufficientDataError, match=f"at depth {L} do not"):
+                    dd.datadriven_simulate(*args)
+            else:
+                assert_allclose(dd.datadriven_simulate(*args), ref.y[L - 1:L + 1], atol=1e-8)
 
 
 def test_datadriven_simulate_rejects_alien_past(record):
