@@ -25,6 +25,13 @@ def rank_from_singular_values(s: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) ->
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
+def gram_factor(M: np.ndarray) -> np.ndarray:
+    """Lower-trapezoidal L = R' from M' = QR, so L L' = M M' on at most as many
+    columns as M has rows: L has M's singular values, row-space relations,
+    min-norm solves and residuals."""
+    return np.linalg.qr(M.T, mode="r").T
+
+
 def lstsq_minnorm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of ``A x = b``."""
     x, *_ = np.linalg.lstsq(np.asarray(A, float), np.asarray(b, float), rcond=None)

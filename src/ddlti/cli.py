@@ -228,11 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  "identification and LQR.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, ranks=False):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_RTOL,
-                       help="relative singular-value cutoff for rank decisions")
+        if ranks:
+            p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_RTOL,
+                           help="relative singular-value cutoff for rank decisions")
         return p
 
     p = add("generate", cmd_generate, "simulate a system to a CSV fixture")
@@ -245,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a state-measured experiment (terminal row included)")
     p.add_argument("--out", required=True)
 
-    p = add("pe-check", cmd_pe_check, "excitation orders of recorded data")
+    p = add("pe-check", cmd_pe_check, "excitation orders of recorded data", ranks=True)
     p.add_argument("files", nargs="+")
     p.add_argument("--order", type=int, required=True)
 
-    p = add("dd-simulate", cmd_dd_simulate, "model-free continuation from data")
+    p = add("dd-simulate", cmd_dd_simulate, "model-free continuation from data", ranks=True)
     p.add_argument("data", help="recorded trajectory CSV (dictionary source)")
     p.add_argument("--past", required=True, help="CSV with the depth-1 recent samples")
     p.add_argument("--future", required=True, help="CSV with the inputs to apply")
@@ -259,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative residual bound for the completion solves")
     p.add_argument("--out", default=None)
 
-    p = add("identify", cmd_identify, "order, Markov parameters and realization")
+    p = add("identify", cmd_identify, "order, Markov parameters and realization", ranks=True)
     p.add_argument("data", help="trajectory CSV, possibly with missing rows")
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--out", default=None, help="where to write the system JSON")
 
-    p = add("lqr", cmd_lqr, "data-driven LQR with certificates")
+    p = add("lqr", cmd_lqr, "data-driven LQR with certificates", ranks=True)
     p.add_argument("files", nargs="+", help="experiment CSV files")
     p.add_argument("--weights", required=True, help="weights JSON file")
     p.add_argument("--tol-cert", type=float, default=1e-6)

@@ -17,8 +17,6 @@ class DdltiError(Exception):
 class InputError(DdltiError, ValueError):
     """Rejected input: dimension mismatch, bad argument, parse failure."""
 
-    exit_code = 1
-
 
 class ParseError(InputError):
     """A data file could not be parsed."""

@@ -11,6 +11,10 @@ with kd rows and T-k+1 columns (each w(t) entering as a length-d block).
 Several signals stacked side by side give the mosaic variant; a family of
 signals is collectively persistently exciting of order k exactly when that
 mosaic matrix has full row rank kd.
+
+Arguments named ``signals`` are read one way: an ndarray, a SignalSegment or
+a flat list of numbers is one signal; any other list or tuple is a sequence
+of signals, each read by ``as_samples``.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_samples, rank_from_singular_values
+from ._linalg import DEFAULT_RANK_RTOL, as_samples, gram_factor, rank_from_singular_values
 from .errors import DepthTooLargeError, InputError
 
 
@@ -119,7 +123,8 @@ def mosaic_hankel(signals, depth: int) -> np.ndarray:
     raise rather than being dropped, since silently losing data inside a
     rank test is a debugging trap; pipelines that want to exclude short
     records filter explicitly.  The result has ``depth * d`` rows and
-    ``sum_i (T_i - depth + 1)`` columns, blocks in input order.
+    ``sum_i (T_i - depth + 1)`` columns, blocks in input order; so a nested
+    list gives one block per inner list, and an ndarray is one signal.
     """
     segs = _coerce_segments(signals)
     _check_depth(segs, depth)
@@ -154,7 +159,7 @@ class ExcitationReport:
 def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> ExcitationReport:
     """Rank diagnostics for the depth-k mosaic Hankel matrix of ``signals``."""
     H = mosaic_hankel(signals, depth)
-    sv = np.linalg.svd(H, compute_uv=False)
+    sv = np.linalg.svd(gram_factor(H), compute_uv=False)
     rank = rank_from_singular_values(sv, rtol)
     return ExcitationReport(
         exciting=rank == H.shape[0],

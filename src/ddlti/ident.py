@@ -6,7 +6,9 @@ window depth grows until rank minus mL stops growing: that first stall is
 the order, see :func:`scan_order`), recover impulse-response (Markov)
 matrices by one batched data-driven simulation on the matrix of that stall,
 certified unique, and realize a state-space model with the Ho-Kalman
-algorithm.  Everything operates on exact (noise-free) data.
+algorithm.  Each depth's matrix is factored once, by the QR behind
+``gram_factor``; its rank and the completion both work on that (m+p)L-row
+factor.  Everything operates on exact (noise-free) data.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, numerical_rank, rank_from_singular_values
+from ._linalg import DEFAULT_RANK_RTOL, gram_factor, numerical_rank, rank_from_singular_values
 from .errors import (
     ExcitationError,
     InputError,
@@ -54,9 +56,7 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
               SignalSegment(ct.y[s:t], start_time=ct.start_time + s))
              for s, t in zip(edges[::2], edges[1::2]) if t - s >= min_len]
     if not pairs:
-        raise NoUsableDataError(
-            f"no complete run of length >= {min_len} in the record"
-        )
+        raise NoUsableDataError(f"no complete run of length >= {min_len} in the record")
     return pairs
 
 
@@ -89,20 +89,22 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
             f"recorded inputs are not collectively exciting of order {need}, "
             f"as impulse recovery at order {order} requires"
         )
-    return _impulse_response(build_data_matrix(usable, L), count, rtol, tol)
+    d = build_data_matrix(usable, L)
+    return _impulse_response(d, gram_factor(d.matrix), count, rtol, tol)
 
 
-def _impulse_response(d: DataDictionary, count: int, rtol: float, tol: float) -> np.ndarray:
-    """First ``count`` Markov parameters completed on ``d``: for each input
-    channel, a unit impulse after a zero past of depth-1 samples, which pins
-    the zero state once depth-1 reaches the lag.  The m impulses run as one
-    batch, so ``d`` is pseudo-inverted once."""
+def _impulse_response(d: DataDictionary, factor: np.ndarray, count: int, rtol: float,
+                      tol: float) -> np.ndarray:
+    """First ``count`` Markov parameters completed on ``d``, given its factor:
+    for each input channel, a unit impulse after a zero past of depth-1
+    samples, which pins the zero state once depth-1 reaches the lag.  The m
+    impulses run as one batch, so ``factor`` is pseudo-inverted once."""
     L, m, p = d.depth, d.m, d.p
     # Impulse j sits on the batch axis: input channel j is 1 at step 0.
     impulses = np.zeros((count, m, m))
     impulses[0] = np.eye(m)
-    return _complete(d, np.zeros((L - 1, m, m)), np.zeros((L - 1, p, m)), impulses,
-                     tol, rtol)
+    return _complete(d, factor, np.zeros((L - 1, m, m)), np.zeros((L - 1, p, m)),
+                     impulses, tol, rtol)
 
 
 def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
@@ -184,8 +186,14 @@ def scan_order(segments, max_order: int | None = None,
 
 
 def _scan(segments, max_order: int | None, rtol: float) -> tuple[int, DataDictionary]:
-    """The order :func:`scan_order` returns, with the data matrix it was read
-    from: the depth-L* dictionary of the first stall."""
+    """:func:`_stall` without the factor."""
+    return _stall(segments, max_order, rtol)[:2]
+
+
+def _stall(segments, max_order: int | None,
+           rtol: float) -> tuple[int, DataDictionary, np.ndarray]:
+    """The order :func:`scan_order` returns, the depth-L* dictionary of the
+    first stall, and its :func:`gram_factor`, whose singular values gave its rank."""
     segments = _pair_segments(segments)
     if not segments:
         raise InputError("at least one complete run is required")
@@ -201,7 +209,8 @@ def _scan(segments, max_order: int | None, rtol: float) -> tuple[int, DataDictio
         if sum(u.length - depth + 1 for u, _ in pairs) < (m + p) * depth:
             break
         d = build_data_matrix(pairs, depth)
-        seen.append(numerical_rank(d.matrix, rtol) - m * depth)
+        factor = gram_factor(d.matrix)
+        seen.append(numerical_rank(factor, rtol) - m * depth)
         if depth > 1 and seen[-2] == seen[-1] >= 0:
             order = seen[-1]
             break
@@ -215,7 +224,7 @@ def _scan(segments, max_order: int | None, rtol: float) -> tuple[int, DataDictio
         raise OrderUndeterminedError(
             f"estimated order {order} exceeds the requested cap {max_order}"
         )
-    return order, d
+    return order, d, factor
 
 
 def identify(ct: CorruptedTrajectory, max_order: int | None = None,
@@ -232,9 +241,9 @@ def identify(ct: CorruptedTrajectory, max_order: int | None = None,
     decision; ``tol`` bounds the relative residual of the completion solves.
     """
     segments = segment_trajectory(ct, min_len=1)
-    order, d = _scan(segments, max_order, rtol)
+    order, d, factor = _stall(segments, max_order, rtol)
     count = 2 * order + 1
-    markov = _impulse_response(d, count, rtol, tol)
+    markov = _impulse_response(d, factor, count, rtol, tol)
     system = ho_kalman(markov, order, rtol)
     residual = float(np.max(np.abs(markov_parameters(system, count) - markov)))
     used = [(u.start_time, u.length) for u, _ in segments if u.length >= d.depth]

@@ -30,6 +30,7 @@ import numpy as np
 from ._linalg import (
     DEFAULT_RANK_RTOL,
     as_matrix,
+    gram_factor,
     lstsq_minnorm,
     rank_from_singular_values,
     relative_residual,
@@ -61,16 +62,12 @@ class ExperimentBatch:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        Xm = as_matrix(self.Xm, "Xm")
-        Xp = as_matrix(self.Xp, "Xp")
-        Um = as_matrix(self.Um, "Um")
-        if Xm.shape != Xp.shape:
-            raise InputError(f"Xm {Xm.shape} and Xp {Xp.shape} must match")
-        if Um.shape[1] != Xm.shape[1]:
+        for name in ("Xm", "Xp", "Um"):
+            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
+        if self.Xm.shape != self.Xp.shape:
+            raise InputError(f"Xm {self.Xm.shape} and Xp {self.Xp.shape} must match")
+        if self.Um.shape[1] != self.Xm.shape[1]:
             raise InputError("Um must have the same column count as Xm")
-        object.__setattr__(self, "Xm", Xm)
-        object.__setattr__(self, "Xp", Xp)
-        object.__setattr__(self, "Um", Um)
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
 
     @property
@@ -163,8 +160,7 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
     fixed-point iteration from P = Q.  Returns (P, K) with the stationary
     gain K = -(R + B'PB)^{-1} B'PA; the closed loop A + BK is verified stable.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    A, B = as_matrix(A, "A"), as_matrix(B, "B")
     n = A.shape[0]
     if A.shape != (n, n):
         raise InputError(f"A must be square, got {A.shape}")
@@ -256,7 +252,7 @@ def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
 def _factor_ab(batch: ExperimentBatch, rtol: float):
     """(A, B) and the column blocks [Rx, Rp, Ru] = R of [Xm; Xp; Um]' = QR."""
     n = batch.n
-    R = np.linalg.qr(np.vstack([batch.Xm, batch.Xp, batch.Um]).T, mode="r")
+    R = gram_factor(np.vstack([batch.Xm, batch.Xp, batch.Um])).T
     Rx, Rp, Ru = R[:, :n], R[:, n:2 * n], R[:, 2 * n:]
     U, s, Vt = np.linalg.svd(np.hstack([Rx, Ru]), full_matrices=False)
     rank = rank_from_singular_values(s, rtol)

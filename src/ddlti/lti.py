@@ -25,19 +25,8 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """State-space quadruple (A, B, C, D) with consistent dimensions.
-
-    Parameters
-    ----------
-    A : (n, n) array_like
-        State transition matrix.
-    B : (n, m) array_like
-        Input matrix.
-    C : (p, n) array_like
-        Output matrix.
-    D : (p, m) array_like
-        Feedthrough matrix.
-    """
+    """State-space quadruple of the laws above, with consistent dimensions:
+    A is (n, n), B (n, m), C (p, n) and D (p, m), each array_like."""
 
     A: np.ndarray
     B: np.ndarray
@@ -45,10 +34,7 @@ class LtiSystem:
     D: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
-        C = as_matrix(self.C, "C")
-        D = as_matrix(self.D, "D")
+        A, B, C, D = (as_matrix(getattr(self, name), name) for name in "ABCD")
         n, m, p = A.shape[0], B.shape[1], C.shape[0]
         if A.shape != (n, n):
             raise InputError(f"A must be square, got {A.shape}")
@@ -124,8 +110,7 @@ class CorruptedTrajectory:
     start_time: int = 0
 
     def __post_init__(self):
-        u = as_samples(self.u)
-        y = as_samples(self.y)
+        u, y = as_samples(self.u), as_samples(self.y)
         if u.ndim != 2 or y.ndim != 2:
             raise InputError("u and y must be 2-D (one row per time step)")
         if u.shape[0] != y.shape[0]:
@@ -264,8 +249,7 @@ def verify_trajectory(sys: LtiSystem, traj: StateTrajectory, tol: float = 1e-9) 
 
 def is_controllable(A, B, rtol: float = DEFAULT_RANK_RTOL) -> bool:
     """Kalman rank test: [B, AB, ..., A^(n-1)B] has numerical rank n."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    A, B = as_matrix(A, "A"), as_matrix(B, "B")
     n = A.shape[0]
     if A.shape != (n, n):
         raise InputError(f"A must be square, got {A.shape}")

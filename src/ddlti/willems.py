@@ -10,7 +10,8 @@ input/output pair (u, y) of length L is a system trajectory exactly when
 This module builds that stacked data matrix from one or several records,
 tests the rank condition that makes the span complete, synthesizes and tests
 trajectories through it, and runs simulations that never touch a state-space
-model: new outputs are completed one step at a time from the data alone.
+model: new outputs are completed one step at a time from the data alone, by
+one linear map formed on the matrix's (m+p)L-row triangular Gram factor.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_samples, lstsq_minnorm, numerical_rank,
-                      relative_residual)
+from ._linalg import (DEFAULT_RANK_RTOL, as_samples, gram_factor, lstsq_minnorm,
+                      numerical_rank, relative_residual)
 from .errors import InconsistentPastError, InputError, InsufficientDataError
 from .hankel import (SignalSegment, _check_depth, _coerce_one, _coerce_segments, _mosaic,
                      mosaic_hankel)
@@ -190,11 +191,11 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
                         tol: float = 1e-6) -> np.ndarray:
     """Continue a trajectory using recorded data only (no model).
 
-    Given a genuine past of length L-1 and future inputs, each new output is
-    obtained by completing one length-L window at a time: the rows of the
-    dictionary carrying known samples (all L inputs plus the L-1 past
-    outputs) are solved for g by minimum-norm least squares, the remaining p
-    rows evaluate to the new output, and the window slides forward.
+    Given a genuine past of length L-1 and future inputs, each new output
+    completes one length-L window, which then slides forward.  The completion
+    is the minimum-norm one, a fixed linear map of the known samples (all L
+    inputs plus the L-1 past outputs) that the dictionary's
+    :func:`~ddlti._linalg.gram_factor` gives once, without its N columns.
 
     The completed output is unique exactly when the known rows determine the
     last p: on exact data, when the L-1 past samples pin the state (L-1 at
@@ -224,33 +225,32 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
             raise InputError(f"{name} must have {d} channels")
     if wu.shape[0] != L - 1 or wy.shape[0] != L - 1:
         raise InputError(f"past must have exactly {L - 1} samples for depth {L}")
-    return _complete(dictionary, wu[..., None], wy[..., None], fu[..., None], tol,
-                     DEFAULT_RANK_RTOL)[..., 0]
+    return _complete(dictionary, gram_factor(dictionary.matrix), wu[..., None],
+                     wy[..., None], fu[..., None], tol, DEFAULT_RANK_RTOL)[..., 0]
 
 
-def _complete(dictionary: DataDictionary, wu, wy, fu, tol: float, rtol: float) -> np.ndarray:
+def _complete(dictionary: DataDictionary, factor: np.ndarray, wu, wy, fu, tol: float,
+              rtol: float) -> np.ndarray:
     """The sliding completion of :func:`datadriven_simulate` for a batch of
     trajectories along the trailing axis: past (L-1, m, B) and (L-1, p, B),
     future inputs (F, m, B); returns the (F, p, B) completed outputs.  Raises
     :class:`InsufficientDataError` when the known rows do not determine the
-    new output, with rank tolerance ``rtol``."""
+    new output, with rank tolerance ``rtol``.  ``factor`` is the dictionary's
+    gram_factor; all below is the same on it as on the matrix = factor Q'."""
     L, p = dictionary.depth, dictionary.p
-    # Known rows: all L inputs, then the L-1 past outputs; the last p rows
-    # give the new output.  Every step and every trajectory solves against the
-    # same A_known, so its min-norm solution operator is formed once, with
-    # lstsq(rcond=None)'s cutoff.
+    # Known rows: all L inputs, then the L-1 past outputs; the last p rows give
+    # the new output theta b of the known samples b (Markovsky & Rapisarda, IJC 2008).
     k = dictionary.m * L + p * (L - 1)
-    A_known, A_new = dictionary.matrix[:k], dictionary.matrix[k:]
-    eps = np.finfo(float).eps
-    A_pinv = np.linalg.pinv(A_known, rcond=eps * max(A_known.shape))
-    # The new output is unique exactly when the rows of A_new lie in the row
-    # space of A_known (Markovsky & Rapisarda, IJC 2008); A_pinv @ A_known
-    # projects onto it.  By the rank rule, the part of A_new left outside adds
-    # rank once it exceeds rtol, here relative to A_new so that the outputs'
-    # scale does not matter; the backward-stable SVD behind A_pinv leaves up
-    # to max(shape) * eps of it on rows that do lie in the space.
-    defect = relative_residual(A_new @ A_pinv, A_known, A_new)
-    cutoff = rtol + eps * max(A_known.shape)
+    A_known, A_new = factor[:k], factor[k:]
+    # lstsq(rcond=None)'s cutoff for the k x N data, not for the narrower factor.
+    eps_n = np.finfo(float).eps * max(k, dictionary.n_columns)
+    A_pinv = np.linalg.pinv(A_known, rcond=eps_n)
+    theta = A_new @ A_pinv
+    # The new output is unique exactly when A_new's rows lie in A_known's row
+    # space: by the rank rule, the part left outside adds rank once it exceeds
+    # rtol relative to A_new; the SVD behind A_pinv leaves up to eps_n of it.
+    defect = relative_residual(theta, A_known, A_new)
+    cutoff = rtol + eps_n
     if defect > cutoff:
         raise InsufficientDataError(
             f"the data at depth {L} do not determine the new output "
@@ -258,15 +258,15 @@ def _complete(dictionary: DataDictionary, wu, wy, fu, tol: float, rtol: float) -
             "or more exciting data is needed"
         )
 
+    proj = A_known @ A_pinv
     F, _, nb = fu.shape
     us = np.concatenate([wu, fu])
     ys = np.concatenate([wy, np.empty((F, p, nb))])
     for t in range(F):
         b = np.concatenate([us[t:t + L].reshape(-1, nb), ys[t:t + L - 1].reshape(-1, nb)])
-        g = A_pinv @ b
-        # Each trajectory's relative residual, with relative_residual's rule
-        # (plain ||A g - b|| where b = 0); the worst one is checked.
-        r = np.linalg.norm(A_known @ g - b, axis=0)
+        # Each trajectory's relative residual ||A_known g - b|| = ||proj b - b||,
+        # plain where b = 0 as in relative_residual; the worst one is checked.
+        r = np.linalg.norm(proj @ b - b, axis=0)
         b_norm = np.linalg.norm(b, axis=0)
         res = float(np.divide(r, b_norm, out=r, where=b_norm > 0.0).max())
         if res > tol:
@@ -274,5 +274,5 @@ def _complete(dictionary: DataDictionary, wu, wy, fu, tol: float, rtol: float) -
                 f"recorded data cannot explain the given past at step {t} "
                 f"(relative residual {res:.3e} > {tol:.1e})"
             )
-        ys[t + L - 1] = A_new @ g
+        ys[t + L - 1] = theta @ b
     return ys[L - 1:]

@@ -85,3 +85,16 @@ def record():
 @pytest.fixture
 def reactor():
     return dd.batch_reactor()
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """(function name, shape of its first argument) for every ``np.linalg``
+    qr, svd, pinv and lstsq call while the test runs, in call order."""
+    calls = []
+    for name in ("qr", "svd", "pinv", "lstsq"):
+        def call(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
+    return calls

@@ -326,3 +326,25 @@ def test_usage_errors(capsys):
     assert main(["pe-check", str(RECORD_CSV)]) == 1   # --order required
     err = capsys.readouterr().err
     assert "usage:" in err
+
+
+def test_tol_rank_only_where_a_rank_is_decided(tmp_path, capsys, reactor, reactor_json,
+                                               eye_weights_json):
+    # Only the four subcommands that decide a rank take --tol-rank; the other
+    # three reject it as bad usage.
+    tol = ["--tol-rank", "1e-8"]
+    files = reactor_experiment_files(tmp_path, reactor)
+    for argv in (["generate", "--system", reactor_json, "--out", str(tmp_path / "g.csv")],
+                 ["export-sdp", *files, "--weights", eye_weights_json],
+                 ["demo-instability", "--system", reactor_json]):
+        assert main([*argv, *tol]) == 1
+        assert "unrecognized arguments: --tol-rank" in capsys.readouterr().err
+    past = tmp_path / "past.csv"
+    past.write_text("t,u1,y1\n-2,0,0\n-1,0,0\n")
+    future = tmp_path / "future.csv"
+    future.write_text("t,u1\n0,1\n1,0\n")
+    for argv in (["pe-check", str(RECORD_CSV), "--order", "5"],
+                 ["dd-simulate", str(RECORD_CSV), "--past", str(past), "--future", str(future)],
+                 ["identify", str(RECORD_CSV)],
+                 ["lqr", *files, "--weights", eye_weights_json]):
+        assert main([*argv, *tol]) == 0

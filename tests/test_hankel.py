@@ -65,6 +65,12 @@ def test_mosaic_fixture_shape():
     assert M.shape == (5, 5)  # (5-5+1) + (6-5+1) + (6-5+1) columns
 
 
+def test_mosaic_nested_list_is_signals_ndarray_is_one_signal():
+    x = [[1, 2], [3, 4], [5, 6]]
+    assert np.array_equal(dd.mosaic_hankel(x, 1), [[1, 2, 3, 4, 5, 6]])
+    assert np.array_equal(dd.mosaic_hankel(np.array(x), 1), [[1, 3, 5], [2, 4, 6]])
+
+
 def test_mosaic_duplicate_segment_keeps_rank():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((9, 1))

@@ -241,13 +241,13 @@ def test_scan_order_undetermined_lists_estimates(record):
         dd.scan_order(pairs, max_order=1)
 
 
-def test_scan_order_stops_at_first_stall(monkeypatch):
+def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
     # rank(H_L) - mL equals rank O_L, which stops growing at the observability
     # index l; so the scan never needs a window deeper than l + 1, and
     # identify completes its impulses on that last matrix: every depth is
     # built once, the one dictionary is pseudo-inverted once, and no
     # separate excitation test runs.
-    built, inverted, excitation_tests = [], [], []
+    built, excitation_tests = [], []
 
     def spy(owner, name, log, note):
         real = getattr(owner, name)
@@ -258,7 +258,6 @@ def test_scan_order_stops_at_first_stall(monkeypatch):
         monkeypatch.setattr(owner, name, call)
 
     spy(dd.ident, "build_data_matrix", built, lambda pairs, depth: depth)
-    spy(np.linalg, "pinv", inverted, lambda A: A.shape)
     spy(dd.ident, "is_persistently_exciting", excitation_tests, lambda u, depth, rtol: depth)
     rng = np.random.default_rng(10)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
@@ -268,8 +267,9 @@ def test_scan_order_stops_at_first_stall(monkeypatch):
         assert dd.scan_order(dd.segment_trajectory(ct)) == n
         assert max(built) == lag(sys) + 1
         built.clear()
-        inverted.clear()
+        linalg_calls.clear()
         res = dd.identify(ct)
+        inverted = [shape for name, shape in linalg_calls if name == "pinv"]
         assert res.order == n
         assert built == list(range(1, lag(sys) + 2))
         assert len(inverted) == 1
@@ -277,22 +277,49 @@ def test_scan_order_stops_at_first_stall(monkeypatch):
         assert_allclose(res.markov, dd.markov_parameters(sys, 2 * n + 1), atol=1e-8)
 
 
-def test_recover_markov_inverts_the_dictionary_once(monkeypatch):
-    calls = []
-    real = np.linalg.pinv
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", spy)
+def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
     rng = np.random.default_rng(11)
     sys = random_system(rng, 3, 2, 2)
     u = pe_inputs(rng, 1, dd.pe_length_bound(7, 2, 1) + 5, 2, 7)[0]
     traj = dd.simulate(sys, rng.standard_normal(3), u)
     mk = dd.recover_markov_parameters([(traj.u, traj.y)], order=3, count=7)
+    calls = [shape for name, shape in linalg_calls if name == "pinv"]
     assert len(calls) == 1
     assert_allclose(mk, dd.markov_parameters(sys, 7), atol=1e-8)
+
+
+def test_each_data_matrix_is_factored_once(linalg_calls):
+    # identify factors each depth's (m+p)L x N matrix by one QR of its
+    # transpose, ranks the factor and completes on the last one; a
+    # data-driven simulation factors its dictionary once, and impulse recovery
+    # its excitation mosaic and its dictionary once each.  Nothing after a QR
+    # works on more columns than the factored matrix has rows, however many
+    # windows were recorded.
+    rng = np.random.default_rng(13)
+    for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
+        sys = random_system(rng, n, m, p)
+        ct = make_record(sys, rng, 300, missing=[100, 211])
+        linalg_calls.clear()
+        res = dd.identify(ct)
+        L = lag(sys) + 1
+        assert res.order == n
+        assert [shape[1] for name, shape in linalg_calls if name == "qr"] == \
+            [(m + p) * depth for depth in range(1, L + 1)]
+        assert all(shape[-1] <= (m + p) * L for name, shape in linalg_calls if name != "qr")
+
+        d = dd.build_data_matrix([(ct.u[:100], ct.y[:100])], L)
+        past = dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((L - 1, m)))
+        linalg_calls.clear()
+        dd.datadriven_simulate(d, past.u, past.y, rng.standard_normal((5, m)))
+        assert [name for name, _ in linalg_calls if name == "qr"] == ["qr"]
+        assert all(shape[-1] <= (m + p) * L for name, shape in linalg_calls if name != "qr")
+        assert d.n_columns > (m + p) * L
+
+        linalg_calls.clear()
+        dd.recover_markov_parameters([(ct.u[:100], ct.y[:100])], n, 2 * n + 1)
+        rows = [(2 * n + 1) * m, (m + p) * (n + 1)]  # excitation mosaic, dictionary
+        assert [shape[1] for name, shape in linalg_calls if name == "qr"] == rows
+        assert all(shape[-1] <= max(rows) for name, shape in linalg_calls if name != "qr")
 
 
 def test_recover_markov_batch_matches_per_channel_simulation():

@@ -107,6 +107,64 @@ def test_datadriven_simulate_certifies_completions_past_the_lag(n, m, p, extra, 
         assert np.linalg.norm(y - ref.y[t + L - 1]) <= per_g * np.linalg.norm(g)
 
 
+@settings(PROPERTY, max_examples=150)
+@given(n=st.integers(1, 3), m=st.integers(1, 2), p=st.integers(1, 3),
+       records=st.integers(1, 3), corrupt=st.booleans(), F=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_datadriven_simulate_on_fewer_columns_than_rows(n, m, p, records, corrupt, F, seed):
+    # N < (m+p)L recorded windows, so the dictionary's factor is (m+p)L x N.
+    # The outcome is a per-step lstsq's on the N columns: the same error, or
+    # each output within the bound test_datadriven_simulate_matches_lstsq_loop
+    # derives, on the window the code under test saw, but with the backward
+    # error constant of least squares by Householder QR or SVD, which grows
+    # with the product k N of A_known's dimensions (Higham, "Accuracy and
+    # Stability of Numerical Algorithms", 2nd ed., Thm 20.3), not max(k, N):
+    # on a 3 x 3 case lstsq's own error, measured in 50-digit arithmetic, was
+    # 1.5 times the max(k, N) bound.
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, n, m, p)
+    L = int(rng.integers(1, n + 2))
+    N = int(rng.integers(1, (m + p) * L))
+    cuts = np.sort(rng.choice(np.arange(1, N), size=min(records, N) - 1, replace=False))
+    recs = [dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((c + L - 1, m)))
+            for c in np.diff(np.concatenate([[0], cuts, [N]]))]
+    d = dd.build_data_matrix([(r.u, r.y) for r in recs], L)
+    past = dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((L - 1, m)))
+    past_y = past.y + corrupt * rng.standard_normal(past.y.shape)
+    future_u = rng.standard_normal((F, m))
+    try:
+        ys, raised = dd.datadriven_simulate(d, past.u, past_y, future_u), None
+    except (dd.InsufficientDataError, dd.InconsistentPastError) as e:
+        ys, raised = None, type(e)
+
+    # The reference output is unique when A_new's rows lie in A_known's row
+    # space, to rtol plus lstsq's own cutoff, and a past is consistent when
+    # lstsq's relative residual is at most the default tol.
+    assert d.n_columns == N
+    k = m * L + p * (L - 1)
+    A_known, A_new = d.matrix[:k], d.matrix[k:]
+    Z = np.linalg.lstsq(A_known.T, A_new.T, rcond=None)[0]
+    defect = np.linalg.norm(Z.T @ A_known - A_new) / np.linalg.norm(A_new)
+    expected = None
+    if defect > dd.DEFAULT_RANK_RTOL + EPS * max(k, N):
+        expected = dd.InsufficientDataError
+    else:
+        per_g = rounding_per_unit_g(A_known, A_new) * min(k, N)
+        us = np.vstack([past.u, future_u])
+        yall = np.vstack([past_y, np.empty((F, p))])
+        for t in range(F):
+            b = np.concatenate([us[t:t + L].reshape(-1), yall[t:t + L - 1].reshape(-1)])
+            g = np.linalg.lstsq(A_known, b, rcond=None)[0]
+            if np.linalg.norm(A_known @ g - b) > 1e-6 * np.linalg.norm(b):
+                expected = dd.InconsistentPastError
+                break
+            yall[t + L - 1] = A_new @ g
+            if ys is not None:
+                assert np.linalg.norm(A_new @ g - ys[t]) <= per_g * np.linalg.norm(g)
+                yall[t + L - 1] = ys[t]
+    assert raised is expected
+
+
 def downward_scan(segments, max_order=None, rtol=dd.DEFAULT_RANK_RTOL):
     """Reference: ``scan_order`` as it was before the upward scan, which tried
     the deepest feasible depth first, with ``estimate_order``'s check inlined."""
