@@ -95,18 +95,17 @@ def _check_depth(segs, depth: int) -> None:
 def _mosaic(segs, depth: int, out: np.ndarray | None = None) -> np.ndarray:
     """Depth-``depth`` mosaic of validated segments, written into ``out``.
 
-    The blocks are overlapping strided views of the samples, so ``out`` is the
-    only copy; it is allocated C-ordered because concatenating such views on
-    their own would follow their row-fastest layout into Fortran order.
+    Block row k holds samples k .. T_i - depth + k of every segment in turn,
+    so each block row is one concatenation of transposed sample slices: the
+    Python work grows with the depth, not with the number of segments.
     """
-    views = [
-        np.lib.stride_tricks.sliding_window_view(s.samples, depth, axis=0)
-        .transpose(2, 1, 0).reshape(depth * s.channels, -1)
-        for s in segs
-    ]
+    d, ws = segs[0].channels, [s.samples.T for s in segs]
     if out is None:
-        out = np.empty((views[0].shape[0], sum(v.shape[1] for v in views)))
-    return np.concatenate(views, axis=1, out=out)
+        out = np.empty((depth * d, sum(w.shape[1] - depth + 1 for w in ws)))
+    for k in range(depth):
+        np.concatenate([w[:, k:w.shape[1] - depth + 1 + k] for w in ws], axis=1,
+                       out=out[k * d:(k + 1) * d])
+    return out
 
 
 def hankel_matrix(signal, depth: int) -> np.ndarray:
@@ -182,11 +181,19 @@ def is_persistently_exciting(signals, depth: int, rtol: float = DEFAULT_RANK_RTO
 
 
 def max_excitation_order(signals, rtol: float = DEFAULT_RANK_RTOL) -> int:
-    """Largest k for which the signals are collectively exciting of order k (0 if none)."""
+    """Largest k for which the signals are collectively exciting of order k (0 if none).
+
+    Excitation is monotone in k, so the order is bisected between 0 and the
+    deepest mosaic that no signal is shorter than and that has at least kd
+    columns: O(log T) rank tests.
+    """
     segs = _coerce_segments(signals)
-    best = 0
-    for depth in range(1, min(s.length for s in segs) + 1):
-        if not is_persistently_exciting(segs, depth, rtol):
-            break
-        best = depth
-    return best
+    q, total = len(segs), sum(s.length for s in segs)
+    lo, hi = 0, min(min(s.length for s in segs), (total + q) // (segs[0].channels + q))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if is_persistently_exciting(segs, mid, rtol):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

@@ -42,8 +42,8 @@ from .errors import (
     InsufficientDataError,
     RiccatiDivergenceError,
 )
-from .hankel import SignalSegment, _coerce_one, is_persistently_exciting, pe_length_bound
-from .lti import LqrWeights, LtiSystem, StateTrajectory, simulate, spectral_radius
+from .hankel import _coerce_one, is_persistently_exciting, pe_length_bound
+from .lti import LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, simulate, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -425,10 +425,10 @@ def generate_experiments(sys: LtiSystem, n_experiments: int, length: int,
                          x0_scale: float = 1.0, max_retries: int = 50):
     """Simulate experiments with uniform random inputs until collectively exciting.
 
-    Draws inputs uniform on [input_low, input_high] and initial states from
-    a scaled standard normal, re-drawing the whole batch until the inputs
-    are collectively persistently exciting of ``pe_order`` (bounded
-    retries).  Returns a list of :class:`~ddlti.lti.StateTrajectory`.
+    Draws all inputs uniform on [input_low, input_high], re-drawn until
+    collectively persistently exciting of ``pe_order`` (bounded retries), then
+    one initial state per experiment from a scaled standard normal; one state
+    recursion runs them all into a list of :class:`~ddlti.lti.StateTrajectory`.
     """
     if n_experiments < 1 or length < 1:
         raise InputError("n_experiments and length must be positive")
@@ -442,14 +442,13 @@ def generate_experiments(sys: LtiSystem, n_experiments: int, length: int,
             f"have {total}"
         )
     for _ in range(max_retries):
-        inputs = [rng.uniform(input_low, input_high, size=(length, sys.m))
-                  for _ in range(n_experiments)]
-        if not is_persistently_exciting([SignalSegment(u) for u in inputs], pe_order):
+        inputs = rng.uniform(input_low, input_high, size=(n_experiments, length, sys.m))
+        if not is_persistently_exciting(list(inputs), pe_order):
             continue
-        return [
-            simulate(sys, x0_scale * rng.standard_normal(sys.n), u)
-            for u in inputs
-        ]
+        x, y = _simulate_runs(sys, x0_scale * rng.standard_normal((n_experiments, sys.n)),
+                              inputs.transpose(1, 0, 2))
+        return [StateTrajectory(u=u, x=x[:-1, i], y=y[:, i], final_state=x[-1, i])
+                for i, u in enumerate(inputs)]
     raise ExcitationError(
         f"could not draw inputs collectively exciting of order {pe_order} "
         f"in {max_retries} attempts (total samples {n_experiments * length})"

@@ -203,8 +203,18 @@ def batch_reactor() -> LtiSystem:
     return LtiSystem(A=A, B=B, C=np.eye(4), D=np.zeros((4, 2)))
 
 
+def _simulate_runs(sys: LtiSystem, x0: np.ndarray, u: np.ndarray):
+    """States x(0..T), (T+1, q, n), and outputs, (T, q, p), of q runs from
+    ``x0`` (q, n) under ``u`` (T, q, m): x(t+1) = x(t) A' + u(t) B' for all
+    runs at once, then y = x C' + u D' in one product after the loop."""
+    x = np.concatenate([x0[None], u @ sys.B.T])
+    for t in range(u.shape[0]):
+        x[t + 1] += x[t] @ sys.A.T
+    return x, x[:-1] @ sys.C.T + u @ sys.D.T
+
+
 def simulate(sys: LtiSystem, x0, u_seq, start_time: int = 0) -> StateTrajectory:
-    """Run the exact state recursion under the given input sequence.
+    """Run the exact state recursion, as a batch of one run, under the given inputs.
 
     Parameters
     ----------
@@ -221,21 +231,13 @@ def simulate(sys: LtiSystem, x0, u_seq, start_time: int = 0) -> StateTrajectory:
         States, inputs and outputs over T steps plus the terminal state.
     """
     u = as_samples(u_seq)
-    T = u.shape[0]
     if u.shape[1] != sys.m:
         raise InputError(f"input samples must have dimension {sys.m}, got {u.shape[1]}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
         raise InputError(f"x0 must have dimension {sys.n}, got {x0.shape[0]}")
-
-    x = np.empty((T, sys.n))
-    y = np.empty((T, sys.p))
-    xc = x0
-    for t in range(T):
-        x[t] = xc
-        y[t] = sys.C @ xc + sys.D @ u[t]
-        xc = sys.A @ xc + sys.B @ u[t]
-    return StateTrajectory(u=u, x=x, y=y, final_state=xc, start_time=start_time)
+    x, y = _simulate_runs(sys, x0[None], u[:, None])
+    return StateTrajectory(u=u, x=x[:-1, 0], y=y[:, 0], final_state=x[-1, 0], start_time=start_time)
 
 
 def verify_trajectory(sys: LtiSystem, traj: StateTrajectory, tol: float = 1e-9) -> bool:

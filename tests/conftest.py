@@ -14,6 +14,7 @@ RECORD_CSV = DATA_DIR / "corrupted_record.csv"
 #: ``short_runs_system``.  No run is long enough for an order-5 excitation
 #: test, yet the runs' depth-2 windows determine the system.
 SHORT_RUNS_CSV = DATA_DIR / "short_runs_record.csv"
+EPS = np.finfo(float).eps
 
 
 def random_system(rng, n, m, p, *, radius=0.9, minimal=True, max_tries=200):
@@ -54,6 +55,28 @@ def pe_inputs(rng, q, lengths, m, order, max_tries=100):
         if dd.is_persistently_exciting([dd.SignalSegment(u) for u in us], order):
             return us
     raise RuntimeError("could not draw collectively exciting inputs")
+
+
+def rounding_per_unit_g(A_known, A_new):
+    """Bound on the rounding of one completed output A_new g, per unit of ||g||,
+    where g is the min-norm least-squares solution of A_known g = b.
+
+    Least squares by Householder QR or by SVD is backward stable: the
+    computed g is the exact solution for data perturbed by a relative
+    c eps, where c grows with the product k N of A_known's k x N dimensions
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    Thm 20.3).  max(k, N) is not such a constant: on a 3 x 3 A_known, lstsq's
+    own error against 50-digit arithmetic was 1.5 times the bound it gives.
+    That perturbation moves g by at most c eps kappa ||g||, with kappa the
+    condition number over the singular values lstsq keeps (those above
+    max(k, N) eps sigma_max), and A_new maps the change into the output at
+    most ||A_new|| times larger.  Two solvers are compared, the code under
+    test and a lstsq reference, hence 2 k N eps kappa ||A_new||.
+    """
+    k, N = A_known.shape
+    s = np.linalg.svd(A_known, compute_uv=False)
+    kappa = s[0] / s[s > EPS * max(k, N) * s[0]][-1]
+    return 2 * k * N * EPS * kappa * np.linalg.norm(A_new, 2)
 
 
 def simulate_records(rng, sys, lengths, order):

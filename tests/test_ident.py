@@ -3,9 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import lag, pe_inputs, random_system
-
-EPS = np.finfo(float).eps
+from conftest import lag, pe_inputs, random_system, rounding_per_unit_g
 
 
 def make_record(sys, rng, T, missing, pe_order=None):
@@ -335,12 +333,10 @@ def test_recover_markov_batch_matches_per_channel_simulation():
     # Each step of each impulse is re-run through datadriven_simulate on the
     # window the batch saw, so no error is carried between steps.  Both runs
     # apply the same min-norm operator to the same right-hand side, so they
-    # differ by at most the bound test_datadriven_simulate_matches_lstsq_loop
-    # derives: 2 max(shape) eps kappa(A_known) ||A_new|| ||g||.
+    # differ by at most rounding_per_unit_g times ||g||.
     k = m * L + p * (L - 1)
     A_known, A_new = d.matrix[:k], d.matrix[k:]
-    s = np.linalg.svd(A_known, compute_uv=False)
-    kappa = s[0] / s[s > EPS * max(A_known.shape) * s[0]][-1]
+    per_g = rounding_per_unit_g(A_known, A_new)
     for j in range(m):
         us = np.zeros((n + count, m))
         us[n, j] = 1.0
@@ -349,5 +345,4 @@ def test_recover_markov_batch_matches_per_channel_simulation():
             y = dd.datadriven_simulate(d, us[t:t + n], ys[t:t + n], us[t + n:t + L])[0]
             b = np.concatenate([us[t:t + L].reshape(-1), ys[t:t + n].reshape(-1)])
             g = np.linalg.lstsq(A_known, b, rcond=None)[0]
-            bound = 2 * max(A_known.shape) * EPS * kappa * np.linalg.norm(A_new, 2) * np.linalg.norm(g)
-            assert np.linalg.norm(y - mk[t, :, j]) <= bound
+            assert np.linalg.norm(y - mk[t, :, j]) <= per_g * np.linalg.norm(g)

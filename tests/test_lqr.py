@@ -538,6 +538,44 @@ def test_generate_experiments_deterministic(reactor):
         assert np.array_equal(ta.u, tb.u) and np.array_equal(ta.x, tb.x)
 
 
+def test_generate_experiments_keeps_the_draw_order(reactor, monkeypatch):
+    # All inputs first, the whole batch again after an excitation failure
+    # (the first test is forced to fail), then one initial state per
+    # experiment in order: seeds give the same u and x(0), bit for bit.
+    real = dd.lqr.is_persistently_exciting
+    tests = []
+
+    def first_fails(signals, order):
+        tests.append(order)
+        return len(tests) > 1 and real(signals, order)
+
+    monkeypatch.setattr(dd.lqr, "is_persistently_exciting", first_fails)
+    for seed, q, T, order in ((20, 3, 6, 4), (21, 80, 10, 5)):
+        tests.clear()
+        rng = np.random.default_rng(seed)
+        exps = dd.generate_experiments(reactor, q, T, pe_order=order, rng=rng,
+                                       input_low=-1.0, input_high=2.0, x0_scale=3.0)
+        ref = np.random.default_rng(seed)
+        for _ in tests:  # one batch of inputs per excitation test; the last is kept
+            us = [ref.uniform(-1.0, 2.0, size=(T, 2)) for _ in range(q)]
+        x0s = [3.0 * ref.standard_normal(4) for _ in range(q)]
+        assert len(tests) >= 2 and rng.random() == ref.random()
+        for traj, u, x0 in zip(exps, us, x0s, strict=True):
+            assert np.array_equal(traj.u, u) and np.array_equal(traj.x[0], x0)
+            assert dd.verify_trajectory(reactor, traj)
+
+
+def test_generate_experiments_runs_one_recursion(reactor, monkeypatch):
+    # q experiments advance through one batched recursion, not q simulations.
+    runs = []
+    real = dd.lti._simulate_runs
+    for module in (dd.lti, dd.lqr):
+        monkeypatch.setattr(module, "_simulate_runs",
+                            lambda sys, x0, u: runs.append(u.shape) or real(sys, x0, u))
+    dd.generate_experiments(reactor, 12, 6, pe_order=4, rng=np.random.default_rng(23))
+    assert runs == [(6, 12, 2)]
+
+
 def test_generate_experiments_pe_guaranteed(reactor):
     exps = dd.generate_experiments(reactor, 5, 6, pe_order=5,
                                    rng=np.random.default_rng(18))

@@ -75,6 +75,27 @@ def test_static_system_n0():
     assert_allclose(traj.y, u @ sys.D.T)
 
 
+def test_batched_recursion_matches_simulate_per_run():
+    # Four runs advanced together, for a dynamic and a static (n = 0) system
+    # and for 0, 1 and 7 steps, are the four runs simulate gives one by one.
+    rng = np.random.default_rng(22)
+    static = dd.LtiSystem(A=np.zeros((0, 0)), B=np.zeros((0, 2)), C=np.zeros((3, 0)),
+                          D=rng.standard_normal((3, 2)))
+    for sys in (random_system(rng, 3, 2, 2), static):
+        for T in (0, 1, 7):
+            x0, u = rng.standard_normal((4, sys.n)), rng.standard_normal((T, 4, sys.m))
+            x, y = dd.lti._simulate_runs(sys, x0, u)
+            assert x.shape == (T + 1, 4, sys.n) and y.shape == (T, 4, sys.p)
+            for i in range(4):
+                traj = dd.simulate(sys, x0[i], u[:, i])
+                assert dd.verify_trajectory(sys, traj)
+                assert_allclose(x[:-1, i], traj.x, rtol=1e-13, atol=1e-13)
+                assert_allclose(x[-1, i], traj.final_state, rtol=1e-13, atol=1e-13)
+                assert_allclose(y[:, i], traj.y, rtol=1e-13, atol=1e-13)
+            if T == 1:
+                assert_allclose(x[1], x0 @ sys.A.T + u[0] @ sys.B.T, rtol=1e-13, atol=1e-13)
+
+
 def test_system_validation():
     with pytest.raises(dd.InputError):
         dd.LtiSystem(A=[[1, 0]], B=[[1], [0]], C=[[1, 0]], D=[[0]])

@@ -5,10 +5,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddlti as dd
-from conftest import lag, pe_inputs, random_system
+from conftest import EPS, lag, pe_inputs, random_system, rounding_per_unit_g
 
-EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def windows(signals, depth):
+    """Reference mosaic: column j is recorded window j, flattened time-major."""
+    return np.column_stack([w[j:j + depth].reshape(-1)
+                            for w in signals for j in range(len(w) - depth + 1)])
 
 
 @PROPERTY
@@ -20,13 +25,31 @@ def test_hankel_matches_column_loop(T, d, back, seed):
     seg = dd.SignalSegment(np.random.default_rng(seed).standard_normal((T, d)))
     signal = seg.samples.copy()
     H = dd.hankel_matrix(seg, depth)
-    ref = np.empty((depth * d, T - depth + 1))
-    for j in range(T - depth + 1):
-        ref[:, j] = signal[j:j + depth].reshape(-1)
-    assert np.array_equal(H, ref)
+    assert np.array_equal(H, windows([signal], depth))
     assert H.flags.c_contiguous
     H += 1.0
     assert np.array_equal(seg.samples, signal)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(extra=st.lists(st.integers(0, 8), min_size=1, max_size=100), depth=st.integers(1, 5),
+       d=st.integers(1, 3), p=st.integers(1, 3), sliced=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(extra=[0], depth=1, d=1, p=1, sliced=False, seed=0)
+@example(extra=[0, 5, 0, 2], depth=4, d=3, p=2, sliced=True, seed=1)
+@example(extra=[3] * 100, depth=1, d=2, p=1, sliced=True, seed=2)
+@example(extra=[i % 7 for i in range(100)], depth=3, d=2, p=3, sliced=False, seed=3)
+def test_mosaic_and_data_matrix_are_their_definition(extra, depth, d, p, sliced, seed):
+    # Records of depth + extra samples, so extra 0 gives one window; with
+    # ``sliced`` each record is a column slice of a wider array, which is
+    # not contiguous.  The data matrix stacks the input mosaic over the output.
+    rng = np.random.default_rng(seed)
+    us, ys = ([rng.standard_normal((depth + e, c + sliced))[:, sliced:] for e in extra]
+              for c in (d, p))
+    H = dd.mosaic_hankel(us, depth)
+    assert np.array_equal(H, windows(us, depth)) and H.flags.c_contiguous
+    M = dd.build_data_matrix(list(zip(us, ys)), depth).matrix
+    assert np.array_equal(M, np.vstack([windows(us, depth), windows(ys, depth)]))
 
 
 @PROPERTY
@@ -39,6 +62,33 @@ def test_excitation_rank_is_numerical_rank(lengths, d, back, seed):
     depth = max(1, min(lengths) - back)
     rep = dd.excitation_report(signals, depth)
     assert rep.rank == dd.numerical_rank(dd.mosaic_hankel(signals, depth))
+
+
+def linear_order_scan(signals, rtol=dd.DEFAULT_RANK_RTOL):
+    """Reference: ``max_excitation_order`` as it was before the bisection, one
+    excitation test per depth from 1 up to the first that fails."""
+    best = 0
+    for depth in range(1, min(len(w) for w in signals) + 1):
+        if not dd.is_persistently_exciting(signals, depth, rtol):
+            break
+        best = depth
+    return best
+
+
+@settings(PROPERTY, max_examples=150)
+@given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4), d=st.integers(1, 2),
+       kind=st.sampled_from(["gauss", "ternary", "held", "rank-one"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_max_excitation_order_bisects_the_linear_scan(lengths, d, kind, seed):
+    # "held" holds every sample for the same 1-3 steps; "rank-one" scales one direction
+    # by a scalar signal, so it never excites more than one channel.
+    rng = np.random.default_rng(seed)
+    draw = {"gauss": lambda T: rng.standard_normal((T, d)),
+            "ternary": lambda T: rng.integers(-1, 2, size=(T, d)).astype(float),
+            "held": lambda T: np.repeat(rng.standard_normal((T, d)), rng.integers(1, 4), axis=0)[:T],
+            "rank-one": lambda T: rng.standard_normal((T, 1)) * rng.standard_normal(d)}[kind]
+    signals = [draw(T) for T in lengths]
+    assert dd.max_excitation_order(signals) == linear_order_scan(signals)
 
 
 @PROPERTY
@@ -56,29 +106,17 @@ def test_datadriven_simulate_matches_lstsq_loop(n, m, p, F, seed):
     ys = dd.datadriven_simulate(d, past.u, past.y, future_u)
 
     # Reference: a fresh lstsq per step on the window the code under test saw.
-    # Both solvers are backward stable, so each completed output may differ
-    # from the reference by at most a dimension factor times eps times the
-    # condition number of A_known (over the singular values lstsq keeps),
-    # times the size of A_new @ g; twice that covers both solvers' errors.
+    # Both solvers are backward stable, so each completed output differs from
+    # the reference by at most rounding_per_unit_g times ||g||.
     k = m * L + p * (L - 1)
     A_known, A_new = d.matrix[:k], d.matrix[k:]
-    s = np.linalg.svd(A_known, compute_uv=False)
-    kappa = s[0] / s[s > EPS * max(A_known.shape) * s[0]][-1]
+    per_g = rounding_per_unit_g(A_known, A_new)
     us = np.vstack([past.u, future_u])
     yall = np.vstack([past.y, ys])
     for t in range(F):
         b = np.concatenate([us[t:t + L].reshape(-1), yall[t:t + L - 1].reshape(-1)])
         g = np.linalg.lstsq(A_known, b, rcond=None)[0]
-        bound = 2 * max(A_known.shape) * EPS * kappa * np.linalg.norm(A_new, 2) * np.linalg.norm(g)
-        assert np.linalg.norm(A_new @ g - ys[t]) <= bound
-
-
-def rounding_per_unit_g(A_known, A_new):
-    """The bound test_datadriven_simulate_matches_lstsq_loop derives on one
-    completed output, per unit of ||g||: 2 max(shape) eps kappa ||A_new||."""
-    s = np.linalg.svd(A_known, compute_uv=False)
-    kappa = s[0] / s[s > EPS * max(A_known.shape) * s[0]][-1]
-    return 2 * max(A_known.shape) * EPS * kappa * np.linalg.norm(A_new, 2)
+        assert np.linalg.norm(A_new @ g - ys[t]) <= per_g * np.linalg.norm(g)
 
 
 @PROPERTY
@@ -87,8 +125,8 @@ def rounding_per_unit_g(A_known, A_new):
 def test_datadriven_simulate_certifies_completions_past_the_lag(n, m, p, extra, F, seed):
     # With L-1 >= l and inputs exciting of order n + L, the known rows
     # determine the new output: nothing raises, and each one-step completion
-    # from a true past is the model's output within the bound
-    # test_datadriven_simulate_matches_lstsq_loop derives.
+    # from a true past is the model's output within rounding_per_unit_g
+    # times ||g||.
     rng = np.random.default_rng(seed)
     sys = random_system(rng, n, m, p)
     L = lag(sys) + 1 + extra
@@ -114,13 +152,8 @@ def test_datadriven_simulate_certifies_completions_past_the_lag(n, m, p, extra, 
 def test_datadriven_simulate_on_fewer_columns_than_rows(n, m, p, records, corrupt, F, seed):
     # N < (m+p)L recorded windows, so the dictionary's factor is (m+p)L x N.
     # The outcome is a per-step lstsq's on the N columns: the same error, or
-    # each output within the bound test_datadriven_simulate_matches_lstsq_loop
-    # derives, on the window the code under test saw, but with the backward
-    # error constant of least squares by Householder QR or SVD, which grows
-    # with the product k N of A_known's dimensions (Higham, "Accuracy and
-    # Stability of Numerical Algorithms", 2nd ed., Thm 20.3), not max(k, N):
-    # on a 3 x 3 case lstsq's own error, measured in 50-digit arithmetic, was
-    # 1.5 times the max(k, N) bound.
+    # each output within rounding_per_unit_g times ||g||, on the window the
+    # code under test saw.
     rng = np.random.default_rng(seed)
     sys = random_system(rng, n, m, p)
     L = int(rng.integers(1, n + 2))
@@ -149,7 +182,7 @@ def test_datadriven_simulate_on_fewer_columns_than_rows(n, m, p, records, corrup
     if defect > dd.DEFAULT_RANK_RTOL + EPS * max(k, N):
         expected = dd.InsufficientDataError
     else:
-        per_g = rounding_per_unit_g(A_known, A_new) * min(k, N)
+        per_g = rounding_per_unit_g(A_known, A_new)
         us = np.vstack([past.u, future_u])
         yall = np.vstack([past_y, np.empty((F, p))])
         for t in range(F):
