@@ -159,6 +159,9 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
     result that misses it, or a doubling breakdown, falls back to a plain
     fixed-point iteration from P = Q.  Returns (P, K) with the stationary
     gain K = -(R + B'PB)^{-1} B'PA; the closed loop A + BK is verified stable.
+    Q and R are validated as :class:`~ddlti.lti.LqrWeights` once per call;
+    :func:`lqr_from_data` runs the same solve on weights validated when they
+    were built.
     """
     A, B = as_matrix(A, "A"), as_matrix(B, "B")
     n = A.shape[0]
@@ -166,8 +169,14 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
         raise InputError(f"A must be square, got {A.shape}")
     if B.shape[0] != n:
         raise InputError(f"B must have {n} rows, got {B.shape[0]}")
-    W = LqrWeights(Q=Q, R=R)
-    Q, R = W.Q, W.R
+    return _dare(A, B, LqrWeights(Q=Q, R=R), tol, max_iter)[:2]
+
+
+def _dare(A, B, weights: LqrWeights, tol: float, max_iter: int):
+    """(P, K, residual) of :func:`dare_solve` for validated weights, where
+    residual is the relative Riccati residual that P was accepted at."""
+    n = A.shape[0]
+    Q, R = weights.Q, weights.R
     if Q.shape[0] != n:
         raise InputError(f"Q must be {n}x{n}, got {Q.shape}")
     if R.shape[0] != B.shape[1]:
@@ -179,19 +188,19 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
         Ak, Gk, Hk = A.copy(), G0.copy(), Q.copy()
         eye = np.eye(n)
         for _ in range(max_iter):
-            try:
-                Wk = eye + Gk @ Hk
-                V1 = np.linalg.solve(Wk, Ak)
-                V2 = np.linalg.solve(Wk, Gk)
+            try:  # one LU of I + GH serves both right-hand sides
+                V = np.linalg.solve(eye + Gk @ Hk, np.hstack([Ak, Gk]))
             except np.linalg.LinAlgError:
                 return None
+            V1, V2 = V[:, :n], V[:, n:]
             Hn = Hk + Ak.T @ Hk @ V1
             Gk = Gk + Ak @ V2 @ Ak.T
             Ak = Ak @ V1
             Hn = 0.5 * (Hn + Hn.T)
-            if not np.all(np.isfinite(Hn)):
+            norm = np.linalg.norm(Hn)
+            if not np.isfinite(norm):
                 return None
-            if np.linalg.norm(Hn - Hk) <= tol * max(1.0, np.linalg.norm(Hn)):
+            if np.linalg.norm(Hn - Hk) <= tol * max(1.0, norm):
                 return Hn
             Hk = Hn
         return None
@@ -232,7 +241,7 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
             "computed gain does not stabilize the pair (A, B); "
             "the pair may not be stabilizable"
         )
-    return P, K
+    return P, K, residual
 
 
 def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
@@ -282,6 +291,11 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
     L(P) <= 0 — certify L(P) <= 0 directly on the data, and build the gain
     K = Um X' from a right inverse X' of Xm constrained by L(P) X' = 0.
 
+    ``weights`` are validated when the :class:`~ddlti.lti.LqrWeights` is
+    built, not again here; any other object with ``Q`` and ``R`` is passed
+    through ``LqrWeights`` once.  ``riccati_residual`` is the relative
+    Riccati residual at which the solve accepted P.
+
     Raises
     ------
     InsufficientDataError
@@ -291,7 +305,9 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
         residual, closed-loop stability) fails at ``tol_cert``.
     """
     A, B, Rx, Rp, Ru = _factor_ab(batch, rtol)
-    P, _ = dare_solve(A, B, weights.Q, weights.R, tol=riccati_tol, max_iter=max_iter)
+    if not isinstance(weights, LqrWeights):
+        weights = LqrWeights(Q=weights.Q, R=weights.R)
+    P, _, riccati_residual = _dare(A, B, weights, riccati_tol, max_iter)
 
     # Q's columns are orthonormal: C has L(P)'s term norms and nonzero spectrum.
     terms = (Rx @ P @ Rx.T, Rp @ P @ Rp.T,
@@ -330,7 +346,7 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
     return LqrSolution(
         P=P, K=K,
         lmi_max_eig=lmi_max_eig,
-        riccati_residual=_dare_residual(A, B, weights.Q, weights.R, P),
+        riccati_residual=riccati_residual,
         right_inverse_residual=ri_residual,
         closed_loop_radius=radius,
     )

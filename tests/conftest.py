@@ -112,12 +112,13 @@ def reactor():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """(function name, shape of its first argument) for every ``np.linalg``
-    qr, svd, pinv and lstsq call while the test runs, in call order."""
+    """(function name, shape of its first argument, shape of its second
+    positional argument or None) for every ``np.linalg`` qr, svd, pinv, lstsq,
+    solve and eigvalsh call while the test runs, in call order."""
     calls = []
-    for name in ("qr", "svd", "pinv", "lstsq"):
+    for name in ("qr", "svd", "pinv", "lstsq", "solve", "eigvalsh"):
         def call(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a)))
+            calls.append((_name, np.shape(a), np.shape(args[0]) if args else None))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, call)
     return calls

@@ -267,7 +267,7 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
         built.clear()
         linalg_calls.clear()
         res = dd.identify(ct)
-        inverted = [shape for name, shape in linalg_calls if name == "pinv"]
+        inverted = [shape for name, shape, _ in linalg_calls if name == "pinv"]
         assert res.order == n
         assert built == list(range(1, lag(sys) + 2))
         assert len(inverted) == 1
@@ -281,7 +281,7 @@ def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
     u = pe_inputs(rng, 1, dd.pe_length_bound(7, 2, 1) + 5, 2, 7)[0]
     traj = dd.simulate(sys, rng.standard_normal(3), u)
     mk = dd.recover_markov_parameters([(traj.u, traj.y)], order=3, count=7)
-    calls = [shape for name, shape in linalg_calls if name == "pinv"]
+    calls = [shape for name, shape, _ in linalg_calls if name == "pinv"]
     assert len(calls) == 1
     assert_allclose(mk, dd.markov_parameters(sys, 7), atol=1e-8)
 
@@ -301,23 +301,23 @@ def test_each_data_matrix_is_factored_once(linalg_calls):
         res = dd.identify(ct)
         L = lag(sys) + 1
         assert res.order == n
-        assert [shape[1] for name, shape in linalg_calls if name == "qr"] == \
+        assert [shape[1] for name, shape, _ in linalg_calls if name == "qr"] == \
             [(m + p) * depth for depth in range(1, L + 1)]
-        assert all(shape[-1] <= (m + p) * L for name, shape in linalg_calls if name != "qr")
+        assert all(shape[-1] <= (m + p) * L for name, shape, _ in linalg_calls if name != "qr")
 
         d = dd.build_data_matrix([(ct.u[:100], ct.y[:100])], L)
         past = dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((L - 1, m)))
         linalg_calls.clear()
         dd.datadriven_simulate(d, past.u, past.y, rng.standard_normal((5, m)))
-        assert [name for name, _ in linalg_calls if name == "qr"] == ["qr"]
-        assert all(shape[-1] <= (m + p) * L for name, shape in linalg_calls if name != "qr")
+        assert [name for name, *_ in linalg_calls if name == "qr"] == ["qr"]
+        assert all(shape[-1] <= (m + p) * L for name, shape, _ in linalg_calls if name != "qr")
         assert d.n_columns > (m + p) * L
 
         linalg_calls.clear()
         dd.recover_markov_parameters([(ct.u[:100], ct.y[:100])], n, 2 * n + 1)
         rows = [(2 * n + 1) * m, (m + p) * (n + 1)]  # excitation mosaic, dictionary
-        assert [shape[1] for name, shape in linalg_calls if name == "qr"] == rows
-        assert all(shape[-1] <= max(rows) for name, shape in linalg_calls if name != "qr")
+        assert [shape[1] for name, shape, _ in linalg_calls if name == "qr"] == rows
+        assert all(shape[-1] <= max(rows) for name, shape, _ in linalg_calls if name != "qr")
 
 
 def test_recover_markov_batch_matches_per_channel_simulation():

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -288,6 +289,93 @@ def test_lqr_refuses_corrupted_pooled_batch():
                              boundaries=batch.boundaries)
     with pytest.raises(dd.CertificationError):
         dd.lqr_from_data(bad, eye_weights())
+
+
+# --- one Riccati core under dare_solve and lqr_from_data -------------------
+
+def test_lqr_from_data_validates_weights_once(monkeypatch):
+    batch = reactor_batch(seed=26)
+    W = eye_weights()
+    checks = []
+    real = dd.LqrWeights.__post_init__
+    monkeypatch.setattr(dd.LqrWeights, "__post_init__",
+                        lambda self: checks.append(1) or real(self))
+    sol = dd.lqr_from_data(batch, W)
+    assert checks == []
+    # Any other object with Q and R goes through LqrWeights once, with its
+    # checks and messages.
+    same = dd.lqr_from_data(batch, SimpleNamespace(Q=np.eye(4).tolist(), R=np.eye(2)))
+    assert checks == [1]
+    assert np.array_equal(same.P, sol.P) and np.array_equal(same.K, sol.K)
+    Q = np.eye(4)
+    Q[0, 1] = 0.5
+    with pytest.raises(dd.InputError, match="Q must be symmetric"):
+        dd.lqr_from_data(batch, SimpleNamespace(Q=Q, R=np.eye(2)))
+    assert checks == [1, 1]
+
+
+def stabilizable_batches():
+    """Pooled reactor batches, then single runs of random open-loop-unstable
+    systems with random SPD weights."""
+    for seed in (1, 3, 60):
+        yield pooled_batch(seed, 80), eye_weights()
+    rng = np.random.default_rng(27)
+    for _ in range(6):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        sys = random_system(rng, n, m, 1, minimal=False, radius=1.2)
+        traj = dd.simulate(sys, rng.standard_normal(n),
+                           rng.standard_normal((3 * (n + m), m)))
+        S = rng.standard_normal((m, m))
+        yield dd.assemble_batch([traj]), dd.LqrWeights(Q=np.eye(n),
+                                                       R=S @ S.T + np.eye(m))
+
+
+def test_lqr_from_data_is_dare_solve_on_the_identified_pair():
+    for batch, W in stabilizable_batches():
+        sol = dd.lqr_from_data(batch, W)
+        A, B = dd.identify_ab(batch)
+        assert np.array_equal(sol.P, dd.dare_solve(A, B, W.Q, W.R)[0])
+        assert sol.riccati_residual == dd.lqr._dare_residual(A, B, W.Q, W.R, sol.P)
+
+
+def test_lqr_from_data_fixed_point_fallback(linalg_calls):
+    # The pair of test_dare_fixed_point_fallback_matches_scipy, identified
+    # from one run: its doubling also stalls above the residual tolerance.
+    A = np.array([[0.7, 1.6], [0.7, -2.6]])
+    B = np.array([[0.9], [0.4]])
+    sys = dd.LtiSystem(A=A, B=B, C=np.eye(2), D=np.zeros((2, 1)))
+    rng = np.random.default_rng(28)
+    batch = dd.assemble_batch([dd.simulate(sys, rng.standard_normal(2),
+                                           rng.standard_normal((6, 1)))])
+    W = dd.LqrWeights(Q=np.eye(2), R=1e-6 * np.eye(1))
+    linalg_calls.clear()
+    sol = dd.lqr_from_data(batch, W)
+    # R^-1 B', the doubling result's residual, the final residual and the
+    # gain take four 1 x 1 solves; the fixed-point steps take the others.
+    assert sum(a == (1, 1) for name, a, _ in linalg_calls if name == "solve") > 4
+    A_hat, B_hat = dd.identify_ab(batch)
+    assert np.array_equal(sol.P, dd.dare_solve(A_hat, B_hat, W.Q, W.R)[0])
+    assert sol.riccati_residual <= 1e-12
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    assert_allclose(sol.P, scipy_linalg.solve_discrete_are(A, B, W.Q, W.R),
+                    rtol=1e-8, atol=1e-8)
+
+
+def test_lqr_from_data_work_count(linalg_calls):
+    # Each doubling step solves I + GH once for [A | G]; around it come
+    # R^-1 B', one Riccati residual and the gain, and the only symmetric
+    # eigensolve is the LMI check on the r x r core.
+    batch, W = pooled_batch(1, 80), eye_weights()
+    n, m = batch.n, batch.m
+    linalg_calls.clear()
+    dd.lqr_from_data(batch, W)
+    solves = [(a, rhs) for name, a, rhs in linalg_calls if name == "solve"]
+    steps = [rhs for a, rhs in solves if a == (n, n)]
+    assert steps and all(rhs == (n, 2 * n) for rhs in steps)
+    assert [a for a, _ in solves if a != (n, n)] == [(m, m)] * 3
+    r = 2 * n + m
+    assert [call for call in linalg_calls if call[0] == "eigvalsh"] == \
+        [("eigvalsh", (r, r), None)]
 
 
 # --- the factor route computes the N x N operator's certificates ----------
