@@ -1,4 +1,11 @@
-"""Shared dense linear-algebra helpers: one rank semantic for the whole package."""
+"""Shared dense linear algebra: the one SVD kernel behind every rank decision
+and min-norm solve (no other module calls the SVD), and its three rules:
+
+- Rank: the number of singular values above ``rtol * sigma_max``.
+- Min-norm solve: drops singular values at or below ``eps * max(rows, N)``
+  times sigma_max, N the column count of the data matrix the solve stands for.
+- Relative residual: ``||A X - B|| / ||B||``, plain ``||A X - B||`` where B = 0.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -9,20 +16,46 @@ from .errors import InputError
 DEFAULT_RANK_RTOL = 1e-8
 
 
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """The rank rule on singular values (none, or all zero, give rank 0)."""
+    return int(np.count_nonzero(s > rtol * s.max(initial=0.0)))
+
+
 def numerical_rank(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> int:
     """Number of singular values above ``rtol * sigma_max``."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
-    return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), rtol)
+    return singular_values_rank(M, rtol)[1]
 
 
-def rank_from_singular_values(s: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> int:
-    """The rank decision of :func:`numerical_rank` for singular values already
-    in hand (sorted descending, as ``np.linalg.svd`` returns them)."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+def singular_values_rank(M: np.ndarray, rtol: float):
+    """(s, r): the singular values of M, without vectors, and its rank by the rank rule."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return s, _rank(s, rtol)
+
+
+def svd_rank(M: np.ndarray, rtol: float):
+    """(U, s, Vt, r): the thin SVD of M and its rank by the rank rule."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return U, s, Vt, _rank(s, rtol)
+
+
+def minnorm_cutoff(rows: int, n_cols: int) -> float:
+    """The min-norm rule's relative cutoff for a rows x N data matrix."""
+    return np.finfo(float).eps * max(rows, n_cols)
+
+
+def minnorm(A: np.ndarray, B: np.ndarray, n_cols: int):
+    """(X, relative residual) of the min-norm least-squares ``A X = B``, where
+    ``n_cols`` is N of the data matrix that A stands for."""
+    U, s, Vt, r = svd_rank(A, minnorm_cutoff(A.shape[0], n_cols))
+    X = (Vt[:r].T / s[:r]) @ (U[:, :r].T @ B)
+    return X, float(residual_ratio(A @ X - B, B))
+
+
+def residual_ratio(R: np.ndarray, B: np.ndarray, axis: int | None = None):
+    """The relative-residual rule for ``R = A X - B``, per slice along ``axis``."""
+    r, nb = np.linalg.norm(R, axis=axis), np.linalg.norm(B, axis=axis)
+    return r / np.where(nb > 0.0, nb, 1.0)
 
 
 def gram_factor(M: np.ndarray) -> np.ndarray:
@@ -30,20 +63,6 @@ def gram_factor(M: np.ndarray) -> np.ndarray:
     columns as M has rows: L has M's singular values, row-space relations,
     min-norm solves and residuals."""
     return np.linalg.qr(M.T, mode="r").T
-
-
-def lstsq_minnorm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``A x = b``."""
-    x, *_ = np.linalg.lstsq(np.asarray(A, float), np.asarray(b, float), rcond=None)
-    return x
-
-
-def relative_residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """``||A x - b|| / ||b||`` (plain ``||A x - b||`` when b = 0)."""
-    b = np.asarray(b, float)
-    r = float(np.linalg.norm(A @ x - b))
-    nb = float(np.linalg.norm(b))
-    return r / nb if nb > 0.0 else r
 
 
 def as_samples(a) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_samples, gram_factor, rank_from_singular_values
+from ._linalg import DEFAULT_RANK_RTOL, as_samples, gram_factor, singular_values_rank
 from .errors import DepthTooLargeError, InputError
 
 
@@ -158,8 +158,7 @@ class ExcitationReport:
 def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> ExcitationReport:
     """Rank diagnostics for the depth-k mosaic Hankel matrix of ``signals``."""
     H = mosaic_hankel(signals, depth)
-    sv = np.linalg.svd(gram_factor(H), compute_uv=False)
-    rank = rank_from_singular_values(sv, rtol)
+    sv, rank = singular_values_rank(gram_factor(H), rtol)
     return ExcitationReport(
         exciting=rank == H.shape[0],
         depth=depth,

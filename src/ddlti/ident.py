@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, gram_factor, numerical_rank, rank_from_singular_values
+from ._linalg import DEFAULT_RANK_RTOL, gram_factor, numerical_rank, svd_rank
 from .errors import (
     ExcitationError,
     InputError,
@@ -98,7 +98,7 @@ def _impulse_response(d: DataDictionary, factor: np.ndarray, count: int, rtol: f
     """First ``count`` Markov parameters completed on ``d``, given its factor:
     for each input channel, a unit impulse after a zero past of depth-1
     samples, which pins the zero state once depth-1 reaches the lag.  The m
-    impulses run as one batch, so ``factor`` is pseudo-inverted once."""
+    impulses run as one batch, so ``factor``'s known rows take one SVD."""
     L, m, p = d.depth, d.m, d.p
     # Impulse j sits on the batch axis: input channel j is 1 at step 0.
     impulses = np.zeros((count, m, m))
@@ -145,8 +145,7 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
     blocks = W.transpose(0, 1, 3, 2).reshape(K - c, p, c * m)
     H = blocks[:r].reshape(r * p, c * m)
     Hs = blocks[1:r + 1].reshape(r * p, c * m)
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    rank = rank_from_singular_values(s, rtol)
+    U, s, Vt, rank = svd_rank(H, rtol)
     if rank < order:
         raise OrderInfeasibleError(
             f"impulse-response Hankel matrix has rank {rank} < requested "
@@ -182,12 +181,7 @@ def scan_order(segments, max_order: int | None = None,
     IEEE TAC 2023), so the first depth whose estimate equals the previous
     depth's, and is nonnegative, gives the order; deeper windows add nothing.
     """
-    return _scan(segments, max_order, rtol)[0]
-
-
-def _scan(segments, max_order: int | None, rtol: float) -> tuple[int, DataDictionary]:
-    """:func:`_stall` without the factor."""
-    return _stall(segments, max_order, rtol)[:2]
+    return _stall(segments, max_order, rtol)[0]
 
 
 def _stall(segments, max_order: int | None,

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    DEFAULT_RANK_RTOL,
-    as_matrix,
-    gram_factor,
-    lstsq_minnorm,
-    rank_from_singular_values,
-    relative_residual,
-)
+from ._linalg import DEFAULT_RANK_RTOL, as_matrix, gram_factor, minnorm, svd_rank
 from .errors import (
     CertificationError,
     ExcitationError,
@@ -43,7 +36,8 @@ from .errors import (
     RiccatiDivergenceError,
 )
 from .hankel import _coerce_one, is_persistently_exciting, pe_length_bound
-from .lti import LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, simulate, spectral_radius
+from .lti import (LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, _state_pair, simulate,
+                  spectral_radius)
 
 
 @dataclass(frozen=True)
@@ -142,10 +136,11 @@ def assemble_batch(experiments) -> ExperimentBatch:
     return ExperimentBatch(Xm=Xm, Xp=Xp, Um=Um, boundaries=tuple(int(o) for o in offsets))
 
 
-def _dare_residual(A, B, Q, R, P) -> float:
-    S = R + B.T @ P @ B
-    res = A.T @ P @ A - P - A.T @ P @ B @ np.linalg.solve(S, B.T @ P @ A) + Q
-    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(P)))
+def _dare_residual(A, B, Q, R, P):
+    """(relative Riccati residual at P, X) with X = (R + B'PB)^{-1} B'PA = -K."""
+    X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    res = A.T @ P @ A - P - A.T @ P @ B @ X + Q
+    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(P))), X
 
 
 def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
@@ -163,12 +158,7 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
     :func:`lqr_from_data` runs the same solve on weights validated when they
     were built.
     """
-    A, B = as_matrix(A, "A"), as_matrix(B, "B")
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise InputError(f"A must be square, got {A.shape}")
-    if B.shape[0] != n:
-        raise InputError(f"B must have {n} rows, got {B.shape[0]}")
+    A, B = _state_pair(A, B)
     return _dare(A, B, LqrWeights(Q=Q, R=R), tol, max_iter)[:2]
 
 
@@ -223,25 +213,24 @@ def _dare(A, B, weights: LqrWeights, tol: float, max_iter: int):
 
     resid_tol = max(tol, 1e-12)
     P = doubling()
-    residual = np.inf if P is None else _dare_residual(A, B, Q, R, P)
+    residual, X = (np.inf, None) if P is None else _dare_residual(A, B, Q, R, P)
     if residual > resid_tol:
         P = fixed_point()
         if P is None:
             raise RiccatiDivergenceError(
                 f"Riccati iteration did not converge within {max_iter} steps"
             )
-        residual = _dare_residual(A, B, Q, R, P)
+        residual, X = _dare_residual(A, B, Q, R, P)
     if residual > resid_tol:
         raise RiccatiDivergenceError(
             f"Riccati residual {residual:.3e} exceeds tolerance {resid_tol:.1e}"
         )
-    K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    if n and spectral_radius(A + B @ K) >= 1.0:
+    if n and spectral_radius(A - B @ X) >= 1.0:
         raise RiccatiDivergenceError(
             "computed gain does not stabilize the pair (A, B); "
             "the pair may not be stabilizable"
         )
-    return P, K, residual
+    return P, -X, residual
 
 
 def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
@@ -263,8 +252,7 @@ def _factor_ab(batch: ExperimentBatch, rtol: float):
     n = batch.n
     R = gram_factor(np.vstack([batch.Xm, batch.Xp, batch.Um])).T
     Rx, Rp, Ru = R[:, :n], R[:, n:2 * n], R[:, 2 * n:]
-    U, s, Vt = np.linalg.svd(np.hstack([Rx, Ru]), full_matrices=False)
-    rank = rank_from_singular_values(s, rtol)
+    U, s, Vt, rank = svd_rank(np.hstack([Rx, Ru]), rtol)
     if rank < n + batch.m:
         raise InsufficientDataError(
             f"[Xm; Um] has rank {rank} < {n + batch.m}; "
@@ -324,13 +312,12 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
             f"max eigenvalue {lmi_max_eig:.3e} exceeds {tol_cert:.1e} x scale {scale:.3e}"
         )
 
-    # Right inverse X = QY of Xm annihilating L(P): [Rx'; C] Y = [I; 0] has the
-    # min-norm solution and the residual of [Xm; L(P)] X = [I; 0].
+    # Right inverse X = QY of Xm annihilating L(P): [Rx'; C] Y = [I; 0] has the min-norm
+    # solution and residual of [Xm; L(P)] X = [I; 0], at that (n+N)-row matrix's cutoff.
     n = batch.n
     S = np.vstack([Rx.T, C])
     rhs = np.vstack([np.eye(n), np.zeros((C.shape[0], n))])
-    Y = lstsq_minnorm(S, rhs)
-    ri_residual = relative_residual(S, Y, rhs)
+    Y, ri_residual = minnorm(S, rhs, n + batch.n_columns)
     if ri_residual > tol_cert:
         raise CertificationError(
             f"no right inverse of Xm annihilates L(P) to tolerance: "

@@ -249,16 +249,21 @@ def verify_trajectory(sys: LtiSystem, traj: StateTrajectory, tol: float = 1e-9) 
     return worst <= tol
 
 
-def is_controllable(A, B, rtol: float = DEFAULT_RANK_RTOL) -> bool:
-    """Kalman rank test: [B, AB, ..., A^(n-1)B] has numerical rank n."""
+def _state_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as matrices, A square and B with as many rows."""
     A, B = as_matrix(A, "A"), as_matrix(B, "B")
     n = A.shape[0]
     if A.shape != (n, n):
         raise InputError(f"A must be square, got {A.shape}")
     if B.shape[0] != n:
         raise InputError(f"B must have {n} rows, got {B.shape[0]}")
-    if n == 0:
-        return True
+    return A, B
+
+
+def is_controllable(A, B, rtol: float = DEFAULT_RANK_RTOL) -> bool:
+    """Kalman rank test: [B, AB, ..., A^(n-1)B] has numerical rank n."""
+    A, B = _state_pair(A, B)
+    n = A.shape[0]
     blocks = [B]
     for _ in range(n - 1):
         blocks.append(A @ blocks[-1])

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_samples, gram_factor, lstsq_minnorm,
-                      numerical_rank, relative_residual)
+from ._linalg import (DEFAULT_RANK_RTOL, as_samples, gram_factor, minnorm, minnorm_cutoff,
+                      numerical_rank, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError
 from .hankel import (SignalSegment, _check_depth, _coerce_one, _coerce_segments, _mosaic,
                      mosaic_hankel)
@@ -182,8 +182,7 @@ def is_system_trajectory(dictionary: DataDictionary, u, y,
     if y.shape[0] != pL:
         raise InputError(f"y must have length {pL}, got {y.shape[0]}")
     b = np.concatenate([u, y])
-    g = lstsq_minnorm(dictionary.matrix, b)
-    res = relative_residual(dictionary.matrix, g, b)
+    g, res = minnorm(dictionary.matrix, b, dictionary.n_columns)
     return Membership(member=bool(res <= tol), residual=res, g=g)
 
 
@@ -242,14 +241,13 @@ def _complete(dictionary: DataDictionary, factor: np.ndarray, wu, wy, fu, tol: f
     # the new output theta b of the known samples b (Markovsky & Rapisarda, IJC 2008).
     k = dictionary.m * L + p * (L - 1)
     A_known, A_new = factor[:k], factor[k:]
-    # lstsq(rcond=None)'s cutoff for the k x N data, not for the narrower factor.
-    eps_n = np.finfo(float).eps * max(k, dictionary.n_columns)
-    A_pinv = np.linalg.pinv(A_known, rcond=eps_n)
-    theta = A_new @ A_pinv
+    eps_n = minnorm_cutoff(k, dictionary.n_columns)
+    U, s, Vt, r = svd_rank(A_known, eps_n)
+    theta = (A_new @ Vt[:r].T / s[:r]) @ U[:, :r].T  # A_new A_known+
     # The new output is unique exactly when A_new's rows lie in A_known's row
     # space: by the rank rule, the part left outside adds rank once it exceeds
-    # rtol relative to A_new; the SVD behind A_pinv leaves up to eps_n of it.
-    defect = relative_residual(theta, A_known, A_new)
+    # rtol relative to A_new; the dropped singular values leave up to eps_n of it.
+    defect = residual_ratio(theta @ A_known - A_new, A_new)
     cutoff = rtol + eps_n
     if defect > cutoff:
         raise InsufficientDataError(
@@ -258,17 +256,14 @@ def _complete(dictionary: DataDictionary, factor: np.ndarray, wu, wy, fu, tol: f
             "or more exciting data is needed"
         )
 
-    proj = A_known @ A_pinv
+    proj = U[:, :r] @ U[:, :r].T  # A_known A_known+
     F, _, nb = fu.shape
     us = np.concatenate([wu, fu])
     ys = np.concatenate([wy, np.empty((F, p, nb))])
     for t in range(F):
         b = np.concatenate([us[t:t + L].reshape(-1, nb), ys[t:t + L - 1].reshape(-1, nb)])
-        # Each trajectory's relative residual ||A_known g - b|| = ||proj b - b||,
-        # plain where b = 0 as in relative_residual; the worst one is checked.
-        r = np.linalg.norm(proj @ b - b, axis=0)
-        b_norm = np.linalg.norm(b, axis=0)
-        res = float(np.divide(r, b_norm, out=r, where=b_norm > 0.0).max())
+        # Each trajectory's residual A_known g - b is proj b - b; the worst one is checked.
+        res = float(residual_ratio(proj @ b - b, b, axis=0).max())
         if res > tol:
             raise InconsistentPastError(
                 f"recorded data cannot explain the given past at step {t} "

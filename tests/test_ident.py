@@ -243,8 +243,8 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
     # rank(H_L) - mL equals rank O_L, which stops growing at the observability
     # index l; so the scan never needs a window deeper than l + 1, and
     # identify completes its impulses on that last matrix: every depth is
-    # built once, the one dictionary is pseudo-inverted once, and no
-    # separate excitation test runs.
+    # built once, the known block of the one dictionary goes through one SVD,
+    # and no separate excitation test runs.
     built, excitation_tests = [], []
 
     def spy(owner, name, log, note):
@@ -267,9 +267,11 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
         built.clear()
         linalg_calls.clear()
         res = dd.identify(ct)
-        inverted = [shape for name, shape, _ in linalg_calls if name == "pinv"]
+        L = lag(sys) + 1
+        known = (m * L + p * (L - 1), (m + p) * L)
+        inverted = [shape for name, shape, _ in linalg_calls if name == "svd" and shape == known]
         assert res.order == n
-        assert built == list(range(1, lag(sys) + 2))
+        assert built == list(range(1, L + 1))
         assert len(inverted) == 1
         assert excitation_tests == []
         assert_allclose(res.markov, dd.markov_parameters(sys, 2 * n + 1), atol=1e-8)
@@ -281,7 +283,8 @@ def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
     u = pe_inputs(rng, 1, dd.pe_length_bound(7, 2, 1) + 5, 2, 7)[0]
     traj = dd.simulate(sys, rng.standard_normal(3), u)
     mk = dd.recover_markov_parameters([(traj.u, traj.y)], order=3, count=7)
-    calls = [shape for name, shape, _ in linalg_calls if name == "pinv"]
+    known = (2 * 4 + 2 * 3, (2 + 2) * 4)  # mL + p(L-1) rows of the depth-4 factor
+    calls = [shape for name, shape, _ in linalg_calls if name == "svd" and shape == known]
     assert len(calls) == 1
     assert_allclose(mk, dd.markov_parameters(sys, 7), atol=1e-8)
 

@@ -1,4 +1,5 @@
-"""Modules depend only downward: each imports only modules earlier in ORDER."""
+"""Modules depend only downward: each imports only modules earlier in ORDER,
+and only the _linalg kernel calls numpy's SVD, pinv or lstsq."""
 import ast
 from pathlib import Path
 
@@ -21,6 +22,17 @@ def relative_imports(path: Path) -> set[str]:
     return found
 
 
+def kernel_calls(path: Path) -> list[str]:
+    """Every ``<...>.linalg.svd``, ``pinv`` or ``lstsq`` call in a source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        f = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(f, ast.Attribute) and f.attr in ("svd", "pinv", "lstsq")
+                and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"):
+            found.append(f"{path.stem}:{node.lineno} {f.attr}")
+    return found
+
+
 def test_every_module_has_a_layer():
     assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(ORDER)
 
@@ -35,3 +47,10 @@ def test_modules_import_only_lower_layers():
             if dep not in ORDER or ORDER.index(dep) >= rank:
                 upward.append(f"{path.stem} -> {dep}")
     assert upward == []
+
+
+def test_only_the_kernel_calls_svd_pinv_or_lstsq():
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) if path.stem != "_linalg"
+             for c in kernel_calls(path)]
+    assert calls == []
+    assert kernel_calls(PACKAGE / "_linalg.py")

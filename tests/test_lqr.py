@@ -335,7 +335,7 @@ def test_lqr_from_data_is_dare_solve_on_the_identified_pair():
         sol = dd.lqr_from_data(batch, W)
         A, B = dd.identify_ab(batch)
         assert np.array_equal(sol.P, dd.dare_solve(A, B, W.Q, W.R)[0])
-        assert sol.riccati_residual == dd.lqr._dare_residual(A, B, W.Q, W.R, sol.P)
+        assert sol.riccati_residual == dd.lqr._dare_residual(A, B, W.Q, W.R, sol.P)[0]
 
 
 def test_lqr_from_data_fixed_point_fallback(linalg_calls):
@@ -350,8 +350,9 @@ def test_lqr_from_data_fixed_point_fallback(linalg_calls):
     W = dd.LqrWeights(Q=np.eye(2), R=1e-6 * np.eye(1))
     linalg_calls.clear()
     sol = dd.lqr_from_data(batch, W)
-    # R^-1 B', the doubling result's residual, the final residual and the
-    # gain take four 1 x 1 solves; the fixed-point steps take the others.
+    # R^-1 B', the doubling result's residual and the final residual, whose
+    # solve gives the gain, take three 1 x 1 solves; the fixed-point steps
+    # take the others.
     assert sum(a == (1, 1) for name, a, _ in linalg_calls if name == "solve") > 4
     A_hat, B_hat = dd.identify_ab(batch)
     assert np.array_equal(sol.P, dd.dare_solve(A_hat, B_hat, W.Q, W.R)[0])
@@ -363,8 +364,8 @@ def test_lqr_from_data_fixed_point_fallback(linalg_calls):
 
 def test_lqr_from_data_work_count(linalg_calls):
     # Each doubling step solves I + GH once for [A | G]; around it come
-    # R^-1 B', one Riccati residual and the gain, and the only symmetric
-    # eigensolve is the LMI check on the r x r core.
+    # R^-1 B' and one Riccati residual, whose solve gives the gain, and the
+    # only symmetric eigensolve is the LMI check on the r x r core.
     batch, W = pooled_batch(1, 80), eye_weights()
     n, m = batch.n, batch.m
     linalg_calls.clear()
@@ -372,7 +373,7 @@ def test_lqr_from_data_work_count(linalg_calls):
     solves = [(a, rhs) for name, a, rhs in linalg_calls if name == "solve"]
     steps = [rhs for a, rhs in solves if a == (n, n)]
     assert steps and all(rhs == (n, 2 * n) for rhs in steps)
-    assert [a for a, _ in solves if a != (n, n)] == [(m, m)] * 3
+    assert [a for a, _ in solves if a != (n, n)] == [(m, m)] * 2
     r = 2 * n + m
     assert [call for call in linalg_calls if call[0] == "eigvalsh"] == \
         [("eigvalsh", (r, r), None)]

@@ -107,6 +107,7 @@ def test_system_validation():
 
 def test_controllable_identity_input():
     assert dd.is_controllable(np.zeros((3, 3)), np.eye(3))
+    assert dd.is_controllable(np.zeros((0, 0)), np.zeros((0, 2)))  # no state
 
 
 def test_uncontrollable_decoupled_state():

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddlti as dd
+from ddlti._linalg import minnorm, svd_rank
 from conftest import EPS, lag, pe_inputs, random_system, rounding_per_unit_g
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -50,6 +51,47 @@ def test_mosaic_and_data_matrix_are_their_definition(extra, depth, d, p, sliced,
     assert np.array_equal(H, windows(us, depth)) and H.flags.c_contiguous
     M = dd.build_data_matrix(list(zip(us, ys)), depth).matrix
     assert np.array_equal(M, np.vstack([windows(us, depth), windows(ys, depth)]))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(k=st.integers(1, 12), N=st.integers(1, 12), deficit=st.integers(0, 12),
+       q=st.integers(1, 3), zero_b=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(k=7, N=3, deficit=0, q=2, zero_b=False, seed=0)   # tall, full rank
+@example(k=3, N=7, deficit=1, q=1, zero_b=False, seed=1)   # wide, rank 2
+@example(k=6, N=5, deficit=3, q=3, zero_b=False, seed=2)   # planted rank 2
+@example(k=4, N=4, deficit=4, q=2, zero_b=False, seed=3)   # M = 0
+@example(k=5, N=2, deficit=0, q=1, zero_b=True, seed=4)    # B = 0
+@example(k=3, N=3, deficit=3, q=2, zero_b=True, seed=5)    # M = 0 and B = 0
+def test_kernel_matches_lstsq_and_numerical_rank(k, N, deficit, q, zero_b, seed):
+    # A = G1 G2 has rank r in exact arithmetic.  Its computed trailing singular
+    # values stayed below a third of the min-norm cutoff eps max(k, N) sigma_max
+    # on 10^4 such draws up to 12 x 12, so kernel and lstsq drop the same ones.
+    # One right-hand side is solved as a vector, as is_system_trajectory does.
+    rng = np.random.default_rng(seed)
+    r = max(0, min(k, N) - deficit)
+    A = rng.standard_normal((k, r)) @ rng.standard_normal((r, N))
+    B = np.zeros((k, q)) if zero_b else rng.standard_normal((k, q))
+    B = B[:, 0] if q == 1 else B
+    assert svd_rank(A, dd.DEFAULT_RANK_RTOL)[3] == dd.numerical_rank(A) == r
+    X, res = minnorm(A, B, N)
+    X_ref = np.linalg.lstsq(A, B, rcond=None)[0]
+    assert X.shape == X_ref.shape
+    dX = (X - X_ref).reshape(N, -1)
+    if r == 0:
+        assert not X.any()
+    else:
+        bound = rounding_per_unit_g(A, np.eye(N))
+        assert np.all(np.linalg.norm(dX, axis=0)
+                      <= bound * np.linalg.norm(X_ref.reshape(N, -1), axis=0))
+    # The residual rule on lstsq's X, within what A maps dX to plus the rounding
+    # of each side's product (gamma_N), difference, norm (gamma_kq) and division.
+    nb = np.linalg.norm(B)
+    scale = nb if nb > 0.0 else 1.0
+    ref = np.linalg.norm(A @ X_ref - B) / scale
+    size = max(np.linalg.norm(X), np.linalg.norm(X_ref))
+    slack = (np.linalg.norm(A, 2) * np.linalg.norm(dX)
+             + 2 * (N + k * q + 2) * EPS * (np.linalg.norm(A) * size + nb))
+    assert abs(res - ref) <= slack / scale
 
 
 @PROPERTY
@@ -364,7 +406,7 @@ def test_identify_matches_parent_and_model(n, m, p, T, gap, kind, seed):
     except dd.DdltiError:
         assert order is None, "the parent identified this record"
         return
-    _, d = dd.ident._scan(dd.segment_trajectory(ct), None, dd.DEFAULT_RANK_RTOL)
+    _, d = dd.ident._stall(dd.segment_trajectory(ct), None, dd.DEFAULT_RANK_RTOL)[:2]
     bound = impulse_error_bound(d, res.markov)
     assert res.order == n
     err = np.linalg.norm(res.markov - dd.markov_parameters(sys, 2 * n + 1), axis=(1, 2))
