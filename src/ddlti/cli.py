@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import DEFAULT_RANK_RTOL
 from .errors import DdltiError, DepthTooLargeError, InputError
 from .hankel import excitation_report, max_excitation_order, pe_length_bound
-from .ident import identify, scan_order, segment_trajectory
+from .ident import _complete_runs, _scan, identify, segment_trajectory
 from .io import (
     read_experiment_csv,
     read_inputs_csv,
@@ -43,7 +43,7 @@ from .lqr import (
     lqr_from_data,
 )
 from .lti import CorruptedTrajectory, simulate
-from .willems import build_data_matrix, datadriven_simulate
+from .willems import _dictionary, datadriven_simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,15 +57,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(M) -> str:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     return "\n".join("  [" + "  ".join(f"{v: .6g}" for v in row) + "]" for row in M)
-
-
-def _load_segments(paths):
-    """All complete runs from the given trajectory CSV files, in order."""
-    pairs = []
-    for path in paths:
-        ct = read_trajectory_csv(path)
-        pairs.extend(segment_trajectory(ct, min_len=1))
-    return pairs
 
 
 def cmd_generate(args) -> int:
@@ -95,8 +86,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pe_check(args) -> int:
-    pairs = _load_segments(args.files)
-    inputs = [u for u, _ in pairs]
+    inputs = [u for path in args.files for u, _ in segment_trajectory(read_trajectory_csv(path))]
     print(f"{len(inputs)} complete segment(s); "
           f"total input samples {sum(s.length for s in inputs)}, "
           f"bound for order {args.order}: "
@@ -117,7 +107,8 @@ def cmd_pe_check(args) -> int:
 
 
 def cmd_dd_simulate(args) -> int:
-    pairs = _load_segments([args.data])
+    ct = read_trajectory_csv(args.data)
+    W, ends, _ = _complete_runs(ct)
     past = read_trajectory_csv(args.past)
     if not np.all(past.present):
         raise InputError("the past record must be complete")
@@ -125,17 +116,16 @@ def cmd_dd_simulate(args) -> int:
 
     depth = args.depth
     if depth is None:
-        order = scan_order(pairs, rtol=args.tol_rank)
+        order = _scan(W, ends, ct.m, None, args.tol_rank)[0]
         depth = order + 1
         print(f"estimated order {order}; using window depth {depth}")
     if past.length != depth - 1:
         raise InputError(
             f"past record must have exactly {depth - 1} samples for depth {depth}"
         )
-    usable = [(u, y) for u, y in pairs if u.length >= depth]
-    if not usable:
+    d = _dictionary(W, ends, ct.m, depth)  # runs shorter than the depth have no window
+    if not d.n_columns:
         raise DepthTooLargeError(f"no segment is long enough for depth {depth}")
-    d = build_data_matrix(usable, depth)
     ys = datadriven_simulate(d, past.u, past.y, future_u, tol=args.tol)
     print(f"completed {ys.shape[0]} output sample(s):")
     for k in range(ys.shape[0]):

@@ -14,7 +14,10 @@ mosaic matrix has full row rank kd.
 
 Arguments named ``signals`` are read one way: an ndarray, a SignalSegment or
 a flat list of numbers is one signal; any other list or tuple is a sequence
-of signals, each read by ``as_samples``.
+of signals, each read by ``as_samples``.  They are read in one place,
+``_stack``, which checks a family of records once and lays it out as one
+(d, N) sample array and the records' end indices; ``_mosaic`` cuts every
+mosaic, dictionary, order scan and LQR batch from that stack.
 """
 from __future__ import annotations
 
@@ -31,23 +34,17 @@ class SignalSegment:
     """A finite multi-channel signal: ``samples[t]`` is the value at step
     ``start_time + t``.
 
-    ``samples`` is coerced to a (T, d) float array; 1-D input is treated as a
-    single-channel signal.  ``start_time`` is bookkeeping only and does not
-    affect any matrix construction.
+    ``samples`` is stored as a (T, d) float copy, checked like every record
+    (see :func:`_stack`); 1-D input is treated as a single-channel signal.
+    ``start_time`` is bookkeeping only and does not affect any matrix
+    construction.
     """
 
     samples: np.ndarray
     start_time: int = 0
 
     def __post_init__(self):
-        w = as_samples(self.samples)
-        if w.ndim != 2:
-            raise InputError(f"signal must be 1-D or 2-D, got ndim={w.ndim}")
-        if w.shape[0] == 0 or w.shape[1] == 0:
-            raise InputError("signal must contain at least one sample and one channel")
-        if not np.all(np.isfinite(w)):
-            raise InputError("signal contains non-finite entries")
-        object.__setattr__(self, "samples", w.copy())
+        object.__setattr__(self, "samples", _stack([self.samples])[0].T)
 
     @property
     def length(self) -> int:
@@ -58,61 +55,92 @@ class SignalSegment:
         return self.samples.shape[1]
 
 
-def _coerce_one(signal) -> SignalSegment:
-    if isinstance(signal, SignalSegment):
-        return signal
-    return SignalSegment(np.asarray(signal, dtype=float))
-
-
-def _coerce_segments(signals) -> list[SignalSegment]:
+def _records(signals) -> list:
+    """The records of ``signals``, by the module's reading rule."""
     if isinstance(signals, (SignalSegment, np.ndarray)):
-        return [_coerce_one(signals)]
+        return [signals]
     signals = list(signals)
     if signals and all(np.isscalar(s) for s in signals):
-        return [_coerce_one(np.asarray(signals))]  # a bare list of numbers
-    segs = [_coerce_one(s) for s in signals]
-    if not segs:
-        raise InputError("at least one signal is required")
-    d = segs[0].channels
-    for s in segs[1:]:
-        if s.channels != d:
-            raise InputError(
-                f"all signals must share the channel count, got {d} and {s.channels}"
-            )
-    return segs
+        return [signals]  # a bare list of numbers
+    return signals
 
 
-def _check_depth(segs, depth: int) -> None:
+def _stack(signals, pairs: bool = False):
+    """(W, ends, m): the records of ``signals`` side by side in one (d, N)
+    float array W, one row per channel (so every slice a mosaic copies is
+    contiguous), record i in columns ends[i-1]:ends[i]; and m = d.  With
+    ``pairs``, ``signals`` holds (input, output) pairs, and W has the m input
+    channels over the outputs'.  Records are checked here, once over the
+    stack: each has a sample and the stack a channel, paired records share a
+    length, each side has one channel count, and every entry is finite.
+    """
+    if pairs:
+        try:
+            sides = tuple(zip(*[(u, y) for u, y in signals]))
+        except (TypeError, ValueError):
+            raise InputError("each element must be an (input, output) pair") from None
+    else:
+        sides = (_records(signals),)
+    if not sides or not sides[0]:
+        raise InputError(f"at least one {'input/output pair' if pairs else 'signal'} is required")
+    ws = [[as_samples(s.samples if isinstance(s, SignalSegment) else s) for s in side]
+          for side in sides]
+    lengths = np.array([[w.shape[0] for w in side] for side in ws])
+    if pairs and (lengths[0] != lengths[1]).any():
+        i = int(np.argmax(lengths[0] != lengths[1]))
+        raise InputError(f"pair {i}: lengths {lengths[0, i]} and {lengths[1, i]} differ")
+    dims = []
+    for side in ws:
+        shapes = {w.shape[1:] for w in side}
+        if len(shapes) > 1 or len(min(shapes)) != 1:
+            raise InputError("signals must be 1-D or 2-D and share one channel count, "
+                             f"got sample shapes {shapes}")
+        dims.append(min(shapes)[0])
+    ends = np.cumsum(lengths[0])
+    W = np.empty((sum(dims), int(ends[-1])))
+    for side, hi, d in zip(ws, np.cumsum(dims).tolist(), dims):
+        np.concatenate([w.T for w in side], axis=1, out=W[hi - d:hi])
+    if not lengths.all() or not W.shape[0]:
+        raise InputError("signal must contain at least one sample and one channel")
+    if not np.isfinite(W).all():
+        raise InputError("signal contains non-finite entries")
+    return W, ends, dims[0]
+
+
+def _check_depth(ends, depth: int) -> None:
     if depth < 1:
         raise InputError("depth must be at least 1")
-    for i, s in enumerate(segs):
-        if s.length < depth:
-            raise DepthTooLargeError(
-                f"depth {depth} exceeds the length {s.length} of signal {i}"
-            )
+    lengths = np.diff(ends, prepend=0)
+    if lengths.min() < depth:
+        i = int(np.argmax(lengths < depth))
+        raise DepthTooLargeError(f"depth {depth} exceeds the length {lengths[i]} of signal {i}")
 
 
-def _mosaic(segs, depth: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Depth-``depth`` mosaic of validated segments, written into ``out``.
+def _mosaic(W: np.ndarray, ends, depth: int, m: int | None = None) -> np.ndarray:
+    """Depth-``depth`` mosaic of the records of W that end at ``ends``,
+    skipping records shorter than ``depth``.  With ``m``, the mosaic of W's
+    first m channels over that of the rest: a data dictionary's row order.
 
-    Block row k holds samples k .. T_i - depth + k of every segment in turn,
-    so each block row is one concatenation of transposed sample slices: the
-    Python work grows with the depth, not with the number of segments.
+    Block row k holds samples k .. T_i - depth + k of every record in turn,
+    so each block row is one concatenation of column slices of W.
     """
-    d, ws = segs[0].channels, [s.samples.T for s in segs]
-    if out is None:
-        out = np.empty((depth * d, sum(w.shape[1] - depth + 1 for w in ws)))
-    for k in range(depth):
-        np.concatenate([w[:, k:w.shape[1] - depth + 1 + k] for w in ws], axis=1,
-                       out=out[k * d:(k + 1) * d])
+    lengths = np.diff(ends, prepend=0)
+    keep = lengths >= depth
+    runs = list(zip((ends - lengths)[keep].tolist(), (ends[keep] - depth + 1).tolist()))
+    out = np.empty((depth * W.shape[0], int((lengths[keep] - depth + 1).sum())))
+    row = 0
+    for part in (W,) if m is None else (W[:m], W[m:]):
+        for k in range(depth):
+            if runs:
+                np.concatenate([part[:, s + k:t + k] for s, t in runs], axis=1,
+                               out=out[row:row + len(part)])
+            row += len(part)
     return out
 
 
 def hankel_matrix(signal, depth: int) -> np.ndarray:
     """Depth-``depth`` block Hankel matrix of one signal, shape (depth*d, T-depth+1)."""
-    seg = _coerce_one(signal)
-    _check_depth([seg], depth)
-    return _mosaic([seg], depth)
+    return mosaic_hankel([signal], depth)
 
 
 def mosaic_hankel(signals, depth: int) -> np.ndarray:
@@ -120,14 +148,14 @@ def mosaic_hankel(signals, depth: int) -> np.ndarray:
 
     Every signal must have at least ``depth`` samples — too-short signals
     raise rather than being dropped, since silently losing data inside a
-    rank test is a debugging trap; pipelines that want to exclude short
-    records filter explicitly.  The result has ``depth * d`` rows and
+    rank test is a debugging trap (the pipelines of :mod:`~ddlti.ident` skip
+    short runs on purpose, and say so).  The result has ``depth * d`` rows and
     ``sum_i (T_i - depth + 1)`` columns, blocks in input order; so a nested
     list gives one block per inner list, and an ndarray is one signal.
     """
-    segs = _coerce_segments(signals)
-    _check_depth(segs, depth)
-    return _mosaic(segs, depth)
+    W, ends, _ = _stack(signals)
+    _check_depth(ends, depth)
+    return _mosaic(W, ends, depth)
 
 
 def pe_length_bound(depth: int, channels: int, n_signals: int = 1) -> int:
@@ -157,7 +185,15 @@ class ExcitationReport:
 
 def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> ExcitationReport:
     """Rank diagnostics for the depth-k mosaic Hankel matrix of ``signals``."""
-    H = mosaic_hankel(signals, depth)
+    W, ends, _ = _stack(signals)
+    _check_depth(ends, depth)
+    return _excitation(W, ends, depth, rtol)
+
+
+def _excitation(W: np.ndarray, ends, depth: int, rtol: float) -> ExcitationReport:
+    """:func:`excitation_report` on the stacked records (W, ends), leaving out
+    those shorter than ``depth``: the report has no column of theirs."""
+    H = _mosaic(W, ends, depth)
     sv, rank = singular_values_rank(gram_factor(H), rtol)
     return ExcitationReport(
         exciting=rank == H.shape[0],
@@ -186,12 +222,12 @@ def max_excitation_order(signals, rtol: float = DEFAULT_RANK_RTOL) -> int:
     deepest mosaic that no signal is shorter than and that has at least kd
     columns: O(log T) rank tests.
     """
-    segs = _coerce_segments(signals)
-    q, total = len(segs), sum(s.length for s in segs)
-    lo, hi = 0, min(min(s.length for s in segs), (total + q) // (segs[0].channels + q))
+    W, ends, d = _stack(signals)
+    q = len(ends)
+    lo, hi = 0, int(min(np.diff(ends, prepend=0).min(), (ends[-1] + q) // (d + q)))
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if is_persistently_exciting(segs, mid, rtol):
+        if _excitation(W, ends, mid, rtol).exciting:
             lo = mid
         else:
             hi = mid - 1

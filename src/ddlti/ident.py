@@ -25,9 +25,9 @@ from .errors import (
     OrderInfeasibleError,
     OrderUndeterminedError,
 )
-from .hankel import SignalSegment, is_persistently_exciting
+from .hankel import SignalSegment, _excitation, _stack
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
-from .willems import DataDictionary, _complete, _pair_segments, build_data_matrix
+from .willems import DataDictionary, _complete, _dictionary
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,27 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
     """
     if min_len < 1:
         raise InputError("min_len must be at least 1")
-    # Run starts and stops alternate where the mask, padded with False, flips.
-    edges = np.flatnonzero(np.diff(np.concatenate([[False], ct.present, [False]]))).tolist()
-    pairs = [(SignalSegment(ct.u[s:t], start_time=ct.start_time + s),
-              SignalSegment(ct.y[s:t], start_time=ct.start_time + s))
-             for s, t in zip(edges[::2], edges[1::2]) if t - s >= min_len]
+    W, ends, starts = _complete_runs(ct)
+    pairs = [(SignalSegment(W[:ct.m, b - n:b].T, start_time=s),
+              SignalSegment(W[ct.m:, b - n:b].T, start_time=s))
+             for b, n, s in zip(ends.tolist(), np.diff(ends, prepend=0).tolist(), starts.tolist())
+             if n >= min_len]
     if not pairs:
         raise NoUsableDataError(f"no complete run of length >= {min_len} in the record")
     return pairs
+
+
+def _complete_runs(ct: CorruptedTrajectory):
+    """(W, ends, starts): the record's complete samples as hankel's stack does
+    it, inputs over outputs, run after run; the end of each maximal complete
+    run in W; and each run's start time."""
+    present = ct.present
+    # Run starts and stops alternate where the mask, padded with False, flips.
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], present, [False]])))
+    if not edges.size:
+        raise NoUsableDataError("no complete run of length >= 1 in the record")
+    return (np.vstack([ct.u.T, ct.y.T])[:, present], np.cumsum(edges[1::2] - edges[::2]),
+            edges[::2] + ct.start_time)
 
 
 def recover_markov_parameters(io_pairs, order: int, count: int,
@@ -74,22 +87,20 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
         raise InputError("count must be at least 1")
     if order < 0:
         raise InputError("order must be nonnegative")
-    pairs = _pair_segments(io_pairs)
+    W, ends, m = _stack(io_pairs, pairs=True)
     L = order + 1
-    usable = [(u, y) for u, y in pairs if u.length >= L]
-    if not usable:
+    d = _dictionary(W, ends, m, L)  # runs shorter than L have no window
+    if not d.n_columns:
         raise NoUsableDataError(f"no run long enough for windows of depth {L}")
     # Collective excitation is only defined over records of length >= the
     # order checked; shorter runs stay in the dictionary (their windows are
-    # genuine trajectories) but cannot contribute to the excitation test.
+    # genuine trajectories) but the excitation test leaves them out.
     need = order + L
-    pe_set = [u for u, _ in usable if u.length >= need]
-    if not pe_set or not is_persistently_exciting(pe_set, need, rtol):
+    if not _excitation(W[:m], ends, need, rtol).exciting:
         raise ExcitationError(
             f"recorded inputs are not collectively exciting of order {need}, "
             f"as impulse recovery at order {order} requires"
         )
-    d = build_data_matrix(usable, L)
     return _impulse_response(d, gram_factor(d.matrix), count, rtol, tol)
 
 
@@ -188,21 +199,24 @@ def _stall(segments, max_order: int | None,
            rtol: float) -> tuple[int, DataDictionary, np.ndarray]:
     """The order :func:`scan_order` returns, the depth-L* dictionary of the
     first stall, and its :func:`gram_factor`, whose singular values gave its rank."""
-    segments = _pair_segments(segments)
-    if not segments:
-        raise InputError("at least one complete run is required")
-    m, p = segments[0][0].channels, segments[0][1].channels
-    cap = max(u.length for u, _ in segments)
+    return _scan(*_stack(segments, pairs=True), max_order, rtol)
+
+
+def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
+    """:func:`_stall` on the stacked input/output runs (W, ends), inputs in
+    W's first m rows."""
+    lengths = np.diff(ends, prepend=0)
+    cap = int(lengths.max())
     if max_order is not None:
         if max_order < 0:
             raise InputError("max_order must be nonnegative")
         cap = min(cap, max_order + 1)
     order, seen = None, []
     for depth in range(1, cap + 1):
-        pairs = [(u, y) for u, y in segments if u.length >= depth]
-        if sum(u.length - depth + 1 for u, _ in pairs) < (m + p) * depth:
+        # Runs shorter than the depth have no window at it.
+        if np.maximum(lengths - depth + 1, 0).sum() < len(W) * depth:
             break
-        d = build_data_matrix(pairs, depth)
+        d = _dictionary(W, ends, m, depth)
         factor = gram_factor(d.matrix)
         seen.append(numerical_rank(factor, rtol) - m * depth)
         if depth > 1 and seen[-2] == seen[-1] >= 0:
@@ -234,14 +248,15 @@ def identify(ct: CorruptedTrajectory, max_order: int | None = None,
     can support.  ``rtol`` is the rank tolerance shared by every rank
     decision; ``tol`` bounds the relative residual of the completion solves.
     """
-    segments = segment_trajectory(ct, min_len=1)
-    order, d, factor = _stall(segments, max_order, rtol)
+    W, ends, starts = _complete_runs(ct)
+    order, d, factor = _scan(W, ends, ct.m, max_order, rtol)
     count = 2 * order + 1
     markov = _impulse_response(d, factor, count, rtol, tol)
     system = ho_kalman(markov, order, rtol)
     residual = float(np.max(np.abs(markov_parameters(system, count) - markov)))
-    used = [(u.start_time, u.length) for u, _ in segments if u.length >= d.depth]
+    lengths = np.diff(ends, prepend=0)
+    used = lengths >= d.depth
     return IdentificationResult(
-        system=system, order=order, markov=markov,
-        segment_report=tuple(used), residual=residual,
+        system=system, order=order, markov=markov, residual=residual,
+        segment_report=tuple(zip(starts[used].tolist(), lengths[used].tolist())),
     )

@@ -35,7 +35,7 @@ from .errors import (
     InsufficientDataError,
     RiccatiDivergenceError,
 )
-from .hankel import _coerce_one, is_persistently_exciting, pe_length_bound
+from .hankel import _mosaic, _stack, is_persistently_exciting, pe_length_bound
 from .lti import (LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, _state_pair, simulate,
                   spectral_radius)
 
@@ -46,8 +46,10 @@ class ExperimentBatch:
 
     ``Xm`` and ``Um`` collect the states and inputs at steps 0..T_i-1 of each
     experiment, ``Xp`` the states shifted one step; all three share the
-    column count N = sum_i T_i.  ``boundaries`` records the first column of
-    each experiment within the concatenation.
+    column count N = sum_i T_i.  So [Xm; Xp] is the depth-2 mosaic of the
+    state records x(0..T_i), terminal state included, as
+    :func:`assemble_batch` builds it.  ``boundaries`` records the first
+    column of each experiment within the concatenation.
     """
 
     Xm: np.ndarray
@@ -105,35 +107,21 @@ def assemble_batch(experiments) -> ExperimentBatch:
     state included) and u has T; a :class:`~ddlti.lti.StateTrajectory` is
     also accepted.  Columns are concatenated in input order.
     """
-    experiments = list(experiments)
-    if not experiments:
-        raise InputError("at least one experiment is required")
-    xs, us = [], []
-    for i, exp in enumerate(experiments):
-        if isinstance(exp, StateTrajectory):
-            x = np.vstack([exp.x, exp.final_state])
-            u = exp.u
-        else:
-            x, u = exp
-            x = _coerce_one(x).samples
-            u = _coerce_one(u).samples
-        if x.shape[0] != u.shape[0] + 1:
-            raise InputError(
-                f"experiment {i}: states must have one more sample than "
-                f"inputs (terminal state included), got {x.shape[0]} vs {u.shape[0]}"
-            )
-        xs.append(x)
-        us.append(u)
-    n = xs[0].shape[1]
-    m = us[0].shape[1]
-    for i, (x, u) in enumerate(zip(xs, us)):
-        if x.shape[1] != n or u.shape[1] != m:
-            raise InputError(f"experiment {i}: inconsistent state/input dimensions")
-    Xm = np.hstack([x[:-1].T for x in xs])
-    Xp = np.hstack([x[1:].T for x in xs])
-    Um = np.hstack([u.T for u in us])
-    offsets = np.concatenate([[0], np.cumsum([u.shape[0] for u in us])[:-1]])
-    return ExperimentBatch(Xm=Xm, Xp=Xp, Um=Um, boundaries=tuple(int(o) for o in offsets))
+    pairs = [(np.concatenate([e.x, e.final_state[None]]), e.u)
+             if isinstance(e, StateTrajectory) else e for e in experiments]
+    X, x_ends, n = _stack([x for x, _ in pairs])
+    U, ends, _ = _stack([u for _, u in pairs])
+    x_len, u_len = np.diff(x_ends, prepend=0), np.diff(ends, prepend=0)
+    bad = np.flatnonzero(x_len != u_len + 1)
+    if bad.size:
+        i = int(bad[0])
+        raise InputError(
+            f"experiment {i}: states must have one more sample than inputs "
+            f"(terminal state included), got {x_len[i]} vs {u_len[i]}"
+        )
+    XX = _mosaic(X, x_ends, 2)  # [x(0..T-1); x(1..T)] of every experiment
+    return ExperimentBatch(Xm=XX[:n], Xp=XX[n:], Um=U,
+                           boundaries=tuple((ends - u_len).tolist()))
 
 
 def _dare_residual(A, B, Q, R, P):

@@ -23,8 +23,7 @@ import numpy as np
 from ._linalg import (DEFAULT_RANK_RTOL, as_samples, gram_factor, minnorm, minnorm_cutoff,
                       numerical_rank, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError
-from .hankel import (SignalSegment, _check_depth, _coerce_one, _coerce_segments, _mosaic,
-                     mosaic_hankel)
+from .hankel import _check_depth, _mosaic, _records, _stack
 from .lti import LtiSystem
 
 
@@ -62,24 +61,6 @@ class DataDictionary:
         return self.matrix[self.m * self.depth:]
 
 
-def _pair_segments(io_pairs) -> list[tuple[SignalSegment, SignalSegment]]:
-    """(input, output) segment pairs, each of one length, whose inputs share a
-    channel count and whose outputs share another."""
-    pairs = []
-    for i, pair in enumerate(io_pairs):
-        try:
-            u, y = pair
-        except (TypeError, ValueError):
-            raise InputError("each element must be an (input, output) pair") from None
-        u, y = _coerce_one(u), _coerce_one(y)
-        if u.length != y.length:
-            raise InputError(f"pair {i}: input length {u.length} != output length {y.length}")
-        pairs.append((u, y))
-    for side in zip(*pairs):  # all inputs, then all outputs
-        _coerce_segments(side)
-    return pairs
-
-
 def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
     """Assemble the depth-L data dictionary from paired input/output records.
 
@@ -96,51 +77,39 @@ def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
     DataDictionary
         With ``N = sum_i (T_i - L + 1)`` columns.
     """
-    pairs = _pair_segments(io_pairs)
-    if not pairs:
-        raise InputError("at least one input/output pair is required")
-    ins, outs = (list(side) for side in zip(*pairs))
-    _check_depth(ins, depth)
-    mL = depth * ins[0].channels
-    M = np.empty((mL + depth * outs[0].channels,
-                  sum(u.length - depth + 1 for u in ins)))
-    _mosaic(ins, depth, out=M[:mL])
-    _mosaic(outs, depth, out=M[mL:])
-    return DataDictionary(depth=depth, matrix=M, m=ins[0].channels)
+    W, ends, m = _stack(io_pairs, pairs=True)
+    _check_depth(ends, depth)
+    return _dictionary(W, ends, m, depth)
+
+
+def _dictionary(W: np.ndarray, ends, m: int, depth: int) -> DataDictionary:
+    """The depth-L dictionary of the stacked input/output records (W, ends),
+    inputs in W's first m rows, leaving out records shorter than L."""
+    return DataDictionary(depth=depth, matrix=_mosaic(W, ends, depth, m), m=m)
 
 
 def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
                          depth: int, rtol: float = DEFAULT_RANK_RTOL) -> bool:
     """Rank test that guarantees the depth-L dictionary spans all trajectories.
 
-    Stacks the initial states x^i(0..T_i-L) of each record over the depth-L
-    input mosaic and checks numerical rank n + mL.  When it holds (it always
-    does for controllable systems with collectively exciting inputs of order
-    n + L), every length-L trajectory is a column combination of the recorded
-    windows, and conversely.
+    Stacks the initial states x^i(0..T_i-L) of each record (block row 0 of
+    the states' depth-L mosaic) over the depth-L input mosaic and checks
+    numerical rank n + mL.  When it holds (it always does for controllable
+    systems with collectively exciting inputs of order n + L), every length-L
+    trajectory is a column combination of the recorded windows, and
+    conversely.  Every record must have at least L samples.
     """
-    us = _coerce_segments(input_segments)
-    if isinstance(state_segments, (SignalSegment, np.ndarray)):
-        state_segments = [state_segments]
-    xs = [as_samples(s.samples if isinstance(s, SignalSegment) else s)
-          for s in state_segments]
+    xs, us = _records(state_segments), _records(input_segments)
     if len(xs) != len(us):
         raise InputError("state and input records must come in matching numbers")
-    if us[0].channels != sys.m:
-        raise InputError(f"input records must have {sys.m} channels, got {us[0].channels}")
-    state_blocks = []
-    for x, u in zip(xs, us):
-        if x.shape[1] != sys.n:
-            raise InputError(f"state records must have {sys.n} channels, got {x.shape[1]}")
-        if x.shape[0] != u.length:
-            raise InputError("each state record must align with its input record")
-        cols = u.length - depth + 1
-        if cols < 1:
-            raise InputError(f"record of length {u.length} is shorter than depth {depth}")
-        state_blocks.append(x[:cols].T)
-    bottom = mosaic_hankel(us, depth)
-    M = np.vstack([np.hstack(state_blocks), bottom]) if sys.n > 0 else bottom
-    return numerical_rank(M, rtol) == sys.n + sys.m * depth
+    W, ends, n = _stack(zip(xs, us), pairs=True)
+    if n != sys.n:
+        raise InputError(f"state records must have {sys.n} channels, got {n}")
+    if len(W) - n != sys.m:
+        raise InputError(f"input records must have {sys.m} channels, got {len(W) - n}")
+    _check_depth(ends, depth)
+    M = _mosaic(W, ends, depth, n)
+    return numerical_rank(np.vstack([M[:n], M[n * depth:]]), rtol) == n + sys.m * depth
 
 
 def synthesize_trajectory(dictionary: DataDictionary, g) -> tuple[np.ndarray, np.ndarray]:

@@ -72,11 +72,16 @@ def rounding_per_unit_g(A_known, A_new):
     max(k, N) eps sigma_max), and A_new maps the change into the output at
     most ||A_new|| times larger.  Two solvers are compared, the code under
     test and a lstsq reference, hence 2 k N eps kappa ||A_new||.
+
+    When no singular value survives the cutoff (A_known = 0), both solvers
+    keep none: the min-norm g is exactly 0, with no rounding, and so is the bound.
     """
     k, N = A_known.shape
     s = np.linalg.svd(A_known, compute_uv=False)
-    kappa = s[0] / s[s > EPS * max(k, N) * s[0]][-1]
-    return 2 * k * N * EPS * kappa * np.linalg.norm(A_new, 2)
+    kept = s[s > EPS * max(k, N) * s.max(initial=0.0)]
+    if not kept.size:
+        return 0.0
+    return 2 * k * N * EPS * (kept[0] / kept[-1]) * np.linalg.norm(A_new, 2)
 
 
 def simulate_records(rng, sys, lengths, order):

@@ -255,8 +255,8 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, call)
 
-    spy(dd.ident, "build_data_matrix", built, lambda pairs, depth: depth)
-    spy(dd.ident, "is_persistently_exciting", excitation_tests, lambda u, depth, rtol: depth)
+    spy(dd.ident, "_dictionary", built, lambda W, ends, m, depth: depth)
+    spy(dd.ident, "_excitation", excitation_tests, lambda W, ends, depth, rtol: depth)
     rng = np.random.default_rng(10)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)

@@ -1,5 +1,7 @@
-"""Modules depend only downward: each imports only modules earlier in ORDER,
-and only the _linalg kernel calls numpy's SVD, pinv or lstsq."""
+"""Modules depend only downward: each imports only modules earlier in ORDER;
+only the _linalg kernel calls numpy's SVD, pinv or lstsq; and records are
+converted once, by hankel's stack, so only segment_trajectory, whose output
+needs start times, builds a SignalSegment."""
 import ast
 from pathlib import Path
 
@@ -33,6 +35,18 @@ def kernel_calls(path: Path) -> list[str]:
     return found
 
 
+def constructions(path: Path, name: str) -> list[str]:
+    """``module.definition`` of every call of ``name`` in a source file, by the
+    top-level function or class it sits in."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            f = node.func if isinstance(node, ast.Call) else None
+            if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
 def test_every_module_has_a_layer():
     assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(ORDER)
 
@@ -54,3 +68,8 @@ def test_only_the_kernel_calls_svd_pinv_or_lstsq():
              for c in kernel_calls(path)]
     assert calls == []
     assert kernel_calls(PACKAGE / "_linalg.py")
+
+
+def test_records_are_converted_once():
+    built = {c for path in PACKAGE.glob("*.py") for c in constructions(path, "SignalSegment")}
+    assert built == {"ident.segment_trajectory"}

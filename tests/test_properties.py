@@ -51,6 +51,42 @@ def test_mosaic_and_data_matrix_are_their_definition(extra, depth, d, p, sliced,
     assert np.array_equal(H, windows(us, depth)) and H.flags.c_contiguous
     M = dd.build_data_matrix(list(zip(us, ys)), depth).matrix
     assert np.array_equal(M, np.vstack([windows(us, depth), windows(ys, depth)]))
+    assert M.flags.c_contiguous  # the row-major layout the dictionary's QR is fast on
+
+
+@settings(PROPERTY, max_examples=60)
+@given(runs=st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=1, max_size=200),
+       n=st.integers(1, 3), m=st.integers(1, 2), broken=st.integers(0, 199),
+       seed=st.integers(0, 2**32 - 1))
+@example(runs=[(1, False)], n=1, m=1, broken=0, seed=0)
+@example(runs=[(12, True), (1, False), (5, True)] * 66 + [(3, False)] * 2, n=3, m=2,
+         broken=199, seed=1)
+def test_assemble_batch_is_its_definition(runs, n, m, broken, seed):
+    # Experiments of T steps, each given as an (x, u) pair or a StateTrajectory;
+    # then one pair loses its terminal state, and the error names that experiment.
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal((T + 1, n)) for T, _ in runs]
+    us = [rng.standard_normal((T, m)) for T, _ in runs]
+    exps = [dd.StateTrajectory(u=u, x=x[:-1], y=u[:, :1], final_state=x[-1]) if traj else (x, u)
+            for x, u, (_, traj) in zip(xs, us, runs)]
+    batch = dd.assemble_batch(exps)
+    assert np.array_equal(batch.Xm, np.hstack([x[:-1].T for x in xs]))
+    assert np.array_equal(batch.Xp, np.hstack([x[1:].T for x in xs]))
+    assert np.array_equal(batch.Um, np.hstack([u.T for u in us]))
+    assert batch.boundaries == tuple(np.cumsum([0] + [T for T, _ in runs[:-1]]).tolist())
+    i = broken % len(exps)
+    exps[i] = (xs[i][:-1], us[i])
+    with pytest.raises(dd.InputError, match=f"^experiment {i}: states must have one more"):
+        dd.assemble_batch(exps)
+
+
+def test_rounding_bound_is_zero_when_no_singular_value_is_kept():
+    # An all-zero A_known keeps no singular value: the min-norm g is exactly 0,
+    # from the kernel and from lstsq alike, so the bound on its rounding is 0.
+    A_known, b = np.zeros((3, 4)), np.ones(3)
+    assert rounding_per_unit_g(A_known, np.ones((2, 4))) == 0.0
+    assert not minnorm(A_known, b, 4)[0].any()
+    assert not np.linalg.lstsq(A_known, b, rcond=None)[0].any()
 
 
 @settings(PROPERTY, max_examples=80)

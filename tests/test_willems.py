@@ -74,6 +74,9 @@ def test_rank_condition_duplicate_columns_fail():
     tconst = dd.simulate(sys, np.zeros(2), const)
     assert not dd.check_rank_condition(sys, [tconst.x, tconst.x], [const, const], 3)
     assert dd.check_rank_condition(sys, [traj.x], [u], 3)
+    # a record shorter than the depth has no window to add: refused, not skipped
+    with pytest.raises(dd.DepthTooLargeError, match="signal 1"):
+        dd.check_rank_condition(sys, [traj.x, traj.x[:2]], [u, u[:2]], 3)
 
 
 def test_rank_condition_static_system_reduces_to_pe():
