@@ -35,7 +35,7 @@ from .errors import (
     InsufficientDataError,
     RiccatiDivergenceError,
 )
-from .hankel import _mosaic, _stack, is_persistently_exciting, pe_length_bound
+from .hankel import _excitation, _mosaic, _stack, pe_length_bound
 from .lti import (LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, _state_pair, simulate,
                   spectral_radius)
 
@@ -46,10 +46,11 @@ class ExperimentBatch:
 
     ``Xm`` and ``Um`` collect the states and inputs at steps 0..T_i-1 of each
     experiment, ``Xp`` the states shifted one step; all three share the
-    column count N = sum_i T_i.  So [Xm; Xp] is the depth-2 mosaic of the
-    state records x(0..T_i), terminal state included, as
-    :func:`assemble_batch` builds it.  ``boundaries`` records the first
-    column of each experiment within the concatenation.
+    column count N = sum_i T_i and, as records do, hold finite entries only.
+    So [Xm; Xp] is the depth-2 mosaic of the state records x(0..T_i),
+    terminal state included, as :func:`assemble_batch` builds it.
+    ``boundaries`` records the first column of each experiment within the
+    concatenation.
     """
 
     Xm: np.ndarray
@@ -59,7 +60,10 @@ class ExperimentBatch:
 
     def __post_init__(self):
         for name in ("Xm", "Xp", "Um"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
+            M = as_matrix(getattr(self, name), name)
+            if not np.isfinite(M).all():
+                raise InputError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, M)
         if self.Xm.shape != self.Xp.shape:
             raise InputError(f"Xm {self.Xm.shape} and Xp {self.Xp.shape} must match")
         if self.Um.shape[1] != self.Xm.shape[1]:
@@ -124,35 +128,39 @@ def assemble_batch(experiments) -> ExperimentBatch:
                            boundaries=tuple((ends - u_len).tolist()))
 
 
-def _dare_residual(A, B, Q, R, P):
-    """(relative Riccati residual at P, X) with X = (R + B'PB)^{-1} B'PA = -K."""
-    X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    res = A.T @ P @ A - P - A.T @ P @ B @ X + Q
-    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(P))), X
-
-
 def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
     """Largest symmetric solution of the discrete algebraic Riccati equation.
 
         P = A'PA - A'PB (R + B'PB)^{-1} B'PA + Q
 
     solved by the structure-preserving doubling iteration (quadratically
-    convergent for stabilizable pairs).  Doubling can stop short of the
-    Riccati residual tolerance (e.g. with a tiny input weight R); a doubling
-    result that misses it, or a doubling breakdown, falls back to a plain
-    fixed-point iteration from P = Q.  Returns (P, K) with the stationary
-    gain K = -(R + B'PB)^{-1} B'PA; the closed loop A + BK is verified stable.
+    convergent for stabilizable pairs), then refined by steps of the Riccati
+    map itself until its relative residual is within ``max(tol, 1e-12)``
+    (see :func:`_dare`).  Returns (P, K) with the stationary gain
+    K = -(R + B'PB)^{-1} B'PA; the closed loop A + BK is verified stable.
     Q and R are validated as :class:`~ddlti.lti.LqrWeights` once per call;
     :func:`lqr_from_data` runs the same solve on weights validated when they
-    were built.
+    were built, and certifies stability on its data gain instead.
     """
     A, B = _state_pair(A, B)
-    return _dare(A, B, LqrWeights(Q=Q, R=R), tol, max_iter)[:2]
+    P, K, _ = _dare(A, B, LqrWeights(Q=Q, R=R), tol, max_iter)
+    if spectral_radius(A + B @ K) >= 1.0:
+        raise RiccatiDivergenceError("computed gain does not stabilize the pair (A, B); "
+                                     "the pair may not be stabilizable")
+    return P, K
 
 
-def _dare(A, B, weights: LqrWeights, tol: float, max_iter: int):
-    """(P, K, residual) of :func:`dare_solve` for validated weights, where
-    residual is the relative Riccati residual that P was accepted at."""
+def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000):
+    """(P, K, residual) of the Riccati equation for validated weights.
+
+    Doubling gives a first P (P = Q if it breaks down or overflows).  Then
+    one loop applies the Riccati map F(P) = A'PA - A'PBX + Q, with
+    X = (R + B'PB)^{-1} B'PA: its step F(P) - P, relative to max(1, ||P||),
+    is the residual, so P is accepted with gain K = -X once the step is
+    within ``max(tol, 1e-12)``, and refined by it otherwise.  Raises
+    :class:`RiccatiDivergenceError` when P stops being finite, R + B'PB
+    cannot be solved, or ``max_iter`` steps do not reach the tolerance.
+    """
     n = A.shape[0]
     Q, R = weights.Q, weights.R
     if Q.shape[0] != n:
@@ -160,10 +168,8 @@ def _dare(A, B, weights: LqrWeights, tol: float, max_iter: int):
     if R.shape[0] != B.shape[1]:
         raise InputError(f"R must be {B.shape[1]}x{B.shape[1]}, got {R.shape}")
 
-    G0 = B @ np.linalg.solve(R, B.T)
-
     def doubling() -> np.ndarray | None:
-        Ak, Gk, Hk = A.copy(), G0.copy(), Q.copy()
+        Ak, Gk, Hk = A.copy(), B @ np.linalg.solve(R, B.T), Q.copy()
         eye = np.eye(n)
         for _ in range(max_iter):
             try:  # one LU of I + GH serves both right-hand sides
@@ -183,42 +189,26 @@ def _dare(A, B, weights: LqrWeights, tol: float, max_iter: int):
             Hk = Hn
         return None
 
-    def fixed_point() -> np.ndarray | None:
-        P = Q.copy()
-        for _ in range(max_iter):
-            S = R + B.T @ P @ B
-            try:
-                Pn = A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(S, B.T @ P @ A) + Q
-            except np.linalg.LinAlgError:
-                return None
-            Pn = 0.5 * (Pn + Pn.T)
-            if not np.all(np.isfinite(Pn)):
-                return None
-            if np.linalg.norm(Pn - P) <= tol * max(1.0, np.linalg.norm(Pn)):
-                return Pn
-            P = Pn
-        return None
-
     resid_tol = max(tol, 1e-12)
     P = doubling()
-    residual, X = (np.inf, None) if P is None else _dare_residual(A, B, Q, R, P)
-    if residual > resid_tol:
-        P = fixed_point()
-        if P is None:
-            raise RiccatiDivergenceError(
-                f"Riccati iteration did not converge within {max_iter} steps"
-            )
-        residual, X = _dare_residual(A, B, Q, R, P)
-    if residual > resid_tol:
-        raise RiccatiDivergenceError(
-            f"Riccati residual {residual:.3e} exceeds tolerance {resid_tol:.1e}"
-        )
-    if n and spectral_radius(A - B @ X) >= 1.0:
-        raise RiccatiDivergenceError(
-            "computed gain does not stabilize the pair (A, B); "
-            "the pair may not be stabilizable"
-        )
-    return P, -X, residual
+    if P is None:  # broke down or overflowed: refine from Q
+        P = Q.copy()
+    residual = np.inf
+    for _ in range(max_iter):
+        try:
+            X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        except np.linalg.LinAlgError:
+            break
+        step = A.T @ P @ A - P - A.T @ P @ B @ X + Q  # F(P) - P
+        residual = float(np.linalg.norm(step) / max(1.0, np.linalg.norm(P)))
+        if residual <= resid_tol:
+            return P, -X, residual
+        if not np.isfinite(residual):
+            break
+        P = P + step
+        P = 0.5 * (P + P.T)
+    raise RiccatiDivergenceError(f"Riccati iteration did not reach residual {resid_tol:.1e} "
+                                 f"(last {residual:.3e}, at most {max_iter} steps)")
 
 
 def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
@@ -257,33 +247,34 @@ def identify_ab(batch: ExperimentBatch, rtol: float = DEFAULT_RANK_RTOL):
 
 
 def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
-                  rtol: float = DEFAULT_RANK_RTOL, tol_cert: float = 1e-6,
-                  riccati_tol: float = 1e-12, max_iter: int = 10_000) -> LqrSolution:
+                  rtol: float = DEFAULT_RANK_RTOL, tol_cert: float = 1e-6) -> LqrSolution:
     """Optimal stationary feedback from recorded data, with certificates.
 
     Pipeline: check that [Xm; Um] has full row rank (necessary and
     sufficient on exact data), recover (A, B), solve the Riccati equation
     for the largest P — the unique maximizer of tr P under P >= 0 and
-    L(P) <= 0 — certify L(P) <= 0 directly on the data, and build the gain
-    K = Um X' from a right inverse X' of Xm constrained by L(P) X' = 0.
+    L(P) <= 0 — certify L(P) <= 0 directly on the data, build the gain
+    K = Um X' from a right inverse X' of Xm constrained by L(P) X' = 0, and
+    certify that K stabilizes the recovered pair.
 
     ``weights`` are validated when the :class:`~ddlti.lti.LqrWeights` is
     built, not again here; any other object with ``Q`` and ``R`` is passed
-    through ``LqrWeights`` once.  ``riccati_residual`` is the relative
-    Riccati residual at which the solve accepted P.
+    through ``LqrWeights`` once.  P is :func:`dare_solve`'s at its defaults,
+    and ``riccati_residual`` the relative Riccati step that accepted it.
 
     Raises
     ------
     InsufficientDataError
         If the data matrices are row-rank deficient.
     CertificationError
-        If any data-side certificate (LMI negativity, right-inverse
-        residual, closed-loop stability) fails at ``tol_cert``.
+        If L(P) <= 0 or the right-inverse residual fails at ``tol_cert``,
+        A + BK is not stable, or (as ``RiccatiDivergenceError``) the
+        Riccati loop does not converge.
     """
     A, B, Rx, Rp, Ru = _factor_ab(batch, rtol)
     if not isinstance(weights, LqrWeights):
         weights = LqrWeights(Q=weights.Q, R=weights.R)
-    P, _, riccati_residual = _dare(A, B, weights, riccati_tol, max_iter)
+    P, _, riccati_residual = _dare(A, B, weights)
 
     # Q's columns are orthonormal: C has L(P)'s term norms and nonzero spectrum.
     terms = (Rx @ P @ Rx.T, Rp @ P @ Rp.T,
@@ -432,9 +423,11 @@ def generate_experiments(sys: LtiSystem, n_experiments: int, length: int,
             f"need length >= {pe_order} and at least {needed} total samples, "
             f"have {total}"
         )
+    ends = length * np.arange(1, n_experiments + 1)
     for _ in range(max_retries):
         inputs = rng.uniform(input_low, input_high, size=(n_experiments, length, sys.m))
-        if not is_persistently_exciting(list(inputs), pe_order):
+        W = inputs.transpose(2, 0, 1).reshape(sys.m, -1)  # the runs as one stack
+        if not _excitation(W, ends, pe_order, DEFAULT_RANK_RTOL).exciting:
             continue
         x, y = _simulate_runs(sys, x0_scale * rng.standard_normal((n_experiments, sys.n)),
                               inputs.transpose(1, 0, 2))

@@ -90,6 +90,17 @@ def simulate_records(rng, sys, lengths, order):
     return [dd.simulate(sys, rng.standard_normal(sys.n), u) for u in us]
 
 
+def unstabilized_runs():
+    """(system, three 3-step runs, weights) whose Riccati solution leaves a
+    mode unstabilized: the mode at 2 is neither actuated nor weighted."""
+    sys = dd.LtiSystem(A=np.diag([2.0, 0.5]), B=[[0.0], [1.0]], C=np.eye(2),
+                       D=np.zeros((2, 1)))
+    rng = np.random.default_rng(0)
+    runs = [dd.simulate(sys, rng.standard_normal(2), rng.standard_normal((3, 1)))
+            for _ in range(3)]
+    return sys, runs, dd.LqrWeights(Q=np.diag([0.0, 1.0]), R=np.eye(1))
+
+
 @pytest.fixture
 def known_system():
     """The second-order SISO system behind the shipped fixture record."""
@@ -119,9 +130,9 @@ def reactor():
 def linalg_calls(monkeypatch):
     """(function name, shape of its first argument, shape of its second
     positional argument or None) for every ``np.linalg`` qr, svd, pinv, lstsq,
-    solve and eigvalsh call while the test runs, in call order."""
+    solve, eigvalsh and eigvals call while the test runs, in call order."""
     calls = []
-    for name in ("qr", "svd", "pinv", "lstsq", "solve", "eigvalsh"):
+    for name in ("qr", "svd", "pinv", "lstsq", "solve", "eigvalsh", "eigvals"):
         def call(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a), np.shape(args[0]) if args else None))
             return _real(a, *args, **kwargs)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import ddlti as dd
 from ddlti.cli import main
-from conftest import RECORD_CSV, SHORT_RUNS_CSV
+from conftest import RECORD_CSV, SHORT_RUNS_CSV, unstabilized_runs
 
 
 @pytest.fixture
@@ -283,6 +283,19 @@ def test_lqr_certification_failure(tmp_path, reactor, eye_weights_json, capsys):
     rc = main(["lqr", *paths, "--weights", eye_weights_json])
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_lqr_unstabilized_mode_exits_4(tmp_path, capsys):
+    _, runs, W = unstabilized_runs()
+    paths = []
+    for i, traj in enumerate(runs):
+        p = tmp_path / f"e{i}.csv"
+        dd.write_experiment_csv(p, traj)
+        paths.append(str(p))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"Q": W.Q.tolist(), "R": W.R.tolist()}))
+    assert main(["lqr", *paths, "--weights", str(weights)]) == 4
+    assert "spectral radius" in capsys.readouterr().err
 
 
 # --- export-sdp -------------------------------------------------------------

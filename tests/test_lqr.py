@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import random_system
+from conftest import random_system, unstabilized_runs
 
 PRINTED_P = np.array([
     [3.604, 0.049, 1.762, -1.306],
@@ -93,18 +94,35 @@ def test_dare_matches_scipy():
         assert dd.spectral_radius(sys.A + sys.B @ K) < 1.0
 
 
+#: A tiny input weight: doubling converges in four steps but stalls at a
+#: Riccati residual of about 9e-11, above the 1e-12 tolerance.
+TINY_R_PAIR = (np.array([[0.7, 1.6], [0.7, -2.6]]), np.array([[0.9], [0.4]]),
+               np.eye(2), 1e-6 * np.eye(1))
+
+
+def riccati_residual(A, B, Q, R, P):
+    """Relative Riccati residual at P, in the solver's expression order."""
+    X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    res = A.T @ P @ A - P - A.T @ P @ B @ X + Q
+    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(P)))
+
+
 def test_dare_fixed_point_fallback_matches_scipy():
-    # With this tiny input weight doubling converges in four steps but stalls
-    # at a Riccati residual of about 9e-11, above the 1e-12 tolerance; only
-    # the fixed-point fallback brings the residual under it.
+    # Steps of the Riccati map refine doubling's result under the tolerance.
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    A = np.array([[0.7, 1.6], [0.7, -2.6]])
-    B = np.array([[0.9], [0.4]])
-    Q, R = np.eye(2), 1e-6 * np.eye(1)
+    A, B, Q, R = TINY_R_PAIR
     P, K = dd.dare_solve(A, B, Q, R)
     P_ref = scipy_linalg.solve_discrete_are(A, B, Q, R)
     assert_allclose(P, P_ref, rtol=1e-8, atol=1e-8)
     assert dd.spectral_radius(A + B @ K) < 1.0
+    assert riccati_residual(A, B, Q, R, P) <= 1e-12
+
+
+def test_dare_refines_from_the_doubling_result(linalg_calls):
+    # R^-1 B' takes one 1 x 1 solve and each step of the Riccati loop one:
+    # a few steps refine doubling's P, where a run from Q takes 18.
+    dd.dare_solve(*TINY_R_PAIR)
+    assert sum(a == (1, 1) for name, a, _ in linalg_calls if name == "solve") <= 6
 
 
 def test_dare_reactor_residual(reactor):
@@ -243,6 +261,27 @@ def test_lqr_insufficient_data():
         dd.lqr_from_data(batch, dd.LqrWeights(Q=np.eye(2), R=np.eye(1)))
 
 
+def test_lqr_certifies_stability_once_on_the_data_gain():
+    # The Riccati solution exists and L(P) <= 0 holds, but the mode at 2 stays
+    # unstable: the closed-loop certificate of the data gain refuses it.
+    sys, runs, W = unstabilized_runs()
+    with pytest.raises(dd.CertificationError, match="spectral radius 2.000000") as err:
+        dd.lqr_from_data(dd.assemble_batch(runs), W)
+    assert not isinstance(err.value, dd.RiccatiDivergenceError)
+    with pytest.raises(dd.RiccatiDivergenceError, match="does not stabilize"):
+        dd.dare_solve(sys.A, sys.B, W.Q, W.R)
+
+
+def test_batch_rejects_non_finite_entries():
+    batch = reactor_batch()
+    for name in ("Xm", "Xp", "Um"):
+        for bad in (np.nan, np.inf, -np.inf):
+            blocks = {k: getattr(batch, k).copy() for k in ("Xm", "Xp", "Um")}
+            blocks[name][-1, 3] = bad
+            with pytest.raises(dd.InputError, match=f"{name} contains non-finite entries"):
+                dd.ExperimentBatch(**blocks, boundaries=batch.boundaries)
+
+
 def test_lqr_certification_failure_on_corrupted_data(reactor):
     batch = reactor_batch(seed=12)
     Xp = batch.Xp.copy()
@@ -335,25 +374,24 @@ def test_lqr_from_data_is_dare_solve_on_the_identified_pair():
         sol = dd.lqr_from_data(batch, W)
         A, B = dd.identify_ab(batch)
         assert np.array_equal(sol.P, dd.dare_solve(A, B, W.Q, W.R)[0])
-        assert sol.riccati_residual == dd.lqr._dare_residual(A, B, W.Q, W.R, sol.P)[0]
+        assert sol.riccati_residual == riccati_residual(A, B, W.Q, W.R, sol.P)
 
 
 def test_lqr_from_data_fixed_point_fallback(linalg_calls):
-    # The pair of test_dare_fixed_point_fallback_matches_scipy, identified
-    # from one run: its doubling also stalls above the residual tolerance.
-    A = np.array([[0.7, 1.6], [0.7, -2.6]])
-    B = np.array([[0.9], [0.4]])
+    # The tiny-R pair, identified from one run: its doubling also stalls
+    # above the residual tolerance.
+    A, B, Q, R = TINY_R_PAIR
     sys = dd.LtiSystem(A=A, B=B, C=np.eye(2), D=np.zeros((2, 1)))
     rng = np.random.default_rng(28)
     batch = dd.assemble_batch([dd.simulate(sys, rng.standard_normal(2),
                                            rng.standard_normal((6, 1)))])
-    W = dd.LqrWeights(Q=np.eye(2), R=1e-6 * np.eye(1))
+    W = dd.LqrWeights(Q=Q, R=R)
     linalg_calls.clear()
     sol = dd.lqr_from_data(batch, W)
-    # R^-1 B', the doubling result's residual and the final residual, whose
-    # solve gives the gain, take three 1 x 1 solves; the fixed-point steps
-    # take the others.
-    assert sum(a == (1, 1) for name, a, _ in linalg_calls if name == "solve") > 4
+    # R^-1 B' takes one 1 x 1 solve and each step of the Riccati loop one:
+    # doubling's P misses the tolerance, refining steps follow, and the
+    # step that accepts P gives the gain.
+    assert 4 < sum(a == (1, 1) for name, a, _ in linalg_calls if name == "solve") <= 6
     A_hat, B_hat = dd.identify_ab(batch)
     assert np.array_equal(sol.P, dd.dare_solve(A_hat, B_hat, W.Q, W.R)[0])
     assert sol.riccati_residual <= 1e-12
@@ -364,8 +402,10 @@ def test_lqr_from_data_fixed_point_fallback(linalg_calls):
 
 def test_lqr_from_data_work_count(linalg_calls):
     # Each doubling step solves I + GH once for [A | G]; around it come
-    # R^-1 B' and one Riccati residual, whose solve gives the gain, and the
-    # only symmetric eigensolve is the LMI check on the r x r core.
+    # R^-1 B' and one step of the Riccati loop, which accepts doubling's P
+    # and whose solve gives the gain.  The only symmetric eigensolve is the
+    # LMI check on the r x r core, and the only general one the stability
+    # check of the data gain.
     batch, W = pooled_batch(1, 80), eye_weights()
     n, m = batch.n, batch.m
     linalg_calls.clear()
@@ -377,6 +417,8 @@ def test_lqr_from_data_work_count(linalg_calls):
     r = 2 * n + m
     assert [call for call in linalg_calls if call[0] == "eigvalsh"] == \
         [("eigvalsh", (r, r), None)]
+    assert [call for call in linalg_calls if call[0] == "eigvals"] == \
+        [("eigvals", (n, n), None)]
 
 
 # --- the factor route computes the N x N operator's certificates ----------
@@ -631,14 +673,15 @@ def test_generate_experiments_keeps_the_draw_order(reactor, monkeypatch):
     # All inputs first, the whole batch again after an excitation failure
     # (the first test is forced to fail), then one initial state per
     # experiment in order: seeds give the same u and x(0), bit for bit.
-    real = dd.lqr.is_persistently_exciting
+    real = dd.lqr._excitation
     tests = []
 
-    def first_fails(signals, order):
+    def first_fails(W, ends, order, rtol):
         tests.append(order)
-        return len(tests) > 1 and real(signals, order)
+        report = real(W, ends, order, rtol)
+        return replace(report, exciting=len(tests) > 1 and report.exciting)
 
-    monkeypatch.setattr(dd.lqr, "is_persistently_exciting", first_fails)
+    monkeypatch.setattr(dd.lqr, "_excitation", first_fails)
     for seed, q, T, order in ((20, 3, 6, 4), (21, 80, 10, 5)):
         tests.clear()
         rng = np.random.default_rng(seed)
