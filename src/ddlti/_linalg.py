@@ -72,8 +72,11 @@ def as_samples(a) -> np.ndarray:
 
 
 def as_matrix(M, name: str) -> np.ndarray:
-    """Coerce to a 2-D float array, raising with the argument name on failure."""
+    """Coerce to a 2-D float array of finite entries, raising with the argument
+    name on failure."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise InputError(f"{name} must be a 2-D matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise InputError(f"{name} contains non-finite entries")
     return A

@@ -192,19 +192,14 @@ def scan_order(segments, max_order: int | None = None,
     IEEE TAC 2023), so the first depth whose estimate equals the previous
     depth's, and is nonnegative, gives the order; deeper windows add nothing.
     """
-    return _stall(segments, max_order, rtol)[0]
-
-
-def _stall(segments, max_order: int | None,
-           rtol: float) -> tuple[int, DataDictionary, np.ndarray]:
-    """The order :func:`scan_order` returns, the depth-L* dictionary of the
-    first stall, and its :func:`gram_factor`, whose singular values gave its rank."""
-    return _scan(*_stack(segments, pairs=True), max_order, rtol)
+    return _scan(*_stack(segments, pairs=True), max_order, rtol)[0]
 
 
 def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
-    """:func:`_stall` on the stacked input/output runs (W, ends), inputs in
-    W's first m rows."""
+    """(order, dictionary, factor) of :func:`scan_order` on the stacked
+    input/output runs (W, ends), inputs in W's first m rows: the order, the
+    depth-L* dictionary of the first stall, and its :func:`gram_factor`,
+    whose singular values gave its rank."""
     lengths = np.diff(ends, prepend=0)
     cap = int(lengths.max())
     if max_order is not None:

@@ -22,7 +22,6 @@ of the above works on R, with L(P) = Q C Q' for an r x r core C, r <= 2n+m.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import (
     RiccatiDivergenceError,
 )
 from .hankel import _excitation, _mosaic, _stack, pe_length_bound
+from .io import _write_text
 from .lti import (LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, _state_pair, simulate,
                   spectral_radius)
 
@@ -60,10 +60,7 @@ class ExperimentBatch:
 
     def __post_init__(self):
         for name in ("Xm", "Xp", "Um"):
-            M = as_matrix(getattr(self, name), name)
-            if not np.isfinite(M).all():
-                raise InputError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
         if self.Xm.shape != self.Xp.shape:
             raise InputError(f"Xm {self.Xm.shape} and Xp {self.Xp.shape} must match")
         if self.Um.shape[1] != self.Xm.shape[1]:
@@ -368,11 +365,7 @@ def export_sdp(batch: ExperimentBatch, weights: LqrWeights, destination=None) ->
 
     text = "\n".join(lines + entries) + "\n"
     if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(os.fspath(destination), "w") as fh:
-                fh.write(text)
+        _write_text(destination, text)
     return text
 
 

@@ -46,9 +46,7 @@ class LtiSystem:
             raise InputError(f"D must be ({p}, {m}), got {D.shape}")
         if m < 1 or p < 1:
             raise InputError("input and output dimensions must be at least 1")
-        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if not np.all(np.isfinite(M)):
-                raise InputError(f"{name} contains non-finite entries")
+        for name, M in zip("ABCD", (A, B, C, D)):
             object.__setattr__(self, name, M.copy())
 
     @property
@@ -164,8 +162,6 @@ class LqrWeights:
         Q = as_matrix(self.Q, "Q")
         R = as_matrix(self.R, "R")
         for name, M in (("Q", Q), ("R", R)):
-            if not np.all(np.isfinite(M)):
-                raise InputError(f"{name} contains non-finite entries")
             if M.shape[0] != M.shape[1]:
                 raise InputError(f"{name} must be square, got {M.shape}")
             if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.abs(M).max(initial=0.0))):

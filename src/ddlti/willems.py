@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_samples, gram_factor, minnorm, minnorm_cutoff,
-                      numerical_rank, residual_ratio, svd_rank)
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, as_samples, gram_factor, minnorm,
+                      minnorm_cutoff, numerical_rank, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError
 from .hankel import _check_depth, _mosaic, _records, _stack
 from .lti import LtiSystem
@@ -187,9 +187,10 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     (F, p) ndarray of completed outputs.
     """
     L, m, p = dictionary.depth, dictionary.m, dictionary.p
-    wu, wy, fu = as_samples(past_u), as_samples(past_y), as_samples(future_u)
+    wu, wy, fu = (as_matrix(as_samples(a), name) for a, name in
+                  ((past_u, "past_u"), (past_y, "past_y"), (future_u, "future_u")))
     for name, a, d in (("past_u", wu, m), ("past_y", wy, p), ("future_u", fu, m)):
-        if a.ndim != 2 or a.shape[1] != d:
+        if a.shape[1] != d:
             raise InputError(f"{name} must have {d} channels")
     if wu.shape[0] != L - 1 or wy.shape[0] != L - 1:
         raise InputError(f"past must have exactly {L - 1} samples for depth {L}")

@@ -69,6 +69,19 @@ def test_identify_short_runs(tmp_path, capsys, short_runs_system):
                     dd.markov_parameters(short_runs_system, 8), atol=1e-8)
 
 
+def test_identify_static_model_feeds_generate(tmp_path, capsys):
+    # y = 3u has order 0; its model (A = B = []) must read back for generate.
+    u = np.random.default_rng(0).standard_normal((30, 1))
+    record, model, out = tmp_path / "static.csv", tmp_path / "m.json", tmp_path / "g.csv"
+    dd.write_trajectory_csv(record, dd.CorruptedTrajectory(u=u, y=3 * u))
+    assert main(["identify", str(record), "--out", str(model)]) == 0
+    assert "estimated order: 0" in capsys.readouterr().out
+    assert main(["generate", "--system", str(model), "--length", "5", "--out", str(out)]) == 0
+    ct = dd.read_trajectory_csv(out)
+    assert ct.length == 5
+    assert_allclose(ct.y, 3 * ct.u, rtol=1e-12)
+
+
 def test_identify_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,u1,y1\n0,1,2\n")

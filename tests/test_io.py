@@ -169,12 +169,14 @@ def test_experiment_without_state_columns(tmp_path):
 
 def test_system_json_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
-    sys = random_system(rng, 4, 2, 3)
-    path = tmp_path / "sys.json"
-    dd.write_system_json(path, sys)
-    back = dd.read_system_json(path)
-    for key in ("A", "B", "C", "D"):
-        assert_allclose(getattr(back, key), getattr(sys, key))
+    for n in (4, 0):  # an order-0 model is written with A = B = []
+        sys = random_system(rng, n, 2, 3)
+        path = tmp_path / "sys.json"
+        dd.write_system_json(path, sys)
+        back = dd.read_system_json(path)
+        for key in ("A", "B", "C", "D"):
+            assert getattr(back, key).shape == getattr(sys, key).shape
+            assert_allclose(getattr(back, key), getattr(sys, key))
 
 
 def test_system_json_missing_key(tmp_path):

@@ -1,7 +1,7 @@
 """Modules depend only downward: each imports only modules earlier in ORDER;
-only the _linalg kernel calls numpy's SVD, pinv or lstsq; and records are
-converted once, by hankel's stack, so only segment_trajectory, whose output
-needs start times, builds a SignalSegment."""
+only the _linalg kernel calls numpy's SVD, pinv or lstsq; only io opens
+files; and records are converted once, by hankel's stack, so only
+segment_trajectory, whose output needs start times, builds a SignalSegment."""
 import ast
 from pathlib import Path
 
@@ -68,6 +68,12 @@ def test_only_the_kernel_calls_svd_pinv_or_lstsq():
              for c in kernel_calls(path)]
     assert calls == []
     assert kernel_calls(PACKAGE / "_linalg.py")
+
+
+def test_only_io_opens_files():
+    # ``open`` as a name (the builtin) or an attribute (os.open, Path.open).
+    opened = {c for path in PACKAGE.glob("*.py") for c in constructions(path, "open")}
+    assert opened == {"io._open_text"}
 
 
 def test_records_are_converted_once():

@@ -145,6 +145,17 @@ def test_dare_unstabilizable_diverges():
             dd.dare_solve([[2.0]], [[0.0]], [[1.0]], [[1.0]], max_iter=200)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dare_and_lmi_reject_non_finite_matrices(bad):
+    with pytest.raises(dd.InputError, match="A contains non-finite entries"):
+        dd.dare_solve([[bad]], [[1.0]], [[1.0]], [[1.0]])
+    batch = reactor_batch()
+    P = np.eye(4)
+    P[2, 1] = bad
+    with pytest.raises(dd.InputError, match="P contains non-finite entries"):
+        dd.lmi_operator(P, batch, eye_weights())
+
+
 # --- LMI operator ---------------------------------------------------------
 
 def test_lmi_operator_zero():

@@ -204,6 +204,16 @@ def test_spectral_radius_basics():
         dd.spectral_radius(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_arguments_reject_non_finite_entries(bad):
+    with pytest.raises(dd.InputError, match="M contains non-finite entries"):
+        dd.spectral_radius([[bad]])
+    with pytest.raises(dd.InputError, match="A contains non-finite entries"):
+        dd.is_controllable([[bad]], [[1.0]])
+    with pytest.raises(dd.InputError, match="B contains non-finite entries"):
+        dd.is_controllable([[0.5]], [[bad]])
+
+
 def test_spectral_radius_triangular():
     rng = np.random.default_rng(17)
     M = np.triu(rng.standard_normal((5, 5)))

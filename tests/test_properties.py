@@ -442,7 +442,8 @@ def test_identify_matches_parent_and_model(n, m, p, T, gap, kind, seed):
     except dd.DdltiError:
         assert order is None, "the parent identified this record"
         return
-    _, d = dd.ident._stall(dd.segment_trajectory(ct), None, dd.DEFAULT_RANK_RTOL)[:2]
+    _, d = dd.ident._scan(*dd.hankel._stack(dd.segment_trajectory(ct), pairs=True), None,
+                          dd.DEFAULT_RANK_RTOL)[:2]
     bound = impulse_error_bound(d, res.markov)
     assert res.order == n
     err = np.linalg.norm(res.markov - dd.markov_parameters(sys, 2 * n + 1), axis=(1, 2))

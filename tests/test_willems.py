@@ -249,3 +249,13 @@ def test_past_length_enforced(record):
     with pytest.raises(dd.InputError):
         dd.datadriven_simulate(d, np.zeros((1, 1)), np.zeros((1, 1)),
                                np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["past_u", "past_y", "future_u"])
+def test_datadriven_simulate_rejects_non_finite_samples(record, name, bad):
+    d = dd.build_data_matrix(fixture_pairs(record), 3)
+    args = {"past_u": np.zeros((2, 1)), "past_y": np.zeros((2, 1)), "future_u": np.ones((4, 1))}
+    args[name][1, 0] = bad
+    with pytest.raises(dd.InputError, match=f"{name} contains non-finite entries"):
+        dd.datadriven_simulate(d, **args)
