@@ -1,10 +1,15 @@
 """Shared dense linear algebra: the one SVD kernel behind every rank decision
-and min-norm solve (no other module calls the SVD), and its three rules:
+and min-norm solve (no other module calls the SVD), its three rules, and the
+rule every public matrix or vector argument enters by:
 
 - Rank: the number of singular values above ``rtol * sigma_max``.
 - Min-norm solve: drops singular values at or below ``eps * max(rows, N)``
   times sigma_max, N the column count of the data matrix the solve stands for.
 - Relative residual: ``||A X - B|| / ||B||``, plain ``||A X - B||`` where B = 0.
+- Argument: :func:`as_matrix` coerces to float and refuses a shape other than
+  the one required, naming the argument, that shape and the one given, then
+  any non-finite entry.  Records (see :func:`as_samples`) are exempt: a
+  missing sample is NaN, and an unstable run may overflow.
 """
 from __future__ import annotations
 
@@ -71,12 +76,16 @@ def as_samples(a) -> np.ndarray:
     return a.reshape(-1, 1) if a.ndim < 2 else a
 
 
-def as_matrix(M, name: str) -> np.ndarray:
-    """Coerce to a 2-D float array of finite entries, raising with the argument
-    name on failure."""
+def as_matrix(M, name: str, shape=(None, None), square: bool = False) -> np.ndarray:
+    """The argument rule: M as a float array of ``len(shape)`` dimensions,
+    each of the given size (None: any), square if ``square``, and with finite
+    entries; otherwise an InputError naming the argument."""
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2:
-        raise InputError(f"{name} must be a 2-D matrix, got shape {A.shape}")
+    if square and A.ndim == 2:
+        shape = (A.shape[0], A.shape[0])
+    if A.ndim != len(shape) or any(k not in (None, j) for k, j in zip(shape, A.shape)):
+        want = ", ".join("*" if k is None else str(k) for k in shape) + "," * (len(shape) == 1)
+        raise InputError(f"{name} must have shape ({want}), got {A.shape}")
     if not np.isfinite(A).all():
         raise InputError(f"{name} contains non-finite entries")
     return A

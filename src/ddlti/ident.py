@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, gram_factor, numerical_rank, svd_rank
+from ._linalg import DEFAULT_RANK_RTOL, as_matrix, gram_factor, numerical_rank, svd_rank
 from .errors import (
     ExcitationError,
     InputError,
@@ -130,11 +130,8 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
     numerical rank below ``order`` the requested order is infeasible; rank
     above ``order`` triggers a truncation warning.
     """
-    mk = np.asarray(markov, dtype=float)
-    if mk.ndim == 1:
-        mk = mk[:, None, None]
-    if mk.ndim != 3:
-        raise InputError("markov must be a sequence of p x m matrices")
+    mk = np.reshape(markov, (-1, 1, 1)) if np.ndim(markov) == 1 else markov
+    mk = as_matrix(mk, "markov", (None, None, None))
     K, p, m = mk.shape
     if order < 0:
         raise InputError("order must be nonnegative")

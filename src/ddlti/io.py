@@ -76,13 +76,14 @@ def _cell(value: str) -> float:
 def _read_table(path, *prefixes: str) -> tuple[int, list[np.ndarray]]:
     """(start, blocks) of a ``t,<prefix>1..k,...`` CSV: the first time index,
     and one (rows, k) array per prefix, a blank or 'nan' cell being NaN.  Blank
-    lines are skipped; t must run consecutively in whole numbers."""
+    lines are skipped, though an error names the line of the file; t must run
+    consecutively in whole numbers."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: file is empty")
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise ParseError(f"{path}: no data rows")
     if not header or header[0].strip() != "t":
@@ -92,7 +93,7 @@ def _read_table(path, *prefixes: str) -> tuple[int, list[np.ndarray]]:
         needed = " and ".join(f"{prefix}1.." for prefix in prefixes)
         raise ParseError(f"{path}: header needs {needed} columns")
     times = []
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         try:
             t = float(row[0])
             if not t.is_integer():  # also rejects inf and nan
@@ -107,11 +108,13 @@ def _read_table(path, *prefixes: str) -> tuple[int, list[np.ndarray]]:
     blocks = []
     for cols in groups:
         block = np.empty((len(rows), len(cols)))
-        for r, row in enumerate(rows):
+        for r, (line_no, row) in enumerate(rows):
             try:
                 block[r] = [_cell(row[idx]) for idx in cols]
             except IndexError:
-                raise ParseError(f"{path}: line {r + 2}: too few fields") from None
+                raise ParseError(f"{path}: line {line_no}: too few fields") from None
+            except ParseError as e:
+                raise ParseError(f"{path}: line {line_no}: {e}") from None
         blocks.append(block)
     return times[0], blocks
 

@@ -36,8 +36,7 @@ from .errors import (
 )
 from .hankel import _excitation, _mosaic, _stack, pe_length_bound
 from .io import _write_text
-from .lti import (LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, _state_pair, simulate,
-                  spectral_radius)
+from .lti import LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, simulate, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,10 @@ class ExperimentBatch:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("Xm", "Xp", "Um"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
-        if self.Xm.shape != self.Xp.shape:
-            raise InputError(f"Xm {self.Xm.shape} and Xp {self.Xp.shape} must match")
-        if self.Um.shape[1] != self.Xm.shape[1]:
-            raise InputError("Um must have the same column count as Xm")
+        Xm = as_matrix(self.Xm, "Xm")
+        object.__setattr__(self, "Xm", Xm)
+        object.__setattr__(self, "Xp", as_matrix(self.Xp, "Xp", Xm.shape))
+        object.__setattr__(self, "Um", as_matrix(self.Um, "Um", (None, Xm.shape[1])))
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
 
     @property
@@ -139,7 +136,8 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
     :func:`lqr_from_data` runs the same solve on weights validated when they
     were built, and certifies stability on its data gain instead.
     """
-    A, B = _state_pair(A, B)
+    A = as_matrix(A, "A", square=True)
+    B = as_matrix(B, "B", (len(A), None))
     P, K, _ = _dare(A, B, LqrWeights(Q=Q, R=R), tol, max_iter)
     if spectral_radius(A + B @ K) >= 1.0:
         raise RiccatiDivergenceError("computed gain does not stabilize the pair (A, B); "
@@ -159,11 +157,7 @@ def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000)
     cannot be solved, or ``max_iter`` steps do not reach the tolerance.
     """
     n = A.shape[0]
-    Q, R = weights.Q, weights.R
-    if Q.shape[0] != n:
-        raise InputError(f"Q must be {n}x{n}, got {Q.shape}")
-    if R.shape[0] != B.shape[1]:
-        raise InputError(f"R must be {B.shape[1]}x{B.shape[1]}, got {R.shape}")
+    Q, R = _fitted(weights, *B.shape)
 
     def doubling() -> np.ndarray | None:
         Ak, Gk, Hk = A.copy(), B @ np.linalg.solve(R, B.T), Q.copy()
@@ -208,17 +202,17 @@ def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000)
                                  f"(last {residual:.3e}, at most {max_iter} steps)")
 
 
+def _fitted(weights: LqrWeights, n: int, m: int):
+    """(Q, R) of validated weights, checked to be n x n and m x m."""
+    return as_matrix(weights.Q, "Q", (n, n)), as_matrix(weights.R, "R", (m, m))
+
+
 def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
     """The data-side operator L(P) = Xm'PXm - Xp'PXp - Xm'QXm - Um'RUm (N x N)."""
-    P = as_matrix(P, "P")
-    n = batch.n
-    if P.shape != (n, n):
-        raise InputError(f"P must be {n}x{n}, got {P.shape}")
-    if weights.Q.shape[0] != n or weights.R.shape[0] != batch.m:
-        raise InputError("weights do not match the batch dimensions")
+    P = as_matrix(P, "P", (batch.n, batch.n))
+    Q, R = _fitted(weights, batch.n, batch.m)
     Xm, Xp, Um = batch.Xm, batch.Xp, batch.Um
-    L = (Xm.T @ P @ Xm - Xp.T @ P @ Xp
-         - Xm.T @ weights.Q @ Xm - Um.T @ weights.R @ Um)
+    L = Xm.T @ P @ Xm - Xp.T @ P @ Xp - Xm.T @ Q @ Xm - Um.T @ R @ Um
     return 0.5 * (L + L.T)
 
 
@@ -301,7 +295,7 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
         )
     K = Ru.T @ Y
 
-    radius = spectral_radius(A + B @ K) if n else 0.0
+    radius = spectral_radius(A + B @ K)
     if radius >= 1.0:
         raise CertificationError(
             f"closed loop is not stable: spectral radius {radius:.6f} >= 1"
@@ -329,8 +323,7 @@ def export_sdp(batch: ExperimentBatch, weights: LqrWeights, destination=None) ->
     n, N = batch.n, batch.n_columns
     if n < 1:
         raise InputError("the batch must carry at least one state channel")
-    if weights.Q.shape[0] != n or weights.R.shape[0] != batch.m:
-        raise InputError("weights do not match the batch dimensions")
+    Q, R = _fitted(weights, n, batch.m)
     Xm, Xp, Um = batch.Xm, batch.Xp, batch.Um
 
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -352,7 +345,7 @@ def export_sdp(batch: ExperimentBatch, weights: LqrWeights, destination=None) ->
             entries.append(f"{mat_no} {block} {r + 1} {cc + 1} {float(M[r, cc])!r}")
 
     # F0: nothing in block 1; block 2 constant part is -(Xm'QXm + Um'RUm).
-    C0 = Xm.T @ weights.Q @ Xm + Um.T @ weights.R @ Um
+    C0 = Xm.T @ Q @ Xm + Um.T @ R @ Um
     emit(0, 2, -0.5 * (C0 + C0.T))
 
     for k, (i, j) in enumerate(pairs, start=1):

@@ -34,17 +34,11 @@ class LtiSystem:
     D: np.ndarray
 
     def __post_init__(self):
-        A, B, C, D = (as_matrix(getattr(self, name), name) for name in "ABCD")
-        n, m, p = A.shape[0], B.shape[1], C.shape[0]
-        if A.shape != (n, n):
-            raise InputError(f"A must be square, got {A.shape}")
-        if B.shape != (n, m):
-            raise InputError(f"B must be ({n}, m), got {B.shape}")
-        if C.shape != (p, n):
-            raise InputError(f"C must be (p, {n}), got {C.shape}")
-        if D.shape != (p, m):
-            raise InputError(f"D must be ({p}, {m}), got {D.shape}")
-        if m < 1 or p < 1:
+        A = as_matrix(self.A, "A", square=True)
+        B = as_matrix(self.B, "B", (len(A), None))
+        C = as_matrix(self.C, "C", (None, len(A)))
+        D = as_matrix(self.D, "D", (len(C), B.shape[1]))
+        if D.size == 0:
             raise InputError("input and output dimensions must be at least 1")
         for name, M in zip("ABCD", (A, B, C, D)):
             object.__setattr__(self, name, M.copy())
@@ -81,7 +75,7 @@ class StateTrajectory:
         u, x, y = as_samples(self.u), as_samples(self.x), as_samples(self.y)
         if not (u.shape[0] == x.shape[0] == y.shape[0]):
             raise InputError("u, x, y must have the same number of samples")
-        final_state = np.asarray(self.final_state, float).reshape(-1)
+        final_state = as_samples(self.final_state).reshape(-1)
         if final_state.shape[0] != x.shape[1]:
             raise InputError(f"final_state must have {x.shape[1]} entries, got {final_state.size}")
         object.__setattr__(self, "u", u)
@@ -159,11 +153,9 @@ class LqrWeights:
     R: np.ndarray
 
     def __post_init__(self):
-        Q = as_matrix(self.Q, "Q")
-        R = as_matrix(self.R, "R")
+        Q = as_matrix(self.Q, "Q", square=True)
+        R = as_matrix(self.R, "R", square=True)
         for name, M in (("Q", Q), ("R", R)):
-            if M.shape[0] != M.shape[1]:
-                raise InputError(f"{name} must be square, got {M.shape}")
             if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.abs(M).max(initial=0.0))):
                 raise InputError(f"{name} must be symmetric")
         q_eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
@@ -226,12 +218,8 @@ def simulate(sys: LtiSystem, x0, u_seq, start_time: int = 0) -> StateTrajectory:
     StateTrajectory
         States, inputs and outputs over T steps plus the terminal state.
     """
-    u = as_samples(u_seq)
-    if u.shape[1] != sys.m:
-        raise InputError(f"input samples must have dimension {sys.m}, got {u.shape[1]}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != sys.n:
-        raise InputError(f"x0 must have dimension {sys.n}, got {x0.shape[0]}")
+    u = as_matrix(as_samples(u_seq), "u_seq", (None, sys.m))
+    x0 = as_matrix(np.reshape(x0, -1), "x0", (sys.n,))
     x, y = _simulate_runs(sys, x0[None], u[:, None])
     return StateTrajectory(u=u, x=x[:-1, 0], y=y[:, 0], final_state=x[-1, 0], start_time=start_time)
 
@@ -245,20 +233,10 @@ def verify_trajectory(sys: LtiSystem, traj: StateTrajectory, tol: float = 1e-9) 
     return worst <= tol
 
 
-def _state_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """A and B as matrices, A square and B with as many rows."""
-    A, B = as_matrix(A, "A"), as_matrix(B, "B")
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise InputError(f"A must be square, got {A.shape}")
-    if B.shape[0] != n:
-        raise InputError(f"B must have {n} rows, got {B.shape[0]}")
-    return A, B
-
-
 def is_controllable(A, B, rtol: float = DEFAULT_RANK_RTOL) -> bool:
     """Kalman rank test: [B, AB, ..., A^(n-1)B] has numerical rank n."""
-    A, B = _state_pair(A, B)
+    A = as_matrix(A, "A", square=True)
+    B = as_matrix(B, "B", (len(A), None))
     n = A.shape[0]
     blocks = [B]
     for _ in range(n - 1):
@@ -310,9 +288,7 @@ def response_maps(sys: LtiSystem, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral_radius(M) -> float:
     """Largest eigenvalue modulus of a square matrix."""
-    M = as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"matrix must be square, got {M.shape}")
+    M = as_matrix(M, "M", square=True)
     if M.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(M))))

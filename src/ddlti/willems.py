@@ -120,11 +120,7 @@ def synthesize_trajectory(dictionary: DataDictionary, g) -> tuple[np.ndarray, np
     system under sufficient excitation, the result is itself a genuine
     length-L trajectory of that system.
     """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    if g.shape[0] != dictionary.n_columns:
-        raise InputError(
-            f"g must have length {dictionary.n_columns}, got {g.shape[0]}"
-        )
+    g = as_matrix(np.reshape(g, -1), "g", (dictionary.n_columns,))
     return dictionary.input_block @ g, dictionary.output_block @ g
 
 
@@ -142,14 +138,9 @@ def is_system_trajectory(dictionary: DataDictionary, u, y,
     relative residual is at most ``tol``.  The g is returned so callers can
     reuse or inspect the certificate.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    mL = dictionary.m * dictionary.depth
-    pL = dictionary.p * dictionary.depth
-    if u.shape[0] != mL:
-        raise InputError(f"u must have length {mL}, got {u.shape[0]}")
-    if y.shape[0] != pL:
-        raise InputError(f"y must have length {pL}, got {y.shape[0]}")
+    L = dictionary.depth
+    u = as_matrix(np.reshape(u, -1), "u", (dictionary.m * L,))
+    y = as_matrix(np.reshape(y, -1), "y", (dictionary.p * L,))
     b = np.concatenate([u, y])
     g, res = minnorm(dictionary.matrix, b, dictionary.n_columns)
     return Membership(member=bool(res <= tol), residual=res, g=g)
@@ -187,13 +178,9 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     (F, p) ndarray of completed outputs.
     """
     L, m, p = dictionary.depth, dictionary.m, dictionary.p
-    wu, wy, fu = (as_matrix(as_samples(a), name) for a, name in
-                  ((past_u, "past_u"), (past_y, "past_y"), (future_u, "future_u")))
-    for name, a, d in (("past_u", wu, m), ("past_y", wy, p), ("future_u", fu, m)):
-        if a.shape[1] != d:
-            raise InputError(f"{name} must have {d} channels")
-    if wu.shape[0] != L - 1 or wy.shape[0] != L - 1:
-        raise InputError(f"past must have exactly {L - 1} samples for depth {L}")
+    wu = as_matrix(as_samples(past_u), "past_u", (L - 1, m))
+    wy = as_matrix(as_samples(past_y), "past_y", (L - 1, p))
+    fu = as_matrix(as_samples(future_u), "future_u", (None, m))
     return _complete(dictionary, gram_factor(dictionary.matrix), wu[..., None],
                      wy[..., None], fu[..., None], tol, DEFAULT_RANK_RTOL)[..., 0]
 

@@ -270,6 +270,19 @@ def test_lqr_non_finite_weights(tmp_path, reactor, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_lqr_garbage_cell_names_file_and_line(tmp_path, reactor, eye_weights_json, capsys):
+    files = reactor_experiment_files(tmp_path, reactor)
+    path = tmp_path / "exp3.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = "one"  # u1 on file line 3
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["lqr", *files, "--weights", eye_weights_json]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {files[3]}: line 3: cannot parse numeric field 'one'" in err
+
+
 def test_lqr_rank_deficient_data(tmp_path, reactor, eye_weights_json, capsys):
     # zero input from the origin: the data matrix has rank zero
     quiet = dd.simulate(reactor, np.zeros(4), np.zeros((8, 2)))

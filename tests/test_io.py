@@ -82,7 +82,17 @@ def test_trajectory_rejects_bad_header(tmp_path):
 def test_trajectory_rejects_garbage_field(tmp_path):
     path = tmp_path / "rec.csv"
     path.write_text("t,u1,y1\n0,one,2\n")
-    with pytest.raises(dd.ParseError, match="'one'"):
+    with pytest.raises(dd.ParseError, match="rec.csv: line 2: cannot parse numeric field 'one'"):
+        dd.read_trajectory_csv(path)
+
+
+def test_error_lines_count_blank_lines(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("t,u1,y1\n\n\n0,1,2\n1.5,3,4\n")
+    with pytest.raises(dd.ParseError, match=r"rec.csv: line 5: bad time index \['1.5'\]"):
+        dd.read_trajectory_csv(path)
+    path.write_text("t,u1,y1\n0,1,2\n\n1,3\n")
+    with pytest.raises(dd.ParseError, match="rec.csv: line 4: too few fields"):
         dd.read_trajectory_csv(path)
 
 

@@ -1,7 +1,9 @@
 """Modules depend only downward: each imports only modules earlier in ORDER;
 only the _linalg kernel calls numpy's SVD, pinv or lstsq; only io opens
-files; and records are converted once, by hankel's stack, so only
-segment_trajectory, whose output needs start times, builds a SignalSegment."""
+files; arguments are coerced to float only by _linalg's rules (io parses
+files, cli formats output); and records are converted once, by hankel's
+stack, so only segment_trajectory, whose output needs start times, builds a
+SignalSegment."""
 import ast
 from pathlib import Path
 
@@ -32,6 +34,25 @@ def kernel_calls(path: Path) -> list[str]:
         if (isinstance(f, ast.Attribute) and f.attr in ("svd", "pinv", "lstsq")
                 and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"):
             found.append(f"{path.stem}:{node.lineno} {f.attr}")
+    return found
+
+
+def is_float_dtype(node: ast.expr) -> bool:
+    """``float``, ``np.float64`` and the like, or a string naming one."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "value", None)
+    return isinstance(name, str) and name.startswith("float")
+
+
+def float_coercions(path: Path) -> list[str]:
+    """Every ``<...>.asarray`` or ``<...>.array`` call with a float dtype,
+    given by keyword or as the second positional argument."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        f = node.func if isinstance(node, ast.Call) else None
+        if isinstance(f, ast.Attribute) and f.attr in ("asarray", "array"):
+            dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(is_float_dtype(d) for d in dtypes):
+                found.append(f"{path.stem}:{node.lineno} {f.attr}")
     return found
 
 
@@ -74,6 +95,13 @@ def test_only_io_opens_files():
     # ``open`` as a name (the builtin) or an attribute (os.open, Path.open).
     opened = {c for path in PACKAGE.glob("*.py") for c in constructions(path, "open")}
     assert opened == {"io._open_text"}
+
+
+def test_only_the_argument_rules_coerce_to_float():
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) if path.stem not in ("_linalg", "io", "cli")
+             for c in float_coercions(path)]
+    assert calls == []
+    assert float_coercions(PACKAGE / "_linalg.py")
 
 
 def test_records_are_converted_once():

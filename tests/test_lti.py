@@ -212,6 +212,13 @@ def test_matrix_arguments_reject_non_finite_entries(bad):
         dd.is_controllable([[bad]], [[1.0]])
     with pytest.raises(dd.InputError, match="B contains non-finite entries"):
         dd.is_controllable([[0.5]], [[bad]])
+    sys = dd.batch_reactor()
+    with pytest.raises(dd.InputError, match="x0 contains non-finite entries"):
+        dd.simulate(sys, [bad, 0.0, 0.0, 0.0], np.zeros((3, 2)))
+    with pytest.raises(dd.InputError, match="u_seq contains non-finite entries"):
+        dd.simulate(sys, np.zeros(4), [[0.0, 0.0], [bad, 0.0]])
+    with pytest.raises(dd.InputError, match="markov contains non-finite entries"):
+        dd.ho_kalman([1.0, 0.5, bad], 1)
 
 
 def test_spectral_radius_triangular():

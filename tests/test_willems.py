@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -240,7 +242,7 @@ def test_datadriven_simulate_rejects_flat_multichannel_past():
     traj = dd.simulate(sys, rng.standard_normal(1), u)
     d = dd.build_data_matrix([(traj.u, traj.y)], 3)
     assert dd.datadriven_simulate(d, traj.u[:2], traj.y[:2], traj.u[2:5]).shape == (3, 1)
-    with pytest.raises(dd.InputError, match="past_u must have 2 channels"):
+    with pytest.raises(dd.InputError, match=re.escape("past_u must have shape (2, 2), got (4, 1)")):
         dd.datadriven_simulate(d, traj.u[:2].reshape(-1), traj.y[:2], traj.u[2:5])
 
 
@@ -252,10 +254,17 @@ def test_past_length_enforced(record):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", ["past_u", "past_y", "future_u"])
+@pytest.mark.parametrize("name", ["past_u", "past_y", "future_u", "u", "y", "g"])
 def test_datadriven_simulate_rejects_non_finite_samples(record, name, bad):
+    """Also is_system_trajectory's (u, y) and synthesize_trajectory's g."""
     d = dd.build_data_matrix(fixture_pairs(record), 3)
-    args = {"past_u": np.zeros((2, 1)), "past_y": np.zeros((2, 1)), "future_u": np.ones((4, 1))}
+    args = {"past_u": np.zeros((2, 1)), "past_y": np.zeros((2, 1)), "future_u": np.ones((4, 1)),
+            "u": np.ones((3, 1)), "y": np.ones((3, 1)), "g": np.ones((d.n_columns, 1))}
     args[name][1, 0] = bad
     with pytest.raises(dd.InputError, match=f"{name} contains non-finite entries"):
-        dd.datadriven_simulate(d, **args)
+        if name in ("u", "y"):
+            dd.is_system_trajectory(d, args["u"], args["y"])
+        elif name == "g":
+            dd.synthesize_trajectory(d, args["g"])
+        else:
+            dd.datadriven_simulate(d, args["past_u"], args["past_y"], args["future_u"])
