@@ -6,10 +6,11 @@ rule every public matrix or vector argument enters by:
 - Min-norm solve: drops singular values at or below ``eps * max(rows, N)``
   times sigma_max, N the column count of the data matrix the solve stands for.
 - Relative residual: ``||A X - B|| / ||B||``, plain ``||A X - B||`` where B = 0.
-- Argument: :func:`as_matrix` coerces to float and refuses a shape other than
-  the one required, naming the argument, that shape and the one given, then
-  any non-finite entry.  Records (see :func:`as_samples`) are exempt: a
-  missing sample is NaN, and an unstable run may overflow.
+- Argument: :func:`as_matrix` coerces to float and refuses a ragged or
+  non-numeric array or a shape other than the one required, naming the
+  argument, that shape and the one given, then any non-finite entry.
+  Records (see :func:`as_samples`) are exempt: a missing sample is NaN, and
+  an unstable run may overflow.
 """
 from __future__ import annotations
 
@@ -80,12 +81,16 @@ def as_matrix(M, name: str, shape=(None, None), square: bool = False) -> np.ndar
     """The argument rule: M as a float array of ``len(shape)`` dimensions,
     each of the given size (None: any), square if ``square``, and with finite
     entries; otherwise an InputError naming the argument."""
-    A = np.asarray(M, dtype=float)
-    if square and A.ndim == 2:
+    try:
+        A = np.asarray(M, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        A = None
+    if square and A is not None and A.ndim == 2:
         shape = (A.shape[0], A.shape[0])
-    if A.ndim != len(shape) or any(k not in (None, j) for k, j in zip(shape, A.shape)):
+    if A is None or A.ndim != len(shape) or any(k not in (None, j) for k, j in zip(shape, A.shape)):
         want = ", ".join("*" if k is None else str(k) for k in shape) + "," * (len(shape) == 1)
-        raise InputError(f"{name} must have shape ({want}), got {A.shape}")
+        given = "a ragged or non-numeric array" if A is None else A.shape
+        raise InputError(f"{name} must have shape ({want}), got {given}")
     if not np.isfinite(A).all():
         raise InputError(f"{name} contains non-finite entries")
     return A

@@ -124,8 +124,6 @@ def cmd_dd_simulate(args) -> int:
             f"past record must have exactly {depth - 1} samples for depth {depth}"
         )
     d = _dictionary(W, ends, ct.m, depth)  # runs shorter than the depth have no window
-    if not d.n_columns:
-        raise DepthTooLargeError(f"no segment is long enough for depth {depth}")
     ys = datadriven_simulate(d, past.u, past.y, future_u, tol=args.tol)
     print(f"completed {ys.shape[0]} output sample(s):")
     for k in range(ys.shape[0]):

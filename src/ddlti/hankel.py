@@ -218,13 +218,17 @@ def is_persistently_exciting(signals, depth: int, rtol: float = DEFAULT_RANK_RTO
 def max_excitation_order(signals, rtol: float = DEFAULT_RANK_RTOL) -> int:
     """Largest k for which the signals are collectively exciting of order k (0 if none).
 
-    Excitation is monotone in k, so the order is bisected between 0 and the
-    deepest mosaic that no signal is shorter than and that has at least kd
-    columns: O(log T) rank tests.
+    The order is at most the counting bound: the deepest mosaic that no
+    signal is shorter than and that has at least kd columns.  Generic
+    exciting data reach it, so it is tested first; only if it fails is the
+    order, monotone in k, bisected below it: O(log T) rank tests.
     """
     W, ends, d = _stack(signals)
     q = len(ends)
-    lo, hi = 0, int(min(np.diff(ends, prepend=0).min(), (ends[-1] + q) // (d + q)))
+    top = int(min(np.diff(ends, prepend=0).min(), (ends[-1] + q) // (d + q)))
+    if top and _excitation(W, ends, top, rtol).exciting:
+        return top
+    lo, hi = 0, top - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if _excitation(W, ends, mid, rtol).exciting:

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import DEFAULT_RANK_RTOL, as_matrix, gram_factor, numerical_rank, svd_rank
-from .errors import (
-    ExcitationError,
-    InputError,
-    NoUsableDataError,
-    OrderInfeasibleError,
-    OrderUndeterminedError,
-)
-from .hankel import SignalSegment, _excitation, _stack
+from .errors import InputError, NoUsableDataError, OrderInfeasibleError, OrderUndeterminedError
+from .hankel import SignalSegment, _stack
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
 from .willems import DataDictionary, _complete, _dictionary
 
@@ -78,29 +72,19 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
                               tol: float = 1e-6) -> np.ndarray:
     """First ``count`` impulse-response matrices, from data alone.
 
-    Completes the m impulse responses on the depth-(order+1) dictionary,
-    after checking that the recorded inputs are collectively exciting of
-    order 2*order + 1.  Returns a (count, p, m) array: entry 0 is the
-    feedthrough, entry k the response k steps after the impulse.
+    Completes the m impulse responses on the depth-(order+1) dictionary of
+    every run at least order+1 long, runs shorter than 2*order + 1 included.
+    The completion's certificate is the one acceptance rule: each new output
+    must be unique and each step's relative residual at most ``tol``, or
+    :class:`InsufficientDataError` is raised, as in :func:`identify`.
+    Returns a (count, p, m) array: entry 0 is the feedthrough, entry k the
+    response k steps after the impulse.
     """
     if count < 1:
         raise InputError("count must be at least 1")
     if order < 0:
         raise InputError("order must be nonnegative")
-    W, ends, m = _stack(io_pairs, pairs=True)
-    L = order + 1
-    d = _dictionary(W, ends, m, L)  # runs shorter than L have no window
-    if not d.n_columns:
-        raise NoUsableDataError(f"no run long enough for windows of depth {L}")
-    # Collective excitation is only defined over records of length >= the
-    # order checked; shorter runs stay in the dictionary (their windows are
-    # genuine trajectories) but the excitation test leaves them out.
-    need = order + L
-    if not _excitation(W[:m], ends, need, rtol).exciting:
-        raise ExcitationError(
-            f"recorded inputs are not collectively exciting of order {need}, "
-            f"as impulse recovery at order {order} requires"
-        )
+    d = _dictionary(*_stack(io_pairs, pairs=True), order + 1)
     return _impulse_response(d, gram_factor(d.matrix), count, rtol, tol)
 
 

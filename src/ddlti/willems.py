@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, as_samples, gram_factor, minnorm,
                       minnorm_cutoff, numerical_rank, residual_ratio, svd_rank)
-from .errors import InconsistentPastError, InputError, InsufficientDataError
+from .errors import InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError
 from .hankel import _check_depth, _mosaic, _records, _stack
 from .lti import LtiSystem
 
@@ -84,8 +84,12 @@ def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
 
 def _dictionary(W: np.ndarray, ends, m: int, depth: int) -> DataDictionary:
     """The depth-L dictionary of the stacked input/output records (W, ends),
-    inputs in W's first m rows, leaving out records shorter than L."""
-    return DataDictionary(depth=depth, matrix=_mosaic(W, ends, depth, m), m=m)
+    inputs in W's first m rows, leaving out records shorter than L; raises
+    :class:`NoUsableDataError` when that leaves none."""
+    M = _mosaic(W, ends, depth, m)
+    if not M.shape[1]:
+        raise NoUsableDataError(f"no run is long enough for windows of depth {depth}")
+    return DataDictionary(depth=depth, matrix=M, m=m)
 
 
 def check_rank_condition(sys: LtiSystem, state_segments, input_segments,

@@ -84,6 +84,32 @@ def rounding_per_unit_g(A_known, A_new):
     return 2 * k * N * EPS * (kept[0] / kept[-1]) * np.linalg.norm(A_new, 2)
 
 
+def impulse_error_bound(d, markov):
+    """Forward-error bound on Markov parameters completed on dictionary d.
+
+    Step t solves A_known g = b_t, where b_t holds the impulse and the L-1
+    outputs completed before it, and returns A_new g.  Its own rounding e_t
+    is at most ``rounding_per_unit_g`` times ||g||.  The errors of the
+    earlier outputs in b_t pass through Z = A_new A_known^+ restricted to
+    the past-output rows, so E_t = e_t + ||Z_y|| (E_{t-1} + ... + E_{t-L+1}).
+    """
+    L, m, p = d.depth, d.m, d.p
+    k = m * L + p * (L - 1)
+    A_known, A_new = d.matrix[:k], d.matrix[k:]
+    per_g = rounding_per_unit_g(A_known, A_new)
+    Z_y = np.linalg.norm((A_new @ np.linalg.pinv(A_known))[:, m * L:], 2) if L > 1 else 0.0
+    count = len(markov)
+    us = np.zeros((L - 1 + count, m, m))
+    us[L - 1] = np.eye(m)
+    ys = np.concatenate([np.zeros((L - 1, p, m)), markov])
+    E = np.zeros(L - 1 + count)
+    for t in range(count):
+        b = np.concatenate([us[t:t + L].reshape(-1, m), ys[t:t + L - 1].reshape(-1, m)])
+        g = np.linalg.lstsq(A_known, b, rcond=None)[0]
+        E[t + L - 1] = per_g * np.linalg.norm(g) + Z_y * E[t:t + L - 1].sum()
+    return E[L - 1:]
+
+
 def simulate_records(rng, sys, lengths, order):
     """Simulate PE experiments; returns list of StateTrajectory."""
     us = pe_inputs(rng, len(lengths), lengths, sys.m, order)

@@ -1,6 +1,7 @@
 """The argument rule: every public function that takes a matrix or vector
-argument refuses a wrongly shaped one with an InputError naming the argument,
-the shape required and the shape given ('*' marks a free size)."""
+argument refuses a wrongly shaped, ragged or non-numeric one with an
+InputError naming the argument, the shape required and the shape given ('*'
+marks a free size)."""
 import re
 from types import SimpleNamespace
 
@@ -43,6 +44,8 @@ CASES = [
     ("LtiSystem-D", lambda c: system(D=Z((2, 1))), "D", "(1, 1)", "(2, 1)"),
     ("LqrWeights-Q", lambda c: dd.LqrWeights(Q=Z((2, 3)), R=np.eye(1)), "Q", "(2, 2)", "(2, 3)"),
     ("LqrWeights-R", lambda c: dd.LqrWeights(Q=np.eye(2), R=Z((1, 2))), "R", "(1, 1)", "(1, 2)"),
+    ("LqrWeights-Q-text", lambda c: dd.LqrWeights(Q="a", R=[[1]]),
+     "Q", "(*, *)", "a ragged or non-numeric array"),
     ("ExperimentBatch-Xm", lambda c: batch_with(c, Xm=Z(30)), "Xm", "(*, *)", "(30,)"),
     ("ExperimentBatch-Xp", lambda c: batch_with(c, Xp=Z((4, 29))), "Xp", "(4, 30)", "(4, 29)"),
     ("ExperimentBatch-Um", lambda c: batch_with(c, Um=Z((2, 29))), "Um", "(*, 30)", "(2, 29)"),
@@ -55,6 +58,8 @@ CASES = [
     ("is_controllable-B", lambda c: dd.is_controllable(Z((2, 2)), Z((3, 1))),
      "B", "(2, *)", "(3, 1)"),
     ("spectral_radius-M", lambda c: dd.spectral_radius(Z((2, 3))), "M", "(2, 2)", "(2, 3)"),
+    ("spectral_radius-ragged", lambda c: dd.spectral_radius([[1, 2], [3]]),
+     "M", "(*, *)", "a ragged or non-numeric array"),
     ("dare_solve-A", lambda c: dd.dare_solve(Z((2, 3)), Z((2, 1)), np.eye(2), np.eye(1)),
      "A", "(2, 2)", "(2, 3)"),
     ("dare_solve-B", lambda c: dd.dare_solve(np.eye(2), Z((3, 1)), np.eye(2), np.eye(1)),

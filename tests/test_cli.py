@@ -231,6 +231,18 @@ def test_dd_simulate_wrong_past_length(tmp_path, capsys):
     assert "exactly 2 samples" in capsys.readouterr().err
 
 
+def test_dd_simulate_no_run_reaches_the_depth(tmp_path, capsys):
+    # Every run of the record has 4 samples: no depth-5 window, not enough data.
+    past = tmp_path / "past.csv"
+    past.write_text("t,u1,y1,y2\n-4,0,0,0\n-3,0,0,0\n-2,0,0,0\n-1,0,0,0\n")
+    future = tmp_path / "future.csv"
+    future.write_text("t,u1\n0,1\n")
+    rc = main(["dd-simulate", str(SHORT_RUNS_CSV), "--past", str(past),
+               "--future", str(future), "--depth", "5"])
+    assert rc == 3
+    assert "no run is long enough for windows of depth 5" in capsys.readouterr().err
+
+
 def test_dd_simulate_inconsistent_past(tmp_path, capsys):
     past = tmp_path / "past.csv"
     # y jumps without input power: no second-order explanation

@@ -174,3 +174,20 @@ def test_max_excitation_order():
     us = pe_inputs(rng, 1, 11, 1, 5)
     assert dd.max_excitation_order(us[0]) >= 5
     assert dd.max_excitation_order(np.zeros(8)) == 0
+
+
+def test_max_excitation_order_tests_the_counting_bound_first(monkeypatch):
+    # Generic white input reaches the counting bound min(min T, (sum T + q) // (d + q)),
+    # so one excitation test, at that bound, decides the order.
+    tested, real = [], dd.hankel._excitation
+
+    def spy(W, ends, depth, rtol):
+        tested.append(depth)
+        return real(W, ends, depth, rtol)
+    monkeypatch.setattr(dd.hankel, "_excitation", spy)
+    rng = np.random.default_rng(17)
+    for lengths, d, bound in [([200], 1, 100), ([300], 2, 100), ([40, 25, 60], 2, 25),
+                              ([12] * 10, 1, 11)]:
+        tested.clear()
+        assert dd.max_excitation_order([rng.standard_normal((T, d)) for T in lengths]) == bound
+        assert tested == [bound]

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import lag, pe_inputs, random_system, rounding_per_unit_g
+from conftest import (SHORT_RUNS_CSV, impulse_error_bound, lag, pe_inputs, random_system,
+                      rounding_per_unit_g)
 
 
 def make_record(sys, rng, T, missing, pe_order=None):
@@ -95,10 +96,25 @@ def test_recover_markov_random_minimal():
 
 
 def test_recover_markov_insufficient_excitation():
-    u = np.ones((12, 1))  # constant input: order-2 excitation already fails
+    u = np.ones((12, 1))  # constant input: no recorded window has an impulse in it
     y = np.ones((12, 1))
-    with pytest.raises(dd.ExcitationError, match="order 5"):
+    with pytest.raises(dd.InsufficientDataError, match="cannot explain the given past at step 0"):
         dd.recover_markov_parameters([(u, y)], order=2, count=5)
+
+
+def test_recover_markov_short_runs_equals_identify(short_runs_system):
+    # No run reaches the 5 samples an order-5 excitation test needs; the
+    # depth-3 windows of the four runs still determine the impulse responses,
+    # which identify completes on the depth-2 windows.
+    ct = dd.read_trajectory_csv(SHORT_RUNS_CSV)
+    pairs = dd.segment_trajectory(ct)
+    mk = dd.recover_markov_parameters(pairs, order=2, count=5)
+    res = dd.identify(ct)
+    bound = impulse_error_bound(dd.build_data_matrix(pairs, 3), mk)
+    err = np.linalg.norm(mk - res.markov, axis=(1, 2))
+    assert np.all(err <= bound + impulse_error_bound(dd.build_data_matrix(pairs, 2), res.markov))
+    err = np.linalg.norm(mk - dd.markov_parameters(short_runs_system, 5), axis=(1, 2))
+    assert np.all(err <= bound)
 
 
 def test_ho_kalman_reference_sequence():
@@ -244,7 +260,7 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
     # index l; so the scan never needs a window deeper than l + 1, and
     # identify completes its impulses on that last matrix: every depth is
     # built once, the known block of the one dictionary goes through one SVD,
-    # and no separate excitation test runs.
+    # and no excitation test runs.
     built, excitation_tests = [], []
 
     def spy(owner, name, log, note):
@@ -256,7 +272,7 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
         monkeypatch.setattr(owner, name, call)
 
     spy(dd.ident, "_dictionary", built, lambda W, ends, m, depth: depth)
-    spy(dd.ident, "_excitation", excitation_tests, lambda W, ends, depth, rtol: depth)
+    spy(dd.hankel, "_excitation", excitation_tests, lambda W, ends, depth, rtol: depth)
     rng = np.random.default_rng(10)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)
@@ -292,10 +308,9 @@ def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
 def test_each_data_matrix_is_factored_once(linalg_calls):
     # identify factors each depth's (m+p)L x N matrix by one QR of its
     # transpose, ranks the factor and completes on the last one; a
-    # data-driven simulation factors its dictionary once, and impulse recovery
-    # its excitation mosaic and its dictionary once each.  Nothing after a QR
-    # works on more columns than the factored matrix has rows, however many
-    # windows were recorded.
+    # data-driven simulation and impulse recovery each factor their one
+    # dictionary once.  Nothing after a QR works on more columns than the
+    # factored matrix has rows, however many windows were recorded.
     rng = np.random.default_rng(13)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)
@@ -318,9 +333,9 @@ def test_each_data_matrix_is_factored_once(linalg_calls):
 
         linalg_calls.clear()
         dd.recover_markov_parameters([(ct.u[:100], ct.y[:100])], n, 2 * n + 1)
-        rows = [(2 * n + 1) * m, (m + p) * (n + 1)]  # excitation mosaic, dictionary
-        assert [shape[1] for name, shape, _ in linalg_calls if name == "qr"] == rows
-        assert all(shape[-1] <= max(rows) for name, shape, _ in linalg_calls if name != "qr")
+        rows = (m + p) * (n + 1)  # the depth-(n+1) dictionary
+        assert [shape[1] for name, shape, _ in linalg_calls if name == "qr"] == [rows]
+        assert all(shape[-1] <= rows for name, shape, _ in linalg_calls if name != "qr")
 
 
 def test_recover_markov_batch_matches_per_channel_simulation():

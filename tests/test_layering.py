@@ -1,9 +1,9 @@
 """Modules depend only downward: each imports only modules earlier in ORDER;
 only the _linalg kernel calls numpy's SVD, pinv or lstsq; only io opens
 files; arguments are coerced to float only by _linalg's rules (io parses
-files, cli formats output); and records are converted once, by hankel's
-stack, so only segment_trajectory, whose output needs start times, builds a
-SignalSegment."""
+files, cli formats output); records are converted once, by hankel's stack,
+so only segment_trajectory, whose output needs start times, builds a
+SignalSegment; and only the experiment generator raises ExcitationError."""
 import ast
 from pathlib import Path
 
@@ -107,3 +107,11 @@ def test_only_the_argument_rules_coerce_to_float():
 def test_records_are_converted_once():
     built = {c for path in PACKAGE.glob("*.py") for c in constructions(path, "SignalSegment")}
     assert built == {"ident.segment_trajectory"}
+
+
+def test_only_the_experiment_generator_raises_excitation_errors():
+    # A certified result is accepted by its certificate alone: an excitation
+    # precheck in front of it refuses data the certificate accepts.  Only
+    # generate_experiments, which draws inputs until they excite, refuses on it.
+    raised = {c for path in PACKAGE.glob("*.py") for c in constructions(path, "ExcitationError")}
+    assert raised == {"lqr.generate_experiments"}

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import ddlti as dd
 from ddlti._linalg import minnorm, svd_rank
-from conftest import EPS, lag, pe_inputs, random_system, rounding_per_unit_g
+from conftest import (EPS, impulse_error_bound, lag, pe_inputs, random_system,
+                      rounding_per_unit_g)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -366,6 +367,39 @@ def test_segment_trajectory_matches_loop(mask, min_len, start):
         assert np.array_equal(y_seg.samples, ct.y[s - start:s - start + y_seg.length])
 
 
+def pinv_impulses(d, count, tol=1e-6):
+    """Reference completion: the m impulses after a zero past of depth-1
+    samples on dictionary d, each step one pinv solve of the known rows, its
+    residual checked but no uniqueness."""
+    L, m, p = d.depth, d.m, d.p
+    k = m * L + p * (L - 1)
+    A_known, A_new = d.matrix[:k], d.matrix[k:]
+    A_pinv = np.linalg.pinv(A_known, rcond=EPS * max(A_known.shape))
+    us = np.zeros((L - 1 + count, m, m))
+    us[L - 1] = np.eye(m)
+    ys = np.zeros((L - 1 + count, p, m))
+    for t in range(count):
+        b = np.concatenate([us[t:t + L].reshape(-1, m), ys[t:t + L - 1].reshape(-1, m)])
+        g = A_pinv @ b
+        r = np.linalg.norm(A_known @ g - b, axis=0)
+        b_norm = np.linalg.norm(b, axis=0)
+        if np.divide(r, b_norm, out=r, where=b_norm > 0.0).max() > tol:
+            raise dd.InconsistentPastError("the data cannot explain a zero past")
+        ys[t + L - 1] = A_new @ g
+    return ys[L - 1:]
+
+
+def gated_dictionary(segs, order, rtol=dd.DEFAULT_RANK_RTOL):
+    """The depth order + 1 dictionary of the runs at least that long, once the
+    runs at least 2 * order + 1 long are collectively exciting of that order:
+    the excitation gate both references below kept."""
+    L = order + 1
+    pe_set = [u for u, _ in segs if u.length >= order + L]
+    if not pe_set or not dd.is_persistently_exciting(pe_set, order + L, rtol):
+        raise dd.ExcitationError(f"not collectively exciting of order {order + L}")
+    return dd.build_data_matrix([(u, y) for u, y in segs if u.length >= L], L)
+
+
 def parent_identify(ct, rtol=dd.DEFAULT_RANK_RTOL, tol=1e-6):
     """Reference: ``identify``'s path before it completed on the scan's own
     dictionary.  It built a second dictionary at depth order + 1, required
@@ -373,55 +407,10 @@ def parent_identify(ct, rtol=dd.DEFAULT_RANK_RTOL, tol=1e-6):
     Returns (order, markov, dictionary)."""
     segs = dd.segment_trajectory(ct)
     order = dd.scan_order(segs, rtol=rtol)
-    L, count = order + 1, 2 * order + 1
-    usable = [(u, y) for u, y in segs if u.length >= L]
-    pe_set = [u for u, _ in usable if u.length >= order + L]
-    if not pe_set or not dd.is_persistently_exciting(pe_set, order + L, rtol):
-        raise dd.ExcitationError(f"not collectively exciting of order {order + L}")
-    d = dd.build_data_matrix(usable, L)
-    m, p = d.m, d.p
-    k = m * L + p * order
-    A_known, A_new = d.matrix[:k], d.matrix[k:]
-    A_pinv = np.linalg.pinv(A_known, rcond=EPS * max(A_known.shape))
-    us = np.zeros((order + count, m, m))
-    us[order] = np.eye(m)
-    ys = np.zeros((order + count, p, m))
-    for t in range(count):
-        b = np.concatenate([us[t:t + L].reshape(-1, m), ys[t:t + order].reshape(-1, m)])
-        g = A_pinv @ b
-        r = np.linalg.norm(A_known @ g - b, axis=0)
-        b_norm = np.linalg.norm(b, axis=0)
-        if np.divide(r, b_norm, out=r, where=b_norm > 0.0).max() > tol:
-            raise dd.InconsistentPastError("the data cannot explain a zero past")
-        ys[t + order] = A_new @ g
-    dd.ho_kalman(ys[order:], order, rtol)
-    return order, ys[order:], d
-
-
-def impulse_error_bound(d, markov):
-    """Forward-error bound on Markov parameters completed on dictionary d.
-
-    Step t solves A_known g = b_t, where b_t holds the impulse and the L-1
-    outputs completed before it, and returns A_new g.  Its own rounding e_t
-    is at most ``rounding_per_unit_g`` times ||g||.  The errors of the
-    earlier outputs in b_t pass through Z = A_new A_known^+ restricted to
-    the past-output rows, so E_t = e_t + ||Z_y|| (E_{t-1} + ... + E_{t-L+1}).
-    """
-    L, m, p = d.depth, d.m, d.p
-    k = m * L + p * (L - 1)
-    A_known, A_new = d.matrix[:k], d.matrix[k:]
-    per_g = rounding_per_unit_g(A_known, A_new)
-    Z_y = np.linalg.norm((A_new @ np.linalg.pinv(A_known))[:, m * L:], 2) if L > 1 else 0.0
-    count = len(markov)
-    us = np.zeros((L - 1 + count, m, m))
-    us[L - 1] = np.eye(m)
-    ys = np.concatenate([np.zeros((L - 1, p, m)), markov])
-    E = np.zeros(L - 1 + count)
-    for t in range(count):
-        b = np.concatenate([us[t:t + L].reshape(-1, m), ys[t:t + L - 1].reshape(-1, m)])
-        g = np.linalg.lstsq(A_known, b, rcond=None)[0]
-        E[t + L - 1] = per_g * np.linalg.norm(g) + Z_y * E[t:t + L - 1].sum()
-    return E[L - 1:]
+    d = gated_dictionary(segs, order, rtol)
+    markov = pinv_impulses(d, 2 * order + 1, tol)
+    dd.ho_kalman(markov, order, rtol)
+    return order, markov, d
 
 
 @settings(PROPERTY, max_examples=200)
@@ -452,3 +441,43 @@ def test_identify_matches_parent_and_model(n, m, p, T, gap, kind, seed):
         assert res.order == order
         err = np.linalg.norm(res.markov - markov, axis=(1, 2))
         assert np.all(err <= bound + impulse_error_bound(d_parent, markov))
+
+
+def gated_recover(segs, order, count):
+    """Reference: ``recover_markov_parameters`` as it was with its excitation
+    gate in front of the completion.  Returns (markov, dictionary)."""
+    d = gated_dictionary(segs, order)
+    return pinv_impulses(d, count), d
+
+
+@settings(PROPERTY, max_examples=200)
+@given(n=st.integers(0, 5), m=st.integers(1, 3), p=st.integers(1, 3),
+       T=st.integers(5, 120), gap=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+       kind=st.sampled_from(["gauss", "ternary", "zero"]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, m=1, p=3, T=8, gap=0.2, kind="ternary", seed=2006671028)  # runs of 3 or fewer
+@example(n=2, m=2, p=2, T=68, gap=0.3, kind="ternary", seed=1869711277)
+@example(n=2, m=1, p=1, T=30, gap=0.0, kind="zero", seed=0)
+def test_recover_markov_matches_gated_reference_and_model(n, m, p, T, gap, kind, seed):
+    # Wherever the gated reference recovers the impulse responses, the change
+    # gives the same ones within both completions' error bounds; wherever the
+    # change recovers them, they are the generating model's within its bound;
+    # and it refuses only what its completion certificate refuses (exit 3).
+    sys, ct = gappy_record(np.random.default_rng(seed), n, m, p, T, gap, kind)
+    segs = dd.segment_trajectory(ct)
+    count = 2 * n + 1
+    try:
+        markov, d_gated = gated_recover(segs, n, count)
+    except dd.DdltiError:
+        markov = None
+    try:
+        mk = dd.recover_markov_parameters(segs, n, count)
+    except dd.InsufficientDataError:
+        assert markov is None, "the gated reference recovered these records"
+        return
+    d = dd.build_data_matrix([(u, y) for u, y in segs if u.length > n], n + 1)
+    bound = impulse_error_bound(d, mk)
+    err = np.linalg.norm(mk - dd.markov_parameters(sys, count), axis=(1, 2))
+    assert np.all(err <= bound)
+    if markov is not None:
+        err = np.linalg.norm(mk - markov, axis=(1, 2))
+        assert np.all(err <= bound + impulse_error_bound(d_gated, markov))
