@@ -1,6 +1,6 @@
 """Shared dense linear algebra: the one SVD kernel behind every rank decision
 and min-norm solve (no other module calls the SVD), its three rules, and the
-rule every public matrix or vector argument enters by:
+rules every public matrix or vector argument and every certificate pass:
 
 - Rank: the number of singular values above ``rtol * sigma_max``.
 - Min-norm solve: drops singular values at or below ``eps * max(rows, N)``
@@ -11,12 +11,13 @@ rule every public matrix or vector argument enters by:
   argument, that shape and the one given, then any non-finite entry.
   Records (see :func:`as_samples`) are exempt: a missing sample is NaN, and
   an unstable run may overflow.
+- Certificate: :func:`certify` accepts a value at most its bound: NaN refuses.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DdltiError, InputError
 
 #: Default relative singular-value cutoff for every rank decision.
 DEFAULT_RANK_RTOL = 1e-8
@@ -29,8 +30,7 @@ def _rank(s: np.ndarray, rtol: float) -> int:
 
 def numerical_rank(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> int:
     """Number of singular values above ``rtol * sigma_max``."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return singular_values_rank(M, rtol)[1]
+    return singular_values_rank(np.atleast_2d(np.asarray(M, dtype=float)), rtol)[1]
 
 
 def singular_values_rank(M: np.ndarray, rtol: float):
@@ -77,12 +77,17 @@ def as_samples(a) -> np.ndarray:
     return a.reshape(-1, 1) if a.ndim < 2 else a
 
 
-def as_matrix(M, name: str, shape=(None, None), square: bool = False) -> np.ndarray:
+def as_matrix(M, name: str, shape=(None, None), square: bool = False,
+              samples: bool = False) -> np.ndarray:
     """The argument rule: M as a float array of ``len(shape)`` dimensions,
     each of the given size (None: any), square if ``square``, and with finite
-    entries; otherwise an InputError naming the argument."""
+    entries; otherwise an InputError naming the argument.  A vector is
+    flattened first; with ``samples``, so is an array of fewer than two
+    dimensions, as one channel (see :func:`as_samples`)."""
     try:
         A = np.asarray(M, dtype=float)
+        if len(shape) == 1 or samples and A.ndim < 2:
+            A = A.reshape((-1,) + (1,) * (len(shape) - 1))
     except (TypeError, ValueError):  # ragged, or not numbers
         A = None
     if square and A is not None and A.ndim == 2:
@@ -94,3 +99,13 @@ def as_matrix(M, name: str, shape=(None, None), square: bool = False) -> np.ndar
     if not np.isfinite(A).all():
         raise InputError(f"{name} contains non-finite entries")
     return A
+
+
+def certify(name: str, value: float, bound: float, error: type[DdltiError], context: str):
+    """The certificate rule: ``value`` if at most ``bound``, else (NaN too) ``error``
+    as "context: name value exceeds bound", carrying ``value`` and ``bound``."""
+    if value <= bound:
+        return value
+    err = error(f"{context}: {name} {value:.3e} exceeds {bound:.3e}")
+    err.value, err.bound = value, bound
+    raise err

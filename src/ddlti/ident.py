@@ -114,8 +114,7 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
     numerical rank below ``order`` the requested order is infeasible; rank
     above ``order`` triggers a truncation warning.
     """
-    mk = np.reshape(markov, (-1, 1, 1)) if np.ndim(markov) == 1 else markov
-    mk = as_matrix(mk, "markov", (None, None, None))
+    mk = as_matrix(markov, "markov", (None, None, None), samples=True)
     K, p, m = mk.shape
     if order < 0:
         raise InputError("order must be nonnegative")

@@ -26,17 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_matrix, gram_factor, minnorm, svd_rank
-from .errors import (
-    CertificationError,
-    ExcitationError,
-    InputError,
-    InsufficientDataError,
-    RiccatiDivergenceError,
-)
+from ._linalg import DEFAULT_RANK_RTOL, as_matrix, certify, gram_factor, minnorm, svd_rank
+from .errors import (CertificationError, ExcitationError, InputError, InsufficientDataError,
+                     RiccatiDivergenceError)
 from .hankel import _excitation, _mosaic, _stack, pe_length_bound
 from .io import _write_text
 from .lti import LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, simulate, spectral_radius
+
+#: The largest spectral radius a stable closed loop certifies: radius 1 refuses.
+_STABLE_RADIUS = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,8 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
     A = as_matrix(A, "A", square=True)
     B = as_matrix(B, "B", (len(A), None))
     P, K, _ = _dare(A, B, LqrWeights(Q=Q, R=R), tol, max_iter)
-    if spectral_radius(A + B @ K) >= 1.0:
-        raise RiccatiDivergenceError("computed gain does not stabilize the pair (A, B); "
-                                     "the pair may not be stabilizable")
+    certify("spectral radius", spectral_radius(A + B @ K), _STABLE_RADIUS, RiccatiDivergenceError,
+            "the computed gain does not stabilize (A, B), which may not be stabilizable")
     return P, K
 
 
@@ -192,14 +189,13 @@ def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000)
             break
         step = A.T @ P @ A - P - A.T @ P @ B @ X + Q  # F(P) - P
         residual = float(np.linalg.norm(step) / max(1.0, np.linalg.norm(P)))
-        if residual <= resid_tol:
-            return P, -X, residual
-        if not np.isfinite(residual):
+        if not resid_tol < residual < np.inf:  # accepted, or no longer finite
             break
         P = P + step
         P = 0.5 * (P + P.T)
-    raise RiccatiDivergenceError(f"Riccati iteration did not reach residual {resid_tol:.1e} "
-                                 f"(last {residual:.3e}, at most {max_iter} steps)")
+    certify("Riccati residual", residual, resid_tol, RiccatiDivergenceError,
+            f"the Riccati iteration did not converge in its {max_iter}-step budget")
+    return P, -X, residual
 
 
 def _fitted(weights: LqrWeights, n: int, m: int):
@@ -273,14 +269,12 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
     scale = max(*(np.linalg.norm(T) for T in terms), 1.0)
     C = terms[0] - terms[1] - terms[2] - terms[3]
     C = 0.5 * (C + C.T)
-    lmi_max_eig = float(np.linalg.eigvalsh(C)[-1])
+    # A core that overflowed has no spectrum: its NaN eigenvalue refuses.
+    lmi_max_eig = float(np.linalg.eigvalsh(C)[-1]) if np.isfinite(C).all() else np.nan
     if batch.n_columns > C.shape[0]:
         lmi_max_eig = max(lmi_max_eig, 0.0)
-    if lmi_max_eig > tol_cert * scale:
-        raise CertificationError(
-            f"data-side operator L(P) is not negative semidefinite: "
-            f"max eigenvalue {lmi_max_eig:.3e} exceeds {tol_cert:.1e} x scale {scale:.3e}"
-        )
+    certify("max eigenvalue", lmi_max_eig, tol_cert * scale, CertificationError,
+            "the data-side operator L(P) is not negative semidefinite")
 
     # Right inverse X = QY of Xm annihilating L(P): [Rx'; C] Y = [I; 0] has the min-norm
     # solution and residual of [Xm; L(P)] X = [I; 0], at that (n+N)-row matrix's cutoff.
@@ -288,18 +282,12 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
     S = np.vstack([Rx.T, C])
     rhs = np.vstack([np.eye(n), np.zeros((C.shape[0], n))])
     Y, ri_residual = minnorm(S, rhs, n + batch.n_columns)
-    if ri_residual > tol_cert:
-        raise CertificationError(
-            f"no right inverse of Xm annihilates L(P) to tolerance: "
-            f"residual {ri_residual:.3e} > {tol_cert:.1e}"
-        )
+    certify("relative residual", ri_residual, tol_cert, CertificationError,
+            "no right inverse of Xm annihilates L(P)")
     K = Ru.T @ Y
 
-    radius = spectral_radius(A + B @ K)
-    if radius >= 1.0:
-        raise CertificationError(
-            f"closed loop is not stable: spectral radius {radius:.6f} >= 1"
-        )
+    radius = certify("spectral radius", spectral_radius(A + B @ K), _STABLE_RADIUS,
+                     CertificationError, "the closed loop is not stable")
     return LqrSolution(
         P=P, K=K,
         lmi_max_eig=lmi_max_eig,

@@ -218,8 +218,8 @@ def simulate(sys: LtiSystem, x0, u_seq, start_time: int = 0) -> StateTrajectory:
     StateTrajectory
         States, inputs and outputs over T steps plus the terminal state.
     """
-    u = as_matrix(as_samples(u_seq), "u_seq", (None, sys.m))
-    x0 = as_matrix(np.reshape(x0, -1), "x0", (sys.n,))
+    u = as_matrix(u_seq, "u_seq", (None, sys.m), samples=True)
+    x0 = as_matrix(x0, "x0", (sys.n,))
     x, y = _simulate_runs(sys, x0[None], u[:, None])
     return StateTrajectory(u=u, x=x[:-1, 0], y=y[:, 0], final_state=x[-1, 0], start_time=start_time)
 

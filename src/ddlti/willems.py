@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, as_samples, gram_factor, minnorm,
-                      minnorm_cutoff, numerical_rank, residual_ratio, svd_rank)
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, gram_factor, minnorm, minnorm_cutoff,
+                      numerical_rank, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError
 from .hankel import _check_depth, _mosaic, _records, _stack
 from .lti import LtiSystem
@@ -124,7 +124,7 @@ def synthesize_trajectory(dictionary: DataDictionary, g) -> tuple[np.ndarray, np
     system under sufficient excitation, the result is itself a genuine
     length-L trajectory of that system.
     """
-    g = as_matrix(np.reshape(g, -1), "g", (dictionary.n_columns,))
+    g = as_matrix(g, "g", (dictionary.n_columns,))
     return dictionary.input_block @ g, dictionary.output_block @ g
 
 
@@ -143,8 +143,8 @@ def is_system_trajectory(dictionary: DataDictionary, u, y,
     reuse or inspect the certificate.
     """
     L = dictionary.depth
-    u = as_matrix(np.reshape(u, -1), "u", (dictionary.m * L,))
-    y = as_matrix(np.reshape(y, -1), "y", (dictionary.p * L,))
+    u = as_matrix(u, "u", (dictionary.m * L,))
+    y = as_matrix(y, "y", (dictionary.p * L,))
     b = np.concatenate([u, y])
     g, res = minnorm(dictionary.matrix, b, dictionary.n_columns)
     return Membership(member=bool(res <= tol), residual=res, g=g)
@@ -182,9 +182,9 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     (F, p) ndarray of completed outputs.
     """
     L, m, p = dictionary.depth, dictionary.m, dictionary.p
-    wu = as_matrix(as_samples(past_u), "past_u", (L - 1, m))
-    wy = as_matrix(as_samples(past_y), "past_y", (L - 1, p))
-    fu = as_matrix(as_samples(future_u), "future_u", (None, m))
+    wu = as_matrix(past_u, "past_u", (L - 1, m), samples=True)
+    wy = as_matrix(past_y, "past_y", (L - 1, p), samples=True)
+    fu = as_matrix(future_u, "future_u", (None, m), samples=True)
     return _complete(dictionary, gram_factor(dictionary.matrix), wu[..., None],
                      wy[..., None], fu[..., None], tol, DEFAULT_RANK_RTOL)[..., 0]
 
@@ -193,10 +193,11 @@ def _complete(dictionary: DataDictionary, factor: np.ndarray, wu, wy, fu, tol: f
               rtol: float) -> np.ndarray:
     """The sliding completion of :func:`datadriven_simulate` for a batch of
     trajectories along the trailing axis: past (L-1, m, B) and (L-1, p, B),
-    future inputs (F, m, B); returns the (F, p, B) completed outputs.  Raises
-    :class:`InsufficientDataError` when the known rows do not determine the
-    new output, with rank tolerance ``rtol``.  ``factor`` is the dictionary's
-    gram_factor; all below is the same on it as on the matrix = factor Q'."""
+    future inputs (F, m, B); returns the (F, p, B) completed outputs.  Refuses
+    when the known rows do not determine the new output (rank tolerance
+    ``rtol``), then, once the recurrence has run, a step the data explain only
+    beyond ``tol``.  ``factor`` is the dictionary's gram_factor; all below is
+    the same on it as on the matrix = factor Q'."""
     L, p = dictionary.depth, dictionary.p
     # Known rows: all L inputs, then the L-1 past outputs; the last p rows give
     # the new output theta b of the known samples b (Markovsky & Rapisarda, IJC 2008).
@@ -208,27 +209,23 @@ def _complete(dictionary: DataDictionary, factor: np.ndarray, wu, wy, fu, tol: f
     # The new output is unique exactly when A_new's rows lie in A_known's row
     # space: by the rank rule, the part left outside adds rank once it exceeds
     # rtol relative to A_new; the dropped singular values leave up to eps_n of it.
-    defect = residual_ratio(theta @ A_known - A_new, A_new)
-    cutoff = rtol + eps_n
-    if defect > cutoff:
-        raise InsufficientDataError(
-            f"the data at depth {L} do not determine the new output "
-            f"(row-space defect {defect:.3e} > {cutoff:.1e}); a deeper window "
-            "or more exciting data is needed"
-        )
+    certify("row-space defect", float(residual_ratio(theta @ A_known - A_new, A_new)),
+            rtol + eps_n, InsufficientDataError,
+            f"the data at depth {L} do not determine the new output (a deeper window or "
+            "more exciting data is needed)")
 
-    proj = U[:, :r] @ U[:, :r].T  # A_known A_known+
     F, _, nb = fu.shape
     us = np.concatenate([wu, fu])
     ys = np.concatenate([wy, np.empty((F, p, nb))])
+    bs = np.empty((F, k, nb))  # the known samples b of every step
     for t in range(F):
-        b = np.concatenate([us[t:t + L].reshape(-1, nb), ys[t:t + L - 1].reshape(-1, nb)])
-        # Each trajectory's residual A_known g - b is proj b - b; the worst one is checked.
-        res = float(residual_ratio(proj @ b - b, b, axis=0).max())
-        if res > tol:
-            raise InconsistentPastError(
-                f"recorded data cannot explain the given past at step {t} "
-                f"(relative residual {res:.3e} > {tol:.1e})"
-            )
-        ys[t + L - 1] = theta @ b
+        np.concatenate([us[t:t + L].reshape(-1, nb), ys[t:t + L - 1].reshape(-1, nb)], out=bs[t])
+        ys[t + L - 1] = theta @ bs[t]
+    if F:
+        # A_known g - b = proj b - b; the worst of the first failing step is certified.
+        proj = U[:, :r] @ U[:, :r].T  # A_known A_known+
+        res = residual_ratio(proj @ bs - bs, bs, axis=1).max(axis=1)
+        t = int(np.argmax(~(res <= tol)))
+        certify("relative residual", float(res[t]), tol, InconsistentPastError,
+                f"recorded data cannot explain the given past at step {t}")
     return ys[L - 1:]

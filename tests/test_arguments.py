@@ -51,6 +51,10 @@ CASES = [
     ("ExperimentBatch-Um", lambda c: batch_with(c, Um=Z((2, 29))), "Um", "(*, 30)", "(2, 29)"),
     ("simulate-x0", lambda c: dd.simulate(c.sys, Z(3), Z((5, 2))), "x0", "(4,)", "(3,)"),
     ("simulate-u_seq", lambda c: dd.simulate(c.sys, Z(4), Z((5, 3))), "u_seq", "(*, 2)", "(5, 3)"),
+    ("simulate-x0-ragged", lambda c: dd.simulate(c.sys, [[1, 2], [3]], Z((3, 2))),
+     "x0", "(4,)", "a ragged or non-numeric array"),
+    ("simulate-u_seq-ragged", lambda c: dd.simulate(c.sys, Z(4), [[1, 2], [3]]),
+     "u_seq", "(*, 2)", "a ragged or non-numeric array"),
     ("instability_report-x0", lambda c: dd.instability_report(c.sys, Z(5), Z((5, 2))),
      "x0", "(4,)", "(5,)"),
     ("is_controllable-A", lambda c: dd.is_controllable(Z((2, 3)), Z((2, 1))),
@@ -94,6 +98,8 @@ CASES = [
     ("synthesize_trajectory-g", lambda c: dd.synthesize_trajectory(c.d, Z(10)),
      "g", "(11,)", "(10,)"),
     ("ho_kalman-markov", lambda c: dd.ho_kalman(Z((3, 2)), 1), "markov", "(*, *, *)", "(3, 2)"),
+    ("ho_kalman-markov-ragged", lambda c: dd.ho_kalman([[1], [2, 3]], 1),
+     "markov", "(*, *, *)", "a ragged or non-numeric array"),
 ]
 
 

@@ -3,7 +3,8 @@ only the _linalg kernel calls numpy's SVD, pinv or lstsq; only io opens
 files; arguments are coerced to float only by _linalg's rules (io parses
 files, cli formats output); records are converted once, by hankel's stack,
 so only segment_trajectory, whose output needs start times, builds a
-SignalSegment; and only the experiment generator raises ExcitationError."""
+SignalSegment; only the experiment generator raises ExcitationError; and
+certificate errors are raised only by _linalg's certificate rule."""
 import ast
 from pathlib import Path
 
@@ -115,3 +116,10 @@ def test_only_the_experiment_generator_raises_excitation_errors():
     # generate_experiments, which draws inputs until they excite, refuses on it.
     raised = {c for path in PACKAGE.glob("*.py") for c in constructions(path, "ExcitationError")}
     assert raised == {"lqr.generate_experiments"}
+
+
+def test_certificate_errors_are_raised_only_by_the_certificate_rule():
+    # _linalg.certify raises the class it is given, so a NaN certificate
+    # refuses and every refusal names its quantity, value and bound.
+    for name in ("CertificationError", "RiccatiDivergenceError", "InconsistentPastError"):
+        assert [c for path in PACKAGE.glob("*.py") for c in constructions(path, name)] == [], name

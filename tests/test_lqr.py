@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -276,9 +275,10 @@ def test_lqr_certifies_stability_once_on_the_data_gain():
     # The Riccati solution exists and L(P) <= 0 holds, but the mode at 2 stays
     # unstable: the closed-loop certificate of the data gain refuses it.
     sys, runs, W = unstabilized_runs()
-    with pytest.raises(dd.CertificationError, match="spectral radius 2.000000") as err:
+    with pytest.raises(dd.CertificationError, match="spectral radius 2.000e") as err:
         dd.lqr_from_data(dd.assemble_batch(runs), W)
     assert not isinstance(err.value, dd.RiccatiDivergenceError)
+    assert err.value.value == pytest.approx(2.0)
     with pytest.raises(dd.RiccatiDivergenceError, match="does not stabilize"):
         dd.dare_solve(sys.A, sys.B, W.Q, W.R)
 
@@ -525,16 +525,15 @@ def test_lmi_refusal_reports_nxn_eigenvalue_and_scale():
     W = eye_weights()
     with pytest.raises(dd.CertificationError, match="not negative semidefinite") as err:
         dd.lqr_from_data(bad, W)
-    lam_msg, scale_msg = map(float, re.search(
-        r"max eigenvalue (\S+) exceeds .* scale (\S+)", str(err.value)).groups())
+    # The refusal carries the eigenvalue and its bound tol_cert x scale.
+    lam_err, scale_err = err.value.value, err.value.bound / 1e-6
     A, B = dd.identify_ab(bad)
     P, _ = dd.dare_solve(A, B, W.Q, W.R)
     lam, scale, *_ = nxn_route(bad, W, P)
     dL, G = lmi_error_bound(bad, W, P)
     N = bad.n_columns
-    # The message prints 4 significant digits: relative rounding <= 5e-4.
-    assert abs(lam_msg - lam) <= 5e-4 * abs(lam) + dL + 4 * (N + 10) * EPS * G
-    assert abs(scale_msg - scale) <= 5e-4 * scale + dL
+    assert abs(lam_err - lam) <= dL + 4 * (N + 10) * EPS * G
+    assert abs(scale_err - scale) <= 4 * EPS * scale + dL
 
 
 def test_lqr_never_forms_an_nxn_array():
