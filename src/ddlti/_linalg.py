@@ -1,16 +1,20 @@
-"""Shared dense linear algebra: the one SVD kernel behind every rank decision
-and min-norm solve (no other module calls the SVD), its three rules, and the
-rules every public matrix or vector argument and every certificate pass:
+"""Shared dense linear algebra: the one SVD and QR kernel behind every rank
+decision and min-norm solve (no other module calls the SVD or QR), its four
+rules, and the rules every public matrix or vector argument and every
+certificate pass:
 
 - Rank: the number of singular values above ``rtol * sigma_max``.
+- Full-rank certificate: :func:`certifies_full_row_rank` tells, from a sample
+  of a matrix's columns and a bound on its norm, that the rank rule would find
+  it full row rank, without forming or factoring the matrix.
 - Min-norm solve: drops singular values at or below ``eps * max(rows, N)``
   times sigma_max, N the column count of the data matrix the solve stands for.
 - Relative residual: ``||A X - B|| / ||B||``, plain ``||A X - B||`` where B = 0.
 - Argument: :func:`as_matrix` coerces to float and refuses a ragged or
   non-numeric array or a shape other than the one required, naming the
   argument, that shape and the one given, then any non-finite entry.
-  Records (see :func:`as_samples`) are exempt: a missing sample is NaN, and
-  an unstable run may overflow.
+  Records (see :func:`as_samples`) are refused only when ragged or
+  non-numeric: a missing sample is NaN, and an unstable run may overflow.
 - Certificate: :func:`certify` accepts a value at most its bound: NaN refuses.
 """
 from __future__ import annotations
@@ -71,9 +75,38 @@ def gram_factor(M: np.ndarray) -> np.ndarray:
     return np.linalg.qr(M.T, mode="r").T
 
 
-def as_samples(a) -> np.ndarray:
-    """Float array with one row per time step; 1-D input is a single channel."""
-    a = np.asarray(a, dtype=float)
+def certifies_full_row_rank(sample: np.ndarray, norm_bound: float, n_cols: int,
+                            rtol: float) -> bool:
+    """True only if every k x N matrix M (k = sample's rows, N = ``n_cols``)
+    that holds ``sample``'s columns and has ``||M||_F <= norm_bound`` has full
+    row rank by the rank rule on its :func:`gram_factor`; False also when the
+    sample has fewer columns than rows.
+
+    sigma_min(M) >= sigma_min(sample), a column subset, and sigma_max(M) <=
+    norm_bound.  The QR and SVD behind the rule give the singular values of a
+    matrix within gamma ||M||_F of M, and the sample's SVD those of one within
+    gamma ||M||_F of the sample, gamma = k N eps (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., Thm 19.4 and ch. 20).  So the
+    rule's s_min > rtol s_max holds once the sample's sigma_min exceeds
+    (rtol (1 + gamma) + 2 gamma) norm_bound."""
+    k = sample.shape[0]
+    gamma = k * n_cols * np.finfo(float).eps
+    s = np.linalg.svd(sample, compute_uv=False)
+    return len(s) == k and bool(s[-1] > (rtol * (1.0 + gamma) + 2.0 * gamma) * norm_bound)
+
+
+def _shape_error(name: str, shape, given) -> InputError:
+    want = ", ".join("*" if k is None else str(k) for k in shape) + "," * (len(shape) == 1)
+    return InputError(f"{name} must have shape ({want}), got {given}")
+
+
+def as_samples(a, name: str) -> np.ndarray:
+    """Float array with one row per time step; 1-D input is a single channel.
+    A ragged or non-numeric record raises an InputError naming it."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise _shape_error(name, (None, None), "a ragged or non-numeric array") from None
     return a.reshape(-1, 1) if a.ndim < 2 else a
 
 
@@ -93,9 +126,7 @@ def as_matrix(M, name: str, shape=(None, None), square: bool = False,
     if square and A is not None and A.ndim == 2:
         shape = (A.shape[0], A.shape[0])
     if A is None or A.ndim != len(shape) or any(k not in (None, j) for k, j in zip(shape, A.shape)):
-        want = ", ".join("*" if k is None else str(k) for k in shape) + "," * (len(shape) == 1)
-        given = "a ragged or non-numeric array" if A is None else A.shape
-        raise InputError(f"{name} must have shape ({want}), got {given}")
+        raise _shape_error(name, shape, "a ragged or non-numeric array" if A is None else A.shape)
     if not np.isfinite(A).all():
         raise InputError(f"{name} contains non-finite entries")
     return A

@@ -28,6 +28,11 @@ import numpy as np
 from ._linalg import DEFAULT_RANK_RTOL, as_samples, gram_factor, singular_values_rank
 from .errors import DepthTooLargeError, InputError
 
+#: Largest mosaic, in bytes, that an excitation test builds (256 MiB).  The QR
+#: behind its rank holds two more copies, so a test peaks near three times
+#: this; a larger one raises InputError (exit 1) before allocating anything.
+MAX_EXCITATION_BYTES = 1 << 28
+
 
 @dataclass(frozen=True)
 class SignalSegment:
@@ -83,8 +88,9 @@ def _stack(signals, pairs: bool = False):
         sides = (_records(signals),)
     if not sides or not sides[0]:
         raise InputError(f"at least one {'input/output pair' if pairs else 'signal'} is required")
-    ws = [[as_samples(s.samples if isinstance(s, SignalSegment) else s) for s in side]
-          for side in sides]
+    ws = [[as_samples(s.samples if isinstance(s, SignalSegment) else s,
+                      f"pair {i}[{j}]" if pairs else f"signal {i}") for i, s in enumerate(side)]
+          for j, side in enumerate(sides)]
     lengths = np.array([[w.shape[0] for w in side] for side in ws])
     if pairs and (lengths[0] != lengths[1]).any():
         i = int(np.argmax(lengths[0] != lengths[1]))
@@ -192,7 +198,13 @@ def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> E
 
 def _excitation(W: np.ndarray, ends, depth: int, rtol: float) -> ExcitationReport:
     """:func:`excitation_report` on the stacked records (W, ends), leaving out
-    those shorter than ``depth``: the report has no column of theirs."""
+    those shorter than ``depth``: the report has no column of theirs.  Refuses
+    a mosaic above :data:`MAX_EXCITATION_BYTES` before building it."""
+    rows, cols = depth * len(W), int(np.maximum(np.diff(ends, prepend=0) - depth + 1, 0).sum())
+    if rows * cols * W.itemsize > MAX_EXCITATION_BYTES:
+        raise InputError(f"the depth-{depth} excitation test needs a {rows} x {cols} matrix of "
+                         f"{rows * cols * W.itemsize} bytes, above the "
+                         f"{MAX_EXCITATION_BYTES}-byte limit")
     H = _mosaic(W, ends, depth)
     sv, rank = singular_values_rank(gram_factor(H), rtol)
     return ExcitationReport(

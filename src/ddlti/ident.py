@@ -6,9 +6,11 @@ window depth grows until rank minus mL stops growing: that first stall is
 the order, see :func:`scan_order`), recover impulse-response (Markov)
 matrices by one batched data-driven simulation on the matrix of that stall,
 certified unique, and realize a state-space model with the Ho-Kalman
-algorithm.  Each depth's matrix is factored once, by the QR behind
-``gram_factor``; its rank and the completion both work on that (m+p)L-row
-factor.  Everything operates on exact (noise-free) data.
+algorithm.  A depth whose matrix a short sample of the longest run certifies
+full row rank (``_linalg.certifies_full_row_rank``) is never built: it cannot
+be the stall.  Any other depth's matrix is factored once, by the QR behind
+``gram_factor``; its rank and, at the stall, the completion both work on that
+(m+p)L-row factor.  Everything operates on exact (noise-free) data.
 """
 from __future__ import annotations
 
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_matrix, gram_factor, numerical_rank, svd_rank
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_full_row_rank, gram_factor,
+                      numerical_rank, svd_rank)
 from .errors import InputError, NoUsableDataError, OrderInfeasibleError, OrderUndeterminedError
-from .hankel import SignalSegment, _stack
+from .hankel import SignalSegment, _mosaic, _stack
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
 from .willems import DataDictionary, _complete, _dictionary
 
@@ -171,6 +174,9 @@ def scan_order(segments, max_order: int | None = None,
     (Markovsky & Dörfler, "Identifiability in the behavioral setting",
     IEEE TAC 2023), so the first depth whose estimate equals the previous
     depth's, and is nonnegative, gives the order; deeper windows add nothing.
+    A depth of full row rank, whose estimate pL is no stall, is certified on
+    a sample of 2(m+p)L windows of the longest run where the run is long
+    enough; only the other depths' matrices are built and factored.
     """
     return _scan(*_stack(segments, pairs=True), max_order, rtol)[0]
 
@@ -179,18 +185,39 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
     """(order, dictionary, factor) of :func:`scan_order` on the stacked
     input/output runs (W, ends), inputs in W's first m rows: the order, the
     depth-L* dictionary of the first stall, and its :func:`gram_factor`,
-    whose singular values gave its rank."""
+    whose singular values gave its rank.
+
+    Each depth first tries the full-rank certificate on the depth-L mosaic
+    of the first 2k windows of the longest run (k = (m+p)L rows), a column
+    subset of the depth's matrix, whose Frobenius norm is at most
+    sqrt(L) ||W||_F, since a sample enters at most L windows.  A certified
+    depth is one the rank rule on the factor would call full, so its
+    estimate is pL without building anything N-sized; a depth that fails
+    it, or whose longest run is too short for the sample, is built and
+    factored."""
     lengths = np.diff(ends, prepend=0)
     cap = int(lengths.max())
     if max_order is not None:
         if max_order < 0:
             raise InputError("max_order must be nonnegative")
         cap = min(cap, max_order + 1)
+    longest = int(np.argmax(lengths))
+    start, w_norm = int(ends[longest] - lengths[longest]), float(np.linalg.norm(W))
     order, seen = None, []
     for depth in range(1, cap + 1):
         # Runs shorter than the depth have no window at it.
-        if np.maximum(lengths - depth + 1, 0).sum() < len(W) * depth:
+        n_cols, k = int(np.maximum(lengths - depth + 1, 0).sum()), len(W) * depth
+        if n_cols < k:
             break
+        # A certified depth's estimate pL exceeds the last one, p(L-1) at
+        # most, when p > 0: it is no stall, so its matrix is not needed.
+        # 2k windows: a k x 2k sample keeps sigma_min off 0, a square one not.
+        width = 2 * k + depth - 1
+        if len(W) > m and lengths[longest] >= width and certifies_full_row_rank(
+                _mosaic(W[:, start:start + width], np.array([width]), depth),
+                np.sqrt(depth) * w_norm, n_cols, rtol):
+            seen.append(k - m * depth)
+            continue
         d = _dictionary(W, ends, m, depth)
         factor = gram_factor(d.matrix)
         seen.append(numerical_rank(factor, rtol) - m * depth)

@@ -72,10 +72,10 @@ class StateTrajectory:
     start_time: int = 0
 
     def __post_init__(self):
-        u, x, y = as_samples(self.u), as_samples(self.x), as_samples(self.y)
+        u, x, y = as_samples(self.u, "u"), as_samples(self.x, "x"), as_samples(self.y, "y")
         if not (u.shape[0] == x.shape[0] == y.shape[0]):
             raise InputError("u, x, y must have the same number of samples")
-        final_state = as_samples(self.final_state).reshape(-1)
+        final_state = as_samples(self.final_state, "final_state").reshape(-1)
         if final_state.shape[0] != x.shape[1]:
             raise InputError(f"final_state must have {x.shape[1]} entries, got {final_state.size}")
         object.__setattr__(self, "u", u)
@@ -102,7 +102,7 @@ class CorruptedTrajectory:
     start_time: int = 0
 
     def __post_init__(self):
-        u, y = as_samples(self.u), as_samples(self.y)
+        u, y = as_samples(self.u, "u"), as_samples(self.y, "y")
         if u.ndim != 2 or y.ndim != 2:
             raise InputError("u and y must be 2-D (one row per time step)")
         if u.shape[0] != y.shape[0]:

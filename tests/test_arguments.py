@@ -100,6 +100,16 @@ CASES = [
     ("ho_kalman-markov", lambda c: dd.ho_kalman(Z((3, 2)), 1), "markov", "(*, *, *)", "(3, 2)"),
     ("ho_kalman-markov-ragged", lambda c: dd.ho_kalman([[1], [2, 3]], 1),
      "markov", "(*, *, *)", "a ragged or non-numeric array"),
+    # Records: a ragged one is named, by its field or its place in the family.
+    ("StateTrajectory-u-ragged",
+     lambda c: dd.StateTrajectory(u=[[1, 2], [3]], x=Z((2, 1)), y=Z((2, 1)), final_state=[0]),
+     "u", "(*, *)", "a ragged or non-numeric array"),
+    ("CorruptedTrajectory-u-ragged",
+     lambda c: dd.CorruptedTrajectory(u=[[1, 2], [3]], y=Z((2, 1))),
+     "u", "(*, *)", "a ragged or non-numeric array"),
+    ("build_data_matrix-ragged",
+     lambda c: dd.build_data_matrix([([[1, 2], [3]], Z((2, 1)))], 1),
+     "pair 0[0]", "(*, *)", "a ragged or non-numeric array"),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +135,15 @@ def test_pe_check_rank_shortfall(tmp_path, capsys):
     rc = main(["pe-check", str(path), "--order", "2"])
     assert rc == 2
     assert "rank 1 of 2 required" in capsys.readouterr().out
+
+
+def test_pe_check_refuses_a_test_above_the_memory_limit(tmp_path, capsys):
+    side = math.isqrt(dd.hankel.MAX_EXCITATION_BYTES // 8) + 1
+    path = tmp_path / "long.csv"
+    u = np.random.default_rng(0).standard_normal((2 * side, 1))
+    dd.write_trajectory_csv(path, dd.CorruptedTrajectory(u=u, y=u))
+    assert main(["pe-check", str(path), "--order", "2"]) == 1
+    assert f"excitation test needs a {side} x {side + 1} matrix" in capsys.readouterr().err
 
 
 # --- generate ---------------------------------------------------------------

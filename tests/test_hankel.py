@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -191,3 +194,24 @@ def test_max_excitation_order_tests_the_counting_bound_first(monkeypatch):
         tested.clear()
         assert dd.max_excitation_order([rng.standard_normal((T, d)) for T in lengths]) == bound
         assert tested == [bound]
+
+
+def test_excitation_tests_above_the_memory_limit_are_refused_before_allocating():
+    # The depth-side test of 2 * side samples needs a side x (side + 1) mosaic,
+    # just above the limit; the record itself is 2 * side floats.
+    side = math.isqrt(dd.hankel.MAX_EXCITATION_BYTES // 8) + 1
+    signal = np.zeros(2 * side)
+    size = 8 * side * (side + 1)
+    message = (f"^the depth-{side} excitation test needs a {side} x {side + 1} matrix of "
+               f"{size} bytes, above the {dd.hankel.MAX_EXCITATION_BYTES}-byte limit$")
+    tracemalloc.start()
+    try:
+        for call in (dd.excitation_report, dd.is_persistently_exciting):
+            with pytest.raises(dd.InputError, match=message):
+                call(signal, side)
+        with pytest.raises(dd.InputError, match=message):
+            dd.max_excitation_order(signal)  # the counting bound is tested first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size // 100

@@ -232,6 +232,10 @@ def test_scan_order_matches_estimate(record):
     # static data
     u = np.random.default_rng(0).standard_normal((15, 1))
     assert dd.scan_order([(u, 2.0 * u)], max_order=3) == 0
+    # no output channel: every depth has full row rank, and depth 2 stalls
+    order, d, _ = dd.ident._scan(*dd.hankel._stack([(u, np.zeros((15, 0)))], pairs=True),
+                                 None, dd.DEFAULT_RANK_RTOL)
+    assert (order, d.depth) == (0, 2)
     # a random third-order system
     rng = np.random.default_rng(1)
     sys = random_system(rng, 3, 1, 1)
@@ -255,12 +259,20 @@ def test_scan_order_undetermined_lists_estimates(record):
         dd.scan_order(pairs, max_order=1)
 
 
+def rank_deficient_depths(n, p, stall):
+    """The depths up to the stall whose window matrix lacks full row rank on
+    generic data: rank O_L = min(pL, n) falls short of pL once pL > n.  Where
+    p divides n that is the stall alone; otherwise the depth before it too."""
+    return [L for L in range(1, stall + 1) if p * L > n]
+
+
 def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
     # rank(H_L) - mL equals rank O_L, which stops growing at the observability
     # index l; so the scan never needs a window deeper than l + 1, and
-    # identify completes its impulses on that last matrix: every depth is
-    # built once, the known block of the one dictionary goes through one SVD,
-    # and no excitation test runs.
+    # identify completes its impulses on that last matrix.  Only the depths
+    # without full row rank are built, each once: the others are certified
+    # on a sample of the longest run.  The known block of the one dictionary
+    # goes through one SVD, and no excitation test runs.
     built, excitation_tests = [], []
 
     def spy(owner, name, log, note):
@@ -287,10 +299,50 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
         known = (m * L + p * (L - 1), (m + p) * L)
         inverted = [shape for name, shape, _ in linalg_calls if name == "svd" and shape == known]
         assert res.order == n
-        assert built == list(range(1, L + 1))
+        assert built == rank_deficient_depths(n, p, L)
+        assert [shape[0] for name, shape, _ in linalg_calls if name == "qr"] == \
+            [298 - 3 * (depth - 1) for depth in built]  # runs of 100, 110 and 88
         assert len(inverted) == 1
         assert excitation_tests == []
         assert_allclose(res.markov, dd.markov_parameters(sys, 2 * n + 1), atol=1e-8)
+
+
+def test_scan_falls_back_where_the_longest_run_opens_with_zero_input(monkeypatch):
+    # The certificate's sample is cut from the start of the longest run.
+    # There the input is zero, so the sample has no full row rank at any
+    # depth: every depth is built and factored, as with no certificate, and
+    # identify still recovers the system, bit for bit as without it.
+    rng = np.random.default_rng(14)
+    sys = random_system(rng, 2, 1, 1)
+    u = rng.standard_normal((200, 1))
+    u[61:101] = 0.0  # the longest run, 61..199, opens with 40 zero inputs
+    traj = dd.simulate(sys, rng.standard_normal(2), u)
+    uu, yy = traj.u.copy(), traj.y.copy()
+    uu[60], yy[60] = np.nan, np.nan
+    ct = dd.CorruptedTrajectory(u=uu, y=yy)
+    built, certified = [], []
+    real_dictionary, real_certify = dd.ident._dictionary, dd.ident.certifies_full_row_rank
+
+    def dictionary(W, ends, m, depth):
+        built.append(depth)
+        return real_dictionary(W, ends, m, depth)
+
+    def certify(*args):
+        certified.append(real_certify(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(dd.ident, "_dictionary", dictionary)
+    monkeypatch.setattr(dd.ident, "certifies_full_row_rank", certify)
+    res = dd.identify(ct)
+    L = lag(sys) + 1
+    assert built == list(range(1, L + 1))
+    assert certified == [False] * L
+    assert res.order == 2
+    assert_allclose(res.markov, dd.markov_parameters(sys, 5), atol=1e-8)
+    monkeypatch.setattr(dd.ident, "certifies_full_row_rank", lambda *args: False)
+    ref = dd.identify(ct)
+    assert np.array_equal(res.markov, ref.markov) and res.residual == ref.residual
+    assert all(np.array_equal(getattr(res.system, f), getattr(ref.system, f)) for f in "ABCD")
 
 
 def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
@@ -306,11 +358,13 @@ def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
 
 
 def test_each_data_matrix_is_factored_once(linalg_calls):
-    # identify factors each depth's (m+p)L x N matrix by one QR of its
-    # transpose, ranks the factor and completes on the last one; a
+    # identify factors a depth's (m+p)L x N matrix, by one QR of its
+    # transpose, only when a k x 2k sample (k = (m+p)L) cannot certify it
+    # full row rank: on generic data the stall and, where p does not divide
+    # n, the depth before it.  It completes on the stall's factor.  A
     # data-driven simulation and impulse recovery each factor their one
-    # dictionary once.  Nothing after a QR works on more columns than the
-    # factored matrix has rows, however many windows were recorded.
+    # dictionary once.  Nothing else works on more columns than 2k, or k
+    # after a QR, however many windows were recorded.
     rng = np.random.default_rng(13)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)
@@ -319,9 +373,10 @@ def test_each_data_matrix_is_factored_once(linalg_calls):
         res = dd.identify(ct)
         L = lag(sys) + 1
         assert res.order == n
-        assert [shape[1] for name, shape, _ in linalg_calls if name == "qr"] == \
-            [(m + p) * depth for depth in range(1, L + 1)]
-        assert all(shape[-1] <= (m + p) * L for name, shape, _ in linalg_calls if name != "qr")
+        assert [shape for name, shape, _ in linalg_calls if name == "qr"] == \
+            [(298 - 3 * (depth - 1), (m + p) * depth) for depth in rank_deficient_depths(n, p, L)]
+        assert all(shape[-1] <= 2 * (m + p) * L for name, shape, _ in linalg_calls
+                   if name != "qr")
 
         d = dd.build_data_matrix([(ct.u[:100], ct.y[:100])], L)
         past = dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((L - 1, m)))

@@ -1,5 +1,5 @@
 """Modules depend only downward: each imports only modules earlier in ORDER;
-only the _linalg kernel calls numpy's SVD, pinv or lstsq; only io opens
+only the _linalg kernel calls numpy's SVD, QR, pinv or lstsq; only io opens
 files; arguments are coerced to float only by _linalg's rules (io parses
 files, cli formats output); records are converted once, by hankel's stack,
 so only segment_trajectory, whose output needs start times, builds a
@@ -28,11 +28,11 @@ def relative_imports(path: Path) -> set[str]:
 
 
 def kernel_calls(path: Path) -> list[str]:
-    """Every ``<...>.linalg.svd``, ``pinv`` or ``lstsq`` call in a source file."""
+    """Every ``<...>.linalg.svd``, ``qr``, ``pinv`` or ``lstsq`` call in a source file."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         f = node.func if isinstance(node, ast.Call) else None
-        if (isinstance(f, ast.Attribute) and f.attr in ("svd", "pinv", "lstsq")
+        if (isinstance(f, ast.Attribute) and f.attr in ("svd", "qr", "pinv", "lstsq")
                 and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"):
             found.append(f"{path.stem}:{node.lineno} {f.attr}")
     return found
@@ -86,6 +86,8 @@ def test_modules_import_only_lower_layers():
 
 
 def test_only_the_kernel_calls_svd_pinv_or_lstsq():
+    # QR too: every factorization, and so every rank decision's rounding, is
+    # the kernel's.
     calls = [c for path in sorted(PACKAGE.glob("*.py")) if path.stem != "_linalg"
              for c in kernel_calls(path)]
     assert calls == []

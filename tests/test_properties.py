@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddlti as dd
-from ddlti._linalg import minnorm, svd_rank
+from ddlti._linalg import gram_factor, minnorm, svd_rank
 from conftest import (EPS, impulse_error_bound, lag, pe_inputs, random_system,
                       rounding_per_unit_g)
 
@@ -303,10 +303,12 @@ def downward_scan(segments, max_order=None, rtol=dd.DEFAULT_RANK_RTOL):
     return order
 
 
-def gappy_record(rng, n, m, p, T, gap, kind):
-    """A random system and its response to a "gauss", "ternary" or "zero"
-    input, each sample missing with probability ``gap`` (never all of them)."""
-    sys = random_system(rng, n, m, p)
+def gappy_record(rng, n, m, p, T, gap, kind, radius=0.9, exponents=(0,) * 6):
+    """A random system of spectral radius ``radius`` and its response to a
+    "gauss", "ternary" or "zero" input, channel j (inputs, then outputs) scaled
+    by 10 ** exponents[j], each sample missing with probability ``gap`` (never
+    all of them)."""
+    sys = random_system(rng, n, m, p, radius=radius)
     u = {"gauss": lambda: rng.standard_normal((T, m)),
          "ternary": lambda: rng.integers(-1, 2, size=(T, m)).astype(float),
          "zero": lambda: np.zeros((T, m))}[kind]()
@@ -315,7 +317,9 @@ def gappy_record(rng, n, m, p, T, gap, kind):
     if not keep.any():
         keep[0] = True
     blank = np.where(keep[:, None], 1.0, np.nan)
-    return sys, dd.CorruptedTrajectory(u=rec.u * blank, y=rec.y * blank)
+    scale = 10.0 ** np.array(exponents[:m + p])
+    return sys, dd.CorruptedTrajectory(u=rec.u * blank * scale[:m],
+                                       y=rec.y * blank * scale[m:])
 
 
 def outcome(scan, segments, max_order):
@@ -334,6 +338,52 @@ def test_scan_order_matches_downward_scan(n, m, p, T, gap, kind, max_order, seed
     _, ct = gappy_record(np.random.default_rng(seed), n, m, p, T, gap, kind)
     segs = dd.segment_trajectory(ct)
     assert outcome(dd.scan_order, segs, max_order) == outcome(downward_scan, segs, max_order)
+
+
+def scan_result(W, ends, m):
+    """``ident._scan``'s order, stall depth and factor, or its refusal's message."""
+    try:
+        order, d, factor = dd.ident._scan(W, ends, m, None, dd.DEFAULT_RANK_RTOL)
+    except dd.OrderUndeterminedError as e:
+        return str(e)
+    return order, d.depth, factor
+
+
+@settings(PROPERTY, max_examples=300)
+@given(n=st.integers(0, 6), m=st.integers(1, 3), p=st.integers(1, 3),
+       T=st.integers(1, 200), gap=st.sampled_from([0.0, 0.05, 0.2]),
+       kind=st.sampled_from(["gauss", "ternary", "zero"]), radius=st.floats(0.5, 1.3),
+       exponents=st.lists(st.integers(-8, 8), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, m=2, p=2, T=200, gap=0.0, kind="gauss", radius=1.3, exponents=[0] * 6, seed=0)
+@example(n=3, m=1, p=2, T=150, gap=0.05, kind="ternary", radius=0.9,
+         exponents=[8, -8, 0, 0, 0, 0], seed=1)
+def test_certified_depths_have_full_row_rank(n, m, p, T, gap, kind, radius, exponents, seed):
+    # Every depth the order scan certifies on a sample of its longest run has
+    # full row rank by the rank rule on its whole matrix's factor, so the scan
+    # gives what it gives with no depth certified, bit for bit.
+    _, ct = gappy_record(np.random.default_rng(seed), n, m, p, T, gap, kind, radius, exponents)
+    W, ends, _ = dd.hankel._stack(dd.segment_trajectory(ct), pairs=True)
+    certified, certify = [], dd.ident.certifies_full_row_rank
+
+    def spy(sample, *args):
+        passed = certify(sample, *args)
+        certified.extend([len(sample) // len(W)] * passed)
+        return passed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd.ident, "certifies_full_row_rank", spy)
+        found = scan_result(W, ends, m)
+        mp.setattr(dd.ident, "certifies_full_row_rank", lambda *args: False)
+        reference = scan_result(W, ends, m)
+    for depth in certified:
+        M = dd.willems._dictionary(W, ends, m, depth).matrix
+        assert dd.numerical_rank(gram_factor(M)) == len(M), depth
+    assert type(found) is type(reference)
+    if isinstance(found, str):
+        assert found == reference
+    else:
+        assert found[:2] == reference[:2] and np.array_equal(found[2], reference[2])
 
 
 @PROPERTY
