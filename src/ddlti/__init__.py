@@ -9,7 +9,9 @@ behind that statement, trajectory membership and synthesis, model-free
 simulation, identification from records with missing samples, and LQR
 design directly from state/input experiments.
 """
-from ._linalg import DEFAULT_RANK_RTOL, numerical_rank
+from types import ModuleType as _ModuleType
+
+from ._linalg import DEFAULT_RANK_RTOL, RankDecision, numerical_rank
 from .errors import (
     CertificationError,
     DdltiError,
@@ -90,77 +92,6 @@ from .willems import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_RANK_RTOL",
-    "numerical_rank",
-    "batch_reactor",
-    # errors
-    "DdltiError",
-    "InputError",
-    "ParseError",
-    "DepthTooLargeError",
-    "ExcitationError",
-    "InsufficientDataError",
-    "NoUsableDataError",
-    "InconsistentPastError",
-    "CertificationError",
-    "RiccatiDivergenceError",
-    "OrderUndeterminedError",
-    "OrderInfeasibleError",
-    # systems
-    "LtiSystem",
-    "StateTrajectory",
-    "simulate",
-    "verify_trajectory",
-    "is_controllable",
-    "markov_parameters",
-    "response_maps",
-    "spectral_radius",
-    # hankel / excitation
-    "SignalSegment",
-    "ExcitationReport",
-    "hankel_matrix",
-    "mosaic_hankel",
-    "excitation_report",
-    "is_persistently_exciting",
-    "max_excitation_order",
-    "pe_length_bound",
-    # dictionaries / fundamental lemma
-    "DataDictionary",
-    "Membership",
-    "build_data_matrix",
-    "check_rank_condition",
-    "synthesize_trajectory",
-    "is_system_trajectory",
-    "datadriven_simulate",
-    # identification
-    "CorruptedTrajectory",
-    "IdentificationResult",
-    "segment_trajectory",
-    "scan_order",
-    "recover_markov_parameters",
-    "ho_kalman",
-    "identify",
-    # file formats
-    "read_trajectory_csv",
-    "read_inputs_csv",
-    "write_trajectory_csv",
-    "read_experiment_csv",
-    "write_experiment_csv",
-    "read_system_json",
-    "write_system_json",
-    "read_weights_json",
-    # LQR
-    "ExperimentBatch",
-    "LqrWeights",
-    "LqrSolution",
-    "InstabilityReport",
-    "assemble_batch",
-    "dare_solve",
-    "lmi_operator",
-    "identify_ab",
-    "lqr_from_data",
-    "export_sdp",
-    "instability_report",
-    "generate_experiments",
-]
+#: The public API: every name imported above, the submodules aside.
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

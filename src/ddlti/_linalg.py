@@ -3,7 +3,12 @@ decision and min-norm solve (no other module calls the SVD or QR), its four
 rules, and the rules every public matrix or vector argument and every
 certificate pass:
 
-- Rank: the number of singular values above ``rtol * sigma_max``.
+- Rank: :func:`decide_rank` counts the singular values above the cutoff
+  ``rtol * sigma_max``, and returns them, the rank and the cutoff as a
+  :class:`RankDecision`.
+- Rank requirement: :func:`require_rank` accepts a rank at least the required
+  one, else raises "context: name has rank r, below the required R; " followed
+  by the singular values either side of the cut and the cutoff.
 - Full-rank certificate: :func:`certifies_full_row_rank` tells, from a sample
   of a matrix's columns and a bound on its norm, that the rank rule would find
   it full row rank, without forming or factoring the matrix.
@@ -19,6 +24,8 @@ certificate pass:
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DdltiError, InputError
@@ -27,26 +34,44 @@ from .errors import DdltiError, InputError
 DEFAULT_RANK_RTOL = 1e-8
 
 
-def _rank(s: np.ndarray, rtol: float) -> int:
-    """The rank rule on singular values (none, or all zero, give rank 0)."""
-    return int(np.count_nonzero(s > rtol * s.max(initial=0.0)))
+@dataclass(frozen=True)
+class RankDecision:
+    """A rank decision: a matrix's singular values (descending), its rank, the
+    number of them above ``cutoff``, and the cutoff ``rtol * sigma_max``."""
+
+    rank: int
+    singular_values: np.ndarray
+    cutoff: float
+
+    def cut(self) -> str:
+        """The singular values either side of the cut, where they exist, and the cutoff."""
+        s, r = self.singular_values, self.rank
+        sides = [f"sigma_{k + 1} {s[k]:.3e}" for k in (r - 1, r) if 0 <= k < len(s)]
+        return ", ".join(sides + [f"cutoff {self.cutoff:.3e}"])
 
 
-def numerical_rank(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> int:
-    """Number of singular values above ``rtol * sigma_max``."""
-    return singular_values_rank(np.atleast_2d(np.asarray(M, dtype=float)), rtol)[1]
+def decide_rank(s: np.ndarray, rtol: float) -> RankDecision:
+    """The rank rule on singular values s (none, or all zero, give rank 0)."""
+    cutoff = rtol * s.max(initial=0.0)
+    return RankDecision(int(np.count_nonzero(s > cutoff)), s, float(cutoff))
 
 
-def singular_values_rank(M: np.ndarray, rtol: float):
-    """(s, r): the singular values of M, without vectors, and its rank by the rank rule."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return s, _rank(s, rtol)
+def rank_of(M: np.ndarray, rtol: float) -> RankDecision:
+    """The rank decision on M's singular values, computed without vectors."""
+    return decide_rank(np.linalg.svd(M, compute_uv=False), rtol)
+
+
+def numerical_rank(M, rtol: float = DEFAULT_RANK_RTOL) -> int:
+    """Number of singular values above ``rtol * sigma_max``; a vector is one column."""
+    return rank_of(as_matrix(M, "M", samples=True), rtol).rank
 
 
 def svd_rank(M: np.ndarray, rtol: float):
-    """(U, s, Vt, r): the thin SVD of M and its rank by the rank rule."""
+    """(U, s, Vt, decision): the thin SVD of M truncated to its rank r (the
+    first r columns of U, entries of s, rows of Vt) and its :class:`RankDecision`."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return U, s, Vt, _rank(s, rtol)
+    d = decide_rank(s, rtol)
+    return U[:, :d.rank], s[:d.rank], Vt[:d.rank], d
 
 
 def minnorm_cutoff(rows: int, n_cols: int) -> float:
@@ -57,8 +82,8 @@ def minnorm_cutoff(rows: int, n_cols: int) -> float:
 def minnorm(A: np.ndarray, B: np.ndarray, n_cols: int):
     """(X, relative residual) of the min-norm least-squares ``A X = B``, where
     ``n_cols`` is N of the data matrix that A stands for."""
-    U, s, Vt, r = svd_rank(A, minnorm_cutoff(A.shape[0], n_cols))
-    X = (Vt[:r].T / s[:r]) @ (U[:, :r].T @ B)
+    U, s, Vt, _ = svd_rank(A, minnorm_cutoff(A.shape[0], n_cols))
+    X = (Vt.T / s) @ (U.T @ B)
     return X, float(residual_ratio(A @ X - B, B))
 
 
@@ -139,4 +164,16 @@ def certify(name: str, value: float, bound: float, error: type[DdltiError], cont
         return value
     err = error(f"{context}: {name} {value:.3e} exceeds {bound:.3e}")
     err.value, err.bound = value, bound
+    raise err
+
+
+def require_rank(name: str, decision: RankDecision, required: int, error: type[DdltiError],
+                 context: str) -> RankDecision:
+    """The rank-requirement rule: ``decision`` if its rank is at least ``required``,
+    else ``error`` worded as above, carrying ``decision`` and ``required``."""
+    if decision.rank >= required:
+        return decision
+    err = error(f"{context}: {name} has rank {decision.rank}, below the required {required}; "
+                f"{decision.cut()}")
+    err.decision, err.required = decision, required
     raise err

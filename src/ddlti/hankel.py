@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_samples, gram_factor, singular_values_rank
+from ._linalg import DEFAULT_RANK_RTOL, RankDecision, as_samples, gram_factor, rank_of
 from .errors import DepthTooLargeError, InputError
 
 #: Largest mosaic, in bytes, that an excitation test builds (256 MiB).  The QR
@@ -178,15 +178,14 @@ def pe_length_bound(depth: int, channels: int, n_signals: int = 1) -> int:
 
 
 @dataclass(frozen=True)
-class ExcitationReport:
-    """Outcome of a persistency-of-excitation test at one depth."""
+class ExcitationReport(RankDecision):
+    """Outcome of a persistency-of-excitation test at one depth: the rank
+    decision on the depth's mosaic, exciting when it has full row rank."""
 
-    exciting: bool
     depth: int
-    rank: int
     required_rank: int
     n_columns: int
-    singular_values: np.ndarray
+    exciting: bool
 
 
 def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> ExcitationReport:
@@ -206,15 +205,9 @@ def _excitation(W: np.ndarray, ends, depth: int, rtol: float) -> ExcitationRepor
                          f"{rows * cols * W.itemsize} bytes, above the "
                          f"{MAX_EXCITATION_BYTES}-byte limit")
     H = _mosaic(W, ends, depth)
-    sv, rank = singular_values_rank(gram_factor(H), rtol)
-    return ExcitationReport(
-        exciting=rank == H.shape[0],
-        depth=depth,
-        rank=rank,
-        required_rank=H.shape[0],
-        n_columns=H.shape[1],
-        singular_values=sv,
-    )
+    decision = rank_of(gram_factor(H), rtol)
+    return ExcitationReport(**vars(decision), depth=depth, required_rank=rows,
+                            n_columns=cols, exciting=decision.rank == rows)
 
 
 def is_persistently_exciting(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_full_row_rank, gram_factor,
-                      numerical_rank, svd_rank)
+                      rank_of, require_rank, svd_rank)
 from .errors import InputError, NoUsableDataError, OrderInfeasibleError, OrderUndeterminedError
 from .hankel import SignalSegment, _mosaic, _stack
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
@@ -139,18 +139,12 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
     blocks = W.transpose(0, 1, 3, 2).reshape(K - c, p, c * m)
     H = blocks[:r].reshape(r * p, c * m)
     Hs = blocks[1:r + 1].reshape(r * p, c * m)
-    U, s, Vt, rank = svd_rank(H, rtol)
-    if rank < order:
-        raise OrderInfeasibleError(
-            f"impulse-response Hankel matrix has rank {rank} < requested "
-            f"order {order}"
-        )
-    if rank > order:
-        warnings.warn(
-            f"impulse-response Hankel matrix has rank {rank} > requested "
-            f"order {order}; truncating",
-            stacklevel=2,
-        )
+    U, s, Vt, decision = svd_rank(H, rtol)
+    require_rank("the impulse-response Hankel matrix", decision, order, OrderInfeasibleError,
+                 f"the Markov parameters do not realize order {order}")
+    if decision.rank > order:
+        warnings.warn(f"the impulse-response Hankel matrix has rank {decision.rank}, above the "
+                      f"requested order {order}; {decision.cut()}; truncating", stacklevel=2)
     root = np.sqrt(s[:order])
     O = U[:, :order] * root
     R = root[:, None] * Vt[:order]
@@ -220,7 +214,7 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
             continue
         d = _dictionary(W, ends, m, depth)
         factor = gram_factor(d.matrix)
-        seen.append(numerical_rank(factor, rtol) - m * depth)
+        seen.append(rank_of(factor, rtol).rank - m * depth)
         if depth > 1 and seen[-2] == seen[-1] >= 0:
             order = seen[-1]
             break

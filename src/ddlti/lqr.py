@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_matrix, certify, gram_factor, minnorm, svd_rank
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, gram_factor, minnorm,
+                      require_rank, svd_rank)
 from .errors import (CertificationError, ExcitationError, InputError, InsufficientDataError,
                      RiccatiDivergenceError)
 from .hankel import _excitation, _mosaic, _stack, pe_length_bound
@@ -217,12 +218,9 @@ def _factor_ab(batch: ExperimentBatch, rtol: float):
     n = batch.n
     R = gram_factor(np.vstack([batch.Xm, batch.Xp, batch.Um])).T
     Rx, Rp, Ru = R[:, :n], R[:, n:2 * n], R[:, 2 * n:]
-    U, s, Vt, rank = svd_rank(np.hstack([Rx, Ru]), rtol)
-    if rank < n + batch.m:
-        raise InsufficientDataError(
-            f"[Xm; Um] has rank {rank} < {n + batch.m}; "
-            "the experiments do not determine the dynamics"
-        )
+    U, s, Vt, decision = svd_rank(np.hstack([Rx, Ru]), rtol)
+    require_rank("[Xm; Um]", decision, n + batch.m, InsufficientDataError,
+                 "the experiments do not determine the dynamics")
     AB = (Rp.T @ U / s) @ Vt  # Xp S+, as [Xm; Um] = Vt' diag(s) U' Q'
     return AB[:, :n], AB[:, n:], Rx, Rp, Ru
 
@@ -264,17 +262,20 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
     P, _, riccati_residual = _dare(A, B, weights)
 
     # Q's columns are orthonormal: C has L(P)'s term norms and nonzero spectrum.
-    terms = (Rx @ P @ Rx.T, Rp @ P @ Rp.T,
-             Rx @ weights.Q @ Rx.T, Ru @ weights.R @ Ru.T)
-    scale = max(*(np.linalg.norm(T) for T in terms), 1.0)
-    C = terms[0] - terms[1] - terms[2] - terms[3]
-    C = 0.5 * (C + C.T)
-    # A core that overflowed has no spectrum: its NaN eigenvalue refuses.
-    lmi_max_eig = float(np.linalg.eigvalsh(C)[-1]) if np.isfinite(C).all() else np.nan
+    # A core that overflows has no spectrum: its NaN eigenvalue refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (Rx @ P @ Rx.T, Rp @ P @ Rp.T,
+                 Rx @ weights.Q @ Rx.T, Ru @ weights.R @ Ru.T)
+        scale = max(*(np.linalg.norm(T) for T in terms), 1.0)
+        C = terms[0] - terms[1] - terms[2] - terms[3]
+        C = 0.5 * (C + C.T)
+    finite = np.isfinite(C).all()
+    lmi_max_eig = float(np.linalg.eigvalsh(C)[-1]) if finite else np.nan
     if batch.n_columns > C.shape[0]:
         lmi_max_eig = max(lmi_max_eig, 0.0)
     certify("max eigenvalue", lmi_max_eig, tol_cert * scale, CertificationError,
-            "the data-side operator L(P) is not negative semidefinite")
+            "the data-side operator L(P) is not negative semidefinite"
+            + ("" if finite else " (its core is not finite)"))
 
     # Right inverse X = QY of Xm annihilating L(P): [Rx'; C] Y = [I; 0] has the min-norm
     # solution and residual of [Xm; L(P)] X = [I; 0], at that (n+N)-row matrix's cutoff.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL, as_matrix, as_samples, numerical_rank
+from ._linalg import DEFAULT_RANK_RTOL, as_matrix, as_samples, rank_of
 from .errors import InputError
 
 
@@ -241,7 +241,7 @@ def is_controllable(A, B, rtol: float = DEFAULT_RANK_RTOL) -> bool:
     blocks = [B]
     for _ in range(n - 1):
         blocks.append(A @ blocks[-1])
-    return numerical_rank(np.hstack(blocks), rtol) == n
+    return rank_of(np.hstack(blocks), rtol).rank == n
 
 
 def markov_parameters(sys: LtiSystem, count: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, gram_factor, minnorm, minnorm_cutoff,
-                      numerical_rank, residual_ratio, svd_rank)
+                      rank_of, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError
 from .hankel import _check_depth, _mosaic, _records, _stack
 from .lti import LtiSystem
@@ -113,7 +113,7 @@ def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
         raise InputError(f"input records must have {sys.m} channels, got {len(W) - n}")
     _check_depth(ends, depth)
     M = _mosaic(W, ends, depth, n)
-    return numerical_rank(np.vstack([M[:n], M[n * depth:]]), rtol) == n + sys.m * depth
+    return rank_of(np.vstack([M[:n], M[n * depth:]]), rtol).rank == n + sys.m * depth
 
 
 def synthesize_trajectory(dictionary: DataDictionary, g) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +204,8 @@ def _complete(dictionary: DataDictionary, factor: np.ndarray, wu, wy, fu, tol: f
     k = dictionary.m * L + p * (L - 1)
     A_known, A_new = factor[:k], factor[k:]
     eps_n = minnorm_cutoff(k, dictionary.n_columns)
-    U, s, Vt, r = svd_rank(A_known, eps_n)
-    theta = (A_new @ Vt[:r].T / s[:r]) @ U[:, :r].T  # A_new A_known+
+    U, s, Vt, _ = svd_rank(A_known, eps_n)
+    theta = (A_new @ Vt.T / s) @ U.T  # A_new A_known+
     # The new output is unique exactly when A_new's rows lie in A_known's row
     # space: by the rank rule, the part left outside adds rank once it exceeds
     # rtol relative to A_new; the dropped singular values leave up to eps_n of it.
@@ -223,7 +223,7 @@ def _complete(dictionary: DataDictionary, factor: np.ndarray, wu, wy, fu, tol: f
         ys[t + L - 1] = theta @ bs[t]
     if F:
         # A_known g - b = proj b - b; the worst of the first failing step is certified.
-        proj = U[:, :r] @ U[:, :r].T  # A_known A_known+
+        proj = U @ U.T  # A_known A_known+
         res = residual_ratio(proj @ bs - bs, bs, axis=1).max(axis=1)
         t = int(np.argmax(~(res <= tol)))
         certify("relative residual", float(res[t]), tol, InconsistentPastError,

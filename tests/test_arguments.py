@@ -110,6 +110,15 @@ CASES = [
     ("build_data_matrix-ragged",
      lambda c: dd.build_data_matrix([([[1, 2], [3]], Z((2, 1)))], 1),
      "pair 0[0]", "(*, *)", "a ragged or non-numeric array"),
+    ("numerical_rank-ragged", lambda c: dd.numerical_rank([[1, 2], [3]]),
+     "M", "(*, *)", "a ragged or non-numeric array"),
+    ("numerical_rank-3d", lambda c: dd.numerical_rank(Z((2, 2, 2))), "M", "(*, *)", "(2, 2, 2)"),
+]
+
+#: (id, call with a non-finite argument, argument name)
+NON_FINITE = [
+    ("numerical_rank-nan", lambda: dd.numerical_rank([[np.nan, 1.0]]), "M"),
+    ("numerical_rank-inf", lambda: dd.numerical_rank([[np.inf, 1], [0, 1]]), "M"),
 ]
 
 
@@ -119,3 +128,10 @@ def test_wrongly_shaped_arguments_are_refused(ctx, call, name, expected, given):
     message = f"{name} must have shape {expected}, got {given}"
     with pytest.raises(dd.InputError, match=f"^{re.escape(message)}$"):
         call(ctx)
+
+
+@pytest.mark.parametrize("call, name", [case[1:] for case in NON_FINITE],
+                         ids=[case[0] for case in NON_FINITE])
+def test_non_finite_arguments_are_refused(call, name):
+    with pytest.raises(dd.InputError, match=f"^{name} contains non-finite entries$"):
+        call()

@@ -1,7 +1,11 @@
 """The certificate rule: every threshold refusal in willems and lqr raises
 through ``_linalg.certify``, which accepts a value only at or below its bound
 (so a NaN refuses) and words every refusal as "context: name value exceeds
-bound", with the value and bound on the error."""
+bound", with the value and bound on the error.  The rank-requirement rule:
+every rank refusal raises through ``_linalg.require_rank``, worded as
+"context: name has rank r, below the required R; " and the singular values
+either side of the cut and the cutoff, with the decision and the required
+rank on the error."""
 import re
 import warnings
 
@@ -60,6 +64,7 @@ def unstabilized_dare():
 
 
 EYE = dd.LqrWeights(Q=np.eye(4), R=np.eye(2))
+EYE_JSON = '{"Q": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]], "R": [[1,0],[0,1]]}'
 
 #: (id, refused call, error class, exit code, context, quantity, phrase)
 SITES = [
@@ -123,14 +128,75 @@ def test_overflowing_batches_refuse_their_certificate(tmp_path, scale, capsys):
     runs = [dd.StateTrajectory(u=scale * r.u, x=scale * r.x, y=scale * r.y,
                                final_state=scale * r.final_state) for r in runs]
     weights = tmp_path / "w.json"
-    weights.write_text('{"Q": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]], "R": [[1,0],[0,1]]}')
-    with np.errstate(over="ignore", invalid="ignore"):
+    weights.write_text(EYE_JSON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow refuses without a numpy warning
         with pytest.raises(dd.CertificationError, match="negative semidefinite") as err:
             dd.lqr_from_data(dd.assemble_batch(runs), EYE)
-        assert np.isnan(err.value.value)
+        assert np.isnan(err.value.value) and "(its core is not finite)" in str(err.value)
         paths = []
         for i, r in enumerate(runs):
             paths.append(str(tmp_path / f"e{i}.csv"))
             dd.write_experiment_csv(paths[-1], r)
         assert main(["lqr", *paths, "--weights", str(weights)]) == 4
     assert re.search(r"error: .*max eigenvalue nan exceeds", capsys.readouterr().err)
+
+
+def three_step_run():
+    """One reactor run of three steps: [Xm; Um] is 6 x 3, of rank 3."""
+    return dd.generate_experiments(dd.batch_reactor(), 1, 3, pe_order=1,
+                                   rng=np.random.default_rng(0))[0]
+
+
+def three_step_stack():
+    run = three_step_run()
+    return np.hstack([run.x, run.u]).T
+
+
+#: (id, refused call, error class, exit code, context, matrix name, rank,
+#: required rank, the matrix decided on, in exact arithmetic)
+RANK_SITES = [
+    ("identify_ab", lambda: dd.identify_ab(dd.assemble_batch([three_step_run()])),
+     dd.InsufficientDataError, 3, "the experiments do not determine the dynamics", "[Xm; Um]",
+     3, 6, three_step_stack),
+    ("lqr_from_data", lambda: dd.lqr_from_data(dd.assemble_batch([three_step_run()]), EYE),
+     dd.InsufficientDataError, 3, "the experiments do not determine the dynamics", "[Xm; Um]",
+     3, 6, three_step_stack),
+    ("ho_kalman", lambda: dd.ho_kalman(np.ones((5, 1, 1)), 2), dd.OrderInfeasibleError, 5,
+     "the Markov parameters do not realize order 2", "the impulse-response Hankel matrix",
+     1, 2, lambda: np.ones((2, 2))),
+]
+
+
+@pytest.mark.parametrize("call, error, code, context, name, rank, required, matrix",
+                         [site[1:] for site in RANK_SITES], ids=[site[0] for site in RANK_SITES])
+def test_every_rank_requirement_refuses_in_one_format(call, error, code, context, name, rank,
+                                                      required, matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            call()
+    e, rtol = err.value, dd.DEFAULT_RANK_RTOL
+    assert type(e) is error and e.exit_code == code
+    d = e.decision
+    assert isinstance(d, dd.RankDecision) and d.rank == rank and e.required == required
+    s = d.singular_values
+    expected = np.linalg.svd(matrix(), compute_uv=False)
+    assert np.allclose(s, expected, rtol=0.0, atol=1e-14 * expected[0])
+    assert d.cutoff == rtol * s[0] and s[rank - 1] > d.cutoff
+    assert rank == len(s) or s[rank] <= d.cutoff
+    sides = [f"sigma_{k + 1} {s[k]:.3e}" for k in (rank - 1, rank) if k < len(s)]
+    assert str(e) == (f"{context}: {name} has rank {rank}, below the required {required}; "
+                      + ", ".join(sides + [f"cutoff {d.cutoff:.3e}"]))
+
+
+def test_rank_refusal_exits_3_through_the_cli(tmp_path, capsys):
+    path, weights = tmp_path / "run.csv", tmp_path / "w.json"
+    dd.write_experiment_csv(path, three_step_run())
+    weights.write_text(EYE_JSON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lqr", str(path), "--weights", str(weights)]) == 3
+    assert re.search(r"error: the experiments do not determine the dynamics: \[Xm; Um\] has "
+                     r"rank 3, below the required 6; sigma_3 \S+, cutoff \S+$",
+                     capsys.readouterr().err.strip())

@@ -4,7 +4,8 @@ files; arguments are coerced to float only by _linalg's rules (io parses
 files, cli formats output); records are converted once, by hankel's stack,
 so only segment_trajectory, whose output needs start times, builds a
 SignalSegment; only the experiment generator raises ExcitationError; and
-certificate errors are raised only by _linalg's certificate rule."""
+certificate and rank errors are raised only by _linalg's certificate and
+rank-requirement rules."""
 import ast
 from pathlib import Path
 
@@ -121,7 +122,10 @@ def test_only_the_experiment_generator_raises_excitation_errors():
 
 
 def test_certificate_errors_are_raised_only_by_the_certificate_rule():
-    # _linalg.certify raises the class it is given, so a NaN certificate
-    # refuses and every refusal names its quantity, value and bound.
-    for name in ("CertificationError", "RiccatiDivergenceError", "InconsistentPastError"):
+    # _linalg.certify and _linalg.require_rank raise the class they are given,
+    # so a NaN certificate refuses and every refusal names its quantity and
+    # bound, or its rank, the required rank and the singular values at the cut.
+    # A subclass such as NoUsableDataError keeps its own sites.
+    for name in ("CertificationError", "RiccatiDivergenceError", "InconsistentPastError",
+                 "InsufficientDataError", "OrderInfeasibleError"):
         assert [c for path in PACKAGE.glob("*.py") for c in constructions(path, name)] == [], name

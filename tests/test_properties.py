@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddlti as dd
-from ddlti._linalg import gram_factor, minnorm, svd_rank
+from ddlti._linalg import gram_factor, minnorm, rank_of, svd_rank
 from conftest import (EPS, impulse_error_bound, lag, pe_inputs, random_system,
                       rounding_per_unit_g)
 
@@ -109,7 +109,12 @@ def test_kernel_matches_lstsq_and_numerical_rank(k, N, deficit, q, zero_b, seed)
     A = rng.standard_normal((k, r)) @ rng.standard_normal((r, N))
     B = np.zeros((k, q)) if zero_b else rng.standard_normal((k, q))
     B = B[:, 0] if q == 1 else B
-    assert svd_rank(A, dd.DEFAULT_RANK_RTOL)[3] == dd.numerical_rank(A) == r
+    decision = svd_rank(A, dd.DEFAULT_RANK_RTOL)[3]
+    assert decision.rank == dd.numerical_rank(A) == r
+    # The decision's cut: sigma_r > cutoff >= sigma_{r+1}, where they exist.
+    s = decision.singular_values
+    assert r == 0 or s[r - 1] > decision.cutoff
+    assert r == len(s) or decision.cutoff >= s[r]
     X, res = minnorm(A, B, N)
     X_ref = np.linalg.lstsq(A, B, rcond=None)[0]
     assert X.shape == X_ref.shape
@@ -141,6 +146,11 @@ def test_excitation_rank_is_numerical_rank(lengths, d, back, seed):
     depth = max(1, min(lengths) - back)
     rep = dd.excitation_report(signals, depth)
     assert rep.rank == dd.numerical_rank(dd.mosaic_hankel(signals, depth))
+    # The report is the rank decision on the mosaic's factor, plus the verdict.
+    decision = rank_of(gram_factor(dd.mosaic_hankel(signals, depth)), dd.DEFAULT_RANK_RTOL)
+    assert isinstance(rep, dd.RankDecision) and rep.rank == decision.rank
+    assert np.array_equal(rep.singular_values, decision.singular_values)
+    assert rep.cutoff == decision.cutoff
 
 
 def linear_order_scan(signals, rtol=dd.DEFAULT_RANK_RTOL):
