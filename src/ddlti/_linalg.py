@@ -9,9 +9,10 @@ certificate pass:
 - Rank requirement: :func:`require_rank` accepts a rank at least the required
   one, else raises "context: name has rank r, below the required R; " followed
   by the singular values either side of the cut and the cutoff.
-- Full-rank certificate: :func:`certifies_full_row_rank` tells, from a sample
-  of a matrix's columns and a bound on its norm, that the rank rule would find
-  it full row rank, without forming or factoring the matrix.
+- Sample rank certificate: :func:`certifies_rank` tells, from a sample of a
+  matrix's columns, a bound on its norm and the norm of its product with the
+  sample's left null basis (:func:`rank_basis`), that the rank rule on the
+  matrix would give the sample's rank, without forming or factoring it.
 - Min-norm solve: drops singular values at or below ``eps * max(rows, N)``
   times sigma_max, N the column count of the data matrix the solve stands for.
 - Relative residual: ``||A X - B|| / ||B||``, plain ``||A X - B||`` where B = 0.
@@ -34,7 +35,7 @@ from .errors import DdltiError, InputError
 DEFAULT_RANK_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankDecision:
     """A rank decision: a matrix's singular values (descending), its rank, the
     number of them above ``cutoff``, and the cutoff ``rtol * sigma_max``."""
@@ -100,24 +101,58 @@ def gram_factor(M: np.ndarray) -> np.ndarray:
     return np.linalg.qr(M.T, mode="r").T
 
 
-def certifies_full_row_rank(sample: np.ndarray, norm_bound: float, n_cols: int,
-                            rtol: float) -> bool:
-    """True only if every k x N matrix M (k = sample's rows, N = ``n_cols``)
-    that holds ``sample``'s columns and has ``||M||_F <= norm_bound`` has full
-    row rank by the rank rule on its :func:`gram_factor`; False also when the
-    sample has fewer columns than rows.
+def rank_basis(M: np.ndarray, rtol: float):
+    """(decision, perp): the rank decision on M, which has at least as many
+    columns as rows, and its left singular vectors past its rank r, an
+    orthonormal basis, up to rounding, of what the rank rule calls M's left
+    null space.  At full row rank perp has no column and no vector is
+    computed."""
+    d = rank_of(M, rtol)
+    if d.rank == len(M):
+        return d, np.zeros((len(M), 0))
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    d = decide_rank(s, rtol)
+    return d, U[:, d.rank:]
 
-    sigma_min(M) >= sigma_min(sample), a column subset, and sigma_max(M) <=
-    norm_bound.  The QR and SVD behind the rule give the singular values of a
-    matrix within gamma ||M||_F of M, and the sample's SVD those of one within
-    gamma ||M||_F of the sample, gamma = k N eps (Higham, "Accuracy and
-    Stability of Numerical Algorithms", 2nd ed., Thm 19.4 and ch. 20).  So the
-    rule's s_min > rtol s_max holds once the sample's sigma_min exceeds
-    (rtol (1 + gamma) + 2 gamma) norm_bound."""
-    k = sample.shape[0]
-    gamma = k * n_cols * np.finfo(float).eps
-    s = np.linalg.svd(sample, compute_uv=False)
-    return len(s) == k and bool(s[-1] > (rtol * (1.0 + gamma) + 2.0 * gamma) * norm_bound)
+
+def certifies_rank(decision: RankDecision, perp: np.ndarray, perp_norm: float,
+                   norm_bound: float, n_cols: int, rtol: float) -> bool:
+    """True only if every k x N matrix M (k = ``perp``'s rows, N = ``n_cols``)
+    that holds a sample's columns, with ``||M||_F <= norm_bound`` and
+    ``||perp' M||_F = perp_norm`` as a pass of k-term sums computes it, has
+    rank r by the rank rule on its :func:`gram_factor`, where ``decision`` is
+    the rule on the sample and ``perp`` the sample's left singular vectors
+    past r (:func:`rank_basis`).
+
+    Write B for ``norm_bound``, s for the sample's singular values and
+    gamma = k N eps.  The QR and SVD behind the rule give the singular values
+    of a matrix within gamma B of M, and the sample's SVD those of one within
+    gamma B of the sample, as it has 2k <= N columns (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., Thm 19.4 and ch. 20).
+    sigma_1(M) <= B.
+
+    - Rank at least r: sigma_r(M) >= sigma_r(sample), a column subset, so the
+      rule's s_r > rtol s_1 holds once s_r > (rtol (1 + gamma) + 2 gamma) B.
+    - Rank at most r: sigma_{r+1}(M) <= ||Q' M||_2 for every orthonormal
+      k x (k - r) Q (Eckart-Young: (I - QQ')M has rank r).  ``perp`` is
+      orthonormal only to within eta = ||perp' perp - I||_F, plus the
+      k (k - r) eps of forming that product, so its polar factor Q lies
+      within eta of it: sigma_{r+1}(M) <= ||perp' M||_2 + eta B.  The pass
+      forms perp' M within k eps ||perp||_F B <= gamma B of it, and its
+      Frobenius norm to a factor 1 + gamma.  sigma_1(M) >= sigma_1(sample)
+      >= s_1 - gamma B, so the rule's s_{r+1} <= rtol s_1 holds once
+      (1 + gamma) perp_norm + (2 gamma + eta) B <= rtol (s_1 - 2 gamma B).
+      At full row rank, r = k, there is nothing to bound."""
+    k, r = perp.shape[0], decision.rank
+    eps = np.finfo(float).eps
+    gamma, s = k * n_cols * eps, decision.singular_values
+    if r and not s[r - 1] > (rtol * (1.0 + gamma) + 2.0 * gamma) * norm_bound:
+        return False
+    if r == k:
+        return True
+    eta = np.linalg.norm(perp.T @ perp - np.eye(k - r)) + k * (k - r) * eps
+    return bool((1.0 + gamma) * perp_norm + (2.0 * gamma + eta) * norm_bound
+                <= rtol * (s[0] - 2.0 * gamma * norm_bound))
 
 
 def _shape_error(name: str, shape, given) -> InputError:

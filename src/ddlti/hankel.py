@@ -17,7 +17,8 @@ a flat list of numbers is one signal; any other list or tuple is a sequence
 of signals, each read by ``as_samples``.  They are read in one place,
 ``_stack``, which checks a family of records once and lays it out as one
 (d, N) sample array and the records' end indices; ``_mosaic`` cuts every
-mosaic, dictionary, order scan and LQR batch from that stack.
+mosaic, dictionary, order scan and LQR batch from that stack, and
+``_mosaic_product`` multiplies a few rows into a dictionary straight from it.
 """
 from __future__ import annotations
 
@@ -33,8 +34,12 @@ from .errors import DepthTooLargeError, InputError
 #: this; a larger one raises InputError (exit 1) before allocating anything.
 MAX_EXCITATION_BYTES = 1 << 28
 
+#: Windows per block of a data pass (:func:`_mosaic_product`): its scratch is
+#: two blocks of this many columns, however many windows were recorded.
+PASS_BLOCK = 1024
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SignalSegment:
     """A finite multi-channel signal: ``samples[t]`` is the value at step
     ``start_time + t``.
@@ -130,10 +135,10 @@ def _mosaic(W: np.ndarray, ends, depth: int, m: int | None = None) -> np.ndarray
     Block row k holds samples k .. T_i - depth + k of every record in turn,
     so each block row is one concatenation of column slices of W.
     """
-    lengths = np.diff(ends, prepend=0)
-    keep = lengths >= depth
-    runs = list(zip((ends - lengths)[keep].tolist(), (ends[keep] - depth + 1).tolist()))
-    out = np.empty((depth * W.shape[0], int((lengths[keep] - depth + 1).sum())))
+    ends = ends.tolist()
+    # (s, t): a record's windows start at samples s .. t-1 of W.
+    runs = [(s, t - depth + 1) for s, t in zip([0] + ends[:-1], ends) if t - s >= depth]
+    out = np.empty((depth * W.shape[0], sum(t - s for s, t in runs)))
     row = 0
     for part in (W,) if m is None else (W[:m], W[m:]):
         for k in range(depth):
@@ -142,6 +147,31 @@ def _mosaic(W: np.ndarray, ends, depth: int, m: int | None = None) -> np.ndarray
                                out=out[row:row + len(part)])
             row += len(part)
     return out
+
+
+def _mosaic_product(X: np.ndarray, W: np.ndarray, ends, depth: int, m: int):
+    """``X @ _mosaic(W, ends, depth, m)`` without forming the mosaic: one pass
+    over W, yielding the product's columns in order, in blocks of at most
+    :data:`PASS_BLOCK`.  A window starting at sample s of W contributes
+    sum_j G_j W[:, s + j], where G_j holds X's columns of window offset j
+    (its input block over its output block), for every s of a block of W at
+    once; the windows that lie within one record are kept."""
+    rows, d = len(X), len(W)
+    G = np.concatenate([X[:, :m * depth].reshape(rows, depth, m),
+                        X[:, m * depth:].reshape(rows, depth, d - m)], axis=2)
+    last = W.shape[1] - depth + 1  # windows start at samples 0 .. last-1 of W
+    for a in range(0, last, PASS_BLOCK):
+        b = min(a + PASS_BLOCK, last)
+        block = G[:, 0] @ W[:, a:b]
+        for j in range(1, depth):
+            block += G[:, j] @ W[:, a + j:b + j]
+        # A window lies within one record when that record ends after it.
+        starts = np.arange(a, b)
+        inside = ends[np.searchsorted(ends, starts, side="right")] >= starts + depth
+        if inside.all():
+            yield block
+        elif inside.any():
+            yield block[:, inside]
 
 
 def hankel_matrix(signal, depth: int) -> np.ndarray:
@@ -177,7 +207,7 @@ def pe_length_bound(depth: int, channels: int, n_signals: int = 1) -> int:
     return depth * (channels + n_signals) - n_signals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExcitationReport(RankDecision):
     """Outcome of a persistency-of-excitation test at one depth: the rank
     decision on the depth's mosaic, exciting when it has full row rank."""

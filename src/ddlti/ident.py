@@ -6,11 +6,15 @@ window depth grows until rank minus mL stops growing: that first stall is
 the order, see :func:`scan_order`), recover impulse-response (Markov)
 matrices by one batched data-driven simulation on the matrix of that stall,
 certified unique, and realize a state-space model with the Ho-Kalman
-algorithm.  A depth whose matrix a short sample of the longest run certifies
-full row rank (``_linalg.certifies_full_row_rank``) is never built: it cannot
-be the stall.  Any other depth's matrix is factored once, by the QR behind
-``gram_factor``; its rank and, at the stall, the completion both work on that
-(m+p)L-row factor.  Everything operates on exact (noise-free) data.
+algorithm.  Each depth's rank, and at the stall the completion map, are taken
+on a k x 2k sample of the longest run (k = (m+p)L rows) and certified on all
+N columns by one O(N k) pass over the records (``hankel._mosaic_product``):
+the rank by ``_linalg.certifies_rank``, the completion's row-space defect by
+``willems._defect_bound``.  No N-column window matrix is then formed.  A depth
+the sample cannot certify is built and its matrix factored once, by the QR
+behind ``gram_factor``; its rank and, at the stall, the completion work on
+that (m+p)L-row factor, as does a stall whose completion the sample refuses.
+Everything operates on exact (noise-free) data.
 """
 from __future__ import annotations
 
@@ -19,15 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_full_row_rank, gram_factor,
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_rank, gram_factor, rank_basis,
                       rank_of, require_rank, svd_rank)
-from .errors import InputError, NoUsableDataError, OrderInfeasibleError, OrderUndeterminedError
-from .hankel import SignalSegment, _mosaic, _stack
+from .errors import (InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError,
+                     OrderInfeasibleError, OrderUndeterminedError)
+from .hankel import SignalSegment, _mosaic_product, _stack
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
-from .willems import DataDictionary, _complete, _dictionary
+from .willems import DataDictionary, _complete, _completion, _defect_bound, _dictionary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentificationResult:
     """Model, order and diagnostics produced by :func:`identify`."""
 
@@ -66,8 +71,12 @@ def _complete_runs(ct: CorruptedTrajectory):
     edges = np.flatnonzero(np.diff(np.concatenate([[False], present, [False]])))
     if not edges.size:
         raise NoUsableDataError("no complete run of length >= 1 in the record")
-    return (np.vstack([ct.u.T, ct.y.T])[:, present], np.cumsum(edges[1::2] - edges[::2]),
-            edges[::2] + ct.start_time)
+    runs = [slice(a, b) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
+    ends = np.cumsum(edges[1::2] - edges[::2])
+    W = np.empty((ct.m + ct.p, int(ends[-1])))
+    for rows, side in ((W[:ct.m], ct.u), (W[ct.m:], ct.y)):
+        np.concatenate([side[run].T for run in runs], axis=1, out=rows)
+    return W, ends, edges[::2] + ct.start_time
 
 
 def recover_markov_parameters(io_pairs, order: int, count: int,
@@ -88,20 +97,20 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
     if order < 0:
         raise InputError("order must be nonnegative")
     d = _dictionary(*_stack(io_pairs, pairs=True), order + 1)
-    return _impulse_response(d, gram_factor(d.matrix), count, rtol, tol)
+    return _impulse_response(d, _completion(d, gram_factor(d.matrix)), count, rtol, tol)
 
 
-def _impulse_response(d: DataDictionary, factor: np.ndarray, count: int, rtol: float,
+def _impulse_response(d: DataDictionary, completion, count: int, rtol: float,
                       tol: float) -> np.ndarray:
-    """First ``count`` Markov parameters completed on ``d``, given its factor:
+    """First ``count`` Markov parameters completed on ``d``, given its completion:
     for each input channel, a unit impulse after a zero past of depth-1
     samples, which pins the zero state once depth-1 reaches the lag.  The m
-    impulses run as one batch, so ``factor``'s known rows take one SVD."""
+    impulses run as one batch on the one completion."""
     L, m, p = d.depth, d.m, d.p
     # Impulse j sits on the batch axis: input channel j is 1 at step 0.
     impulses = np.zeros((count, m, m))
     impulses[0] = np.eye(m)
-    return _complete(d, factor, np.zeros((L - 1, m, m)), np.zeros((L - 1, p, m)),
+    return _complete(d, completion, np.zeros((L - 1, m, m)), np.zeros((L - 1, p, m)),
                      impulses, tol, rtol)
 
 
@@ -168,27 +177,33 @@ def scan_order(segments, max_order: int | None = None,
     (Markovsky & Dörfler, "Identifiability in the behavioral setting",
     IEEE TAC 2023), so the first depth whose estimate equals the previous
     depth's, and is nonnegative, gives the order; deeper windows add nothing.
-    A depth of full row rank, whose estimate pL is no stall, is certified on
-    a sample of 2(m+p)L windows of the longest run where the run is long
-    enough; only the other depths' matrices are built and factored.
+    Each depth's rank is decided on a sample of 2(m+p)L windows of the
+    longest run and certified on all the data by one pass over the records;
+    only a depth the sample cannot certify is built and factored.
     """
     return _scan(*_stack(segments, pairs=True), max_order, rtol)[0]
 
 
 def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
-    """(order, dictionary, factor) of :func:`scan_order` on the stacked
-    input/output runs (W, ends), inputs in W's first m rows: the order, the
-    depth-L* dictionary of the first stall, and its :func:`gram_factor`,
-    whose singular values gave its rank.
+    """(order, dictionary, completion, sampled) of :func:`scan_order` on the
+    stacked input/output runs (W, ends), inputs in W's first m rows: the
+    order, the depth-L* dictionary of the first stall and its
+    :func:`~ddlti.willems._completion`, and whether that dictionary is the
+    sample below rather than all the data.
 
-    Each depth first tries the full-rank certificate on the depth-L mosaic
-    of the first 2k windows of the longest run (k = (m+p)L rows), a column
-    subset of the depth's matrix, whose Frobenius norm is at most
-    sqrt(L) ||W||_F, since a sample enters at most L windows.  A certified
-    depth is one the rank rule on the factor would call full, so its
-    estimate is pL without building anything N-sized; a depth that fails
-    it, or whose longest run is too short for the sample, is built and
-    factored."""
+    Each depth first cuts the depth-L dictionary of the first 2k windows of
+    the longest run (k = (m+p)L rows), a column subset of the depth's matrix
+    M, whose Frobenius norm is at most sqrt(L) ||W||_F, since a sample
+    enters at most L windows.  The rank rule on the sample gives a rank r
+    and a basis perp of what it calls the left null space.  One pass over
+    the records (``_mosaic_product``) then forms perp' M and, where the
+    estimate r - mL stalls, [theta, -I] M and M_new for the sample's
+    completion map theta, so that :func:`~ddlti._linalg.certifies_rank` can
+    certify that the rule on M's own factor gives r, and
+    :func:`~ddlti.willems._defect_bound` bound the row-space defect the
+    completion would find on it.  At full row rank the pass has no rows.  A
+    depth the certificate refuses, or whose longest run is too short for the
+    sample, is built and factored."""
     lengths = np.diff(ends, prepend=0)
     cap = int(lengths.max())
     if max_order is not None:
@@ -203,18 +218,19 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
         n_cols, k = int(np.maximum(lengths - depth + 1, 0).sum()), len(W) * depth
         if n_cols < k:
             break
-        # A certified depth's estimate pL exceeds the last one, p(L-1) at
-        # most, when p > 0: it is no stall, so its matrix is not needed.
         # 2k windows: a k x 2k sample keeps sigma_min off 0, a square one not.
         width = 2 * k + depth - 1
-        if len(W) > m and lengths[longest] >= width and certifies_full_row_rank(
-                _mosaic(W[:, start:start + width], np.array([width]), depth),
-                np.sqrt(depth) * w_norm, n_cols, rtol):
-            seen.append(k - m * depth)
-            continue
-        d = _dictionary(W, ends, m, depth)
-        factor = gram_factor(d.matrix)
-        seen.append(rank_of(factor, rtol).rank - m * depth)
+        sampled = None
+        if lengths[longest] >= width:
+            sampled = _sampled_depth(W, ends, m, depth, W[:, start:start + width],
+                                     np.sqrt(depth) * w_norm, n_cols, rtol,
+                                     seen[-1] if seen else None)
+        if sampled is None:
+            d = _dictionary(W, ends, m, depth)
+            factor = gram_factor(d.matrix)
+            seen.append(rank_of(factor, rtol).rank - m * depth)
+        else:
+            seen.append(sampled[0])
         if depth > 1 and seen[-2] == seen[-1] >= 0:
             order = seen[-1]
             break
@@ -228,7 +244,36 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
         raise OrderUndeterminedError(
             f"estimated order {order} exceeds the requested cap {max_order}"
         )
-    return order, d, factor
+    if sampled is None:
+        return order, d, _completion(d, factor), False
+    return (order,) + sampled[1:] + (True,)
+
+
+def _sampled_depth(W, ends, m, depth, run, norm_bound, n_cols, rtol, previous):
+    """The sample path of :func:`_scan` at one depth, on the first 2k windows
+    of ``run``: None where :func:`~ddlti._linalg.certifies_rank` refuses,
+    else (estimate, the sample's dictionary, its completion), the completion
+    only where the estimate stalls at ``previous``, its defect then bounded
+    over all the data by :func:`~ddlti.willems._defect_bound`."""
+    sample = _dictionary(run, np.array([run.shape[1]]), m, depth)
+    decision, perp = rank_basis(sample.matrix, rtol)
+    estimate, (k, null), p = decision.rank - m * depth, perp.shape, sample.p
+    rows, completion = [perp.T], None
+    if previous == estimate >= 0:
+        theta, U, _ = completion = _completion(sample, sample.matrix)
+        rows += [np.hstack([theta, -np.eye(p)]), np.eye(p, k, k - p)]
+    X = np.vstack(rows)
+    sq = np.zeros(len(X))
+    if len(X):
+        for P in _mosaic_product(X, W, ends, depth, m):
+            sq += np.einsum("ij,ij->i", P, P)
+    if not certifies_rank(decision, perp, np.sqrt(sq[:null].sum()), norm_bound, n_cols, rtol):
+        return None
+    if completion is not None:
+        defect = _defect_bound(np.sqrt(sq[null:null + p].sum()), np.sqrt(sq[null + p:].sum()),
+                               theta, norm_bound, k, n_cols)
+        completion = theta, U, defect
+    return estimate, sample, completion
 
 
 def identify(ct: CorruptedTrajectory, max_order: int | None = None,
@@ -245,9 +290,17 @@ def identify(ct: CorruptedTrajectory, max_order: int | None = None,
     decision; ``tol`` bounds the relative residual of the completion solves.
     """
     W, ends, starts = _complete_runs(ct)
-    order, d, factor = _scan(W, ends, ct.m, max_order, rtol)
+    order, d, completion, sampled = _scan(W, ends, ct.m, max_order, rtol)
     count = 2 * order + 1
-    markov = _impulse_response(d, factor, count, rtol, tol)
+    try:
+        markov = _impulse_response(d, completion, count, rtol, tol)
+    except (InsufficientDataError, InconsistentPastError):
+        if not sampled:
+            raise
+        # The sample refused: the rule decides on all N columns, as it would
+        # without the sample.
+        d = _dictionary(W, ends, ct.m, d.depth)
+        markov = _impulse_response(d, _completion(d, gram_factor(d.matrix)), count, rtol, tol)
     system = ho_kalman(markov, order, rtol)
     residual = float(np.max(np.abs(markov_parameters(system, count) - markov)))
     lengths = np.diff(ends, prepend=0)

@@ -38,7 +38,7 @@ from .lti import LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, simulat
 _STABLE_RADIUS = np.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentBatch:
     """Stacked state/input data matrices of one or more experiments.
 
@@ -76,7 +76,7 @@ class ExperimentBatch:
         return self.Xm.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqrSolution:
     """Certified output of :func:`lqr_from_data`.
 
@@ -351,7 +351,7 @@ def export_sdp(batch: ExperimentBatch, weights: LqrWeights, destination=None) ->
     return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstabilityReport:
     """State-norm growth of an open-loop run (terminal state included)."""
 

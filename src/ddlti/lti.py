@@ -23,7 +23,7 @@ from ._linalg import DEFAULT_RANK_RTOL, as_matrix, as_samples, rank_of
 from .errors import InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSystem:
     """State-space quadruple of the laws above, with consistent dimensions:
     A is (n, n), B (n, m), C (p, n) and D (p, m), each array_like."""
@@ -56,7 +56,7 @@ class LtiSystem:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateTrajectory:
     """A finite input/state/output record of a system run.
 
@@ -88,7 +88,7 @@ class StateTrajectory:
         return self.u.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorruptedTrajectory:
     """A time-indexed input/output record where whole samples may be missing.
 
@@ -145,7 +145,7 @@ class CorruptedTrajectory:
         return self.start_time + np.flatnonzero(~self.present)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqrWeights:
     """Quadratic cost weights: Q symmetric PSD on states, R symmetric PD on inputs."""
 

@@ -27,7 +27,7 @@ from .hankel import _check_depth, _mosaic, _records, _stack
 from .lti import LtiSystem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataDictionary:
     """Stacked input/output mosaic-Hankel matrix of depth L.
 
@@ -185,32 +185,76 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     wu = as_matrix(past_u, "past_u", (L - 1, m), samples=True)
     wy = as_matrix(past_y, "past_y", (L - 1, p), samples=True)
     fu = as_matrix(future_u, "future_u", (None, m), samples=True)
-    return _complete(dictionary, gram_factor(dictionary.matrix), wu[..., None],
-                     wy[..., None], fu[..., None], tol, DEFAULT_RANK_RTOL)[..., 0]
+    return _complete(dictionary, _completion(dictionary, gram_factor(dictionary.matrix)),
+                     wu[..., None], wy[..., None], fu[..., None], tol, DEFAULT_RANK_RTOL)[..., 0]
 
 
-def _complete(dictionary: DataDictionary, factor: np.ndarray, wu, wy, fu, tol: float,
+def _completion(dictionary: DataDictionary, factor: np.ndarray):
+    """(theta, U, defect) of the sliding completion on the dictionary, given
+    its gram_factor (all below is the same on it as on the matrix = factor Q'):
+    the map theta = A_new A_known+ of the known samples to the new output
+    (Markovsky & Rapisarda, IJC 2008), the kept left singular vectors U of the
+    known rows A_known, and the row-space defect ||theta A_known - A_new|| /
+    ||A_new||.  The known rows are all L inputs, then the L-1 past outputs."""
+    k = dictionary.m * dictionary.depth + dictionary.p * (dictionary.depth - 1)
+    A_known, A_new = factor[:k], factor[k:]
+    U, s, Vt, _ = svd_rank(A_known, minnorm_cutoff(k, dictionary.n_columns))
+    theta = (A_new @ Vt.T / s) @ U.T
+    return theta, U, float(residual_ratio(theta @ A_known - A_new, A_new))
+
+
+def _defect_bound(defect_norm: float, new_norm: float, theta: np.ndarray, norm_bound: float,
+                  k: int, n_cols: int) -> float:
+    """A bound on the row-space defect :func:`_completion` takes on the
+    gram_factor of a k x N matrix M (N = ``n_cols``, ``||M||_F <= norm_bound``)
+    with its own map, from another map ``theta`` of M's k' = k - p known rows
+    to its p new ones: ``defect_norm`` = ||[theta, -I] M||_F and ``new_norm``
+    = ||M_new||_F as a pass of k-term sums computes them.  inf where the
+    bound has no positive denominator.
+
+    Write B for ``norm_bound``, gamma = k N eps and eps_N = eps max(k', N),
+    the min-norm cutoff on the known rows.
+
+    - Numerator.  The pass forms [theta, -I] M within k eps (||theta||_F +
+      sqrt(p)) B <= gamma (||theta||_F + sqrt(p)) B of it, and its norm to a
+      factor 1 + gamma.  The rule works on the factor of a matrix within
+      gamma B of M (Higham, "Accuracy and Stability of Numerical Algorithms",
+      2nd ed., Thm 19.4 and ch. 20): theta's residual there moves by
+      gamma (||theta||_F + 1) B.  There the rule's map, min-norm with the
+      singular values of the known rows at most eps_N sigma_1 dropped, leaves
+      ||M_new (I - V V')|| <= ||theta M_known - M_new|| + eps_N (1 + gamma) B
+      ||theta||_F for every theta, V the kept right singular vectors.  It
+      forms its map and residual backward stably, adding gamma (||theta||_F
+      + 1) B once its map is of theta's size, as on data whose rank the order
+      scan certified, where both are the min-norm map of the same relations.
+    - Denominator.  The pass forms M_new = [0, I] M exactly; the rule divides
+      by the norm of its own new rows, at least ||M_new||_F - 2 gamma B."""
+    eps = np.finfo(float).eps
+    p = len(theta)
+    gamma, eps_n = k * n_cols * eps, minnorm_cutoff(k - p, n_cols)
+    below = new_norm / (1.0 + gamma) - 2.0 * gamma * norm_bound
+    if not below > 0.0:
+        return np.inf
+    theta_norm = float(np.linalg.norm(theta)) + np.sqrt(p)
+    return ((1.0 + gamma) * defect_norm + (4.0 * gamma + eps_n) * theta_norm * norm_bound) / below
+
+
+def _complete(dictionary: DataDictionary, completion, wu, wy, fu, tol: float,
               rtol: float) -> np.ndarray:
     """The sliding completion of :func:`datadriven_simulate` for a batch of
     trajectories along the trailing axis: past (L-1, m, B) and (L-1, p, B),
-    future inputs (F, m, B); returns the (F, p, B) completed outputs.  Refuses
-    when the known rows do not determine the new output (rank tolerance
-    ``rtol``), then, once the recurrence has run, a step the data explain only
-    beyond ``tol``.  ``factor`` is the dictionary's gram_factor; all below is
-    the same on it as on the matrix = factor Q'."""
+    future inputs (F, m, B); returns the (F, p, B) completed outputs, given
+    the dictionary's :func:`_completion`.  Refuses when the known rows do not
+    determine the new output (rank tolerance ``rtol``), then, once the
+    recurrence has run, a step the data explain only beyond ``tol``."""
     L, p = dictionary.depth, dictionary.p
-    # Known rows: all L inputs, then the L-1 past outputs; the last p rows give
-    # the new output theta b of the known samples b (Markovsky & Rapisarda, IJC 2008).
     k = dictionary.m * L + p * (L - 1)
-    A_known, A_new = factor[:k], factor[k:]
-    eps_n = minnorm_cutoff(k, dictionary.n_columns)
-    U, s, Vt, _ = svd_rank(A_known, eps_n)
-    theta = (A_new @ Vt.T / s) @ U.T  # A_new A_known+
+    theta, U, defect = completion
     # The new output is unique exactly when A_new's rows lie in A_known's row
     # space: by the rank rule, the part left outside adds rank once it exceeds
     # rtol relative to A_new; the dropped singular values leave up to eps_n of it.
-    certify("row-space defect", float(residual_ratio(theta @ A_known - A_new, A_new)),
-            rtol + eps_n, InsufficientDataError,
+    certify("row-space defect", defect, rtol + minnorm_cutoff(k, dictionary.n_columns),
+            InsufficientDataError,
             f"the data at depth {L} do not determine the new output (a deeper window or "
             "more exciting data is needed)")
 

@@ -2,6 +2,7 @@
 argument refuses a wrongly shaped, ragged or non-numeric one with an
 InputError naming the argument, the shape required and the shape given ('*'
 marks a free size)."""
+import copy
 import re
 from types import SimpleNamespace
 
@@ -135,3 +136,30 @@ def test_wrongly_shaped_arguments_are_refused(ctx, call, name, expected, given):
 def test_non_finite_arguments_are_refused(call, name):
     with pytest.raises(dd.InputError, match=f"^{name} contains non-finite entries$"):
         call()
+
+
+#: (id, call building a record that holds arrays)
+RECORDS = [
+    ("RankDecision", lambda c: dd.RankDecision(1, np.array([2.0, 0.0]), 2e-8)),
+    ("ExcitationReport", lambda c: dd.excitation_report([np.arange(10.0)], 2)),
+    ("SignalSegment", lambda c: dd.SignalSegment(np.arange(4.0))),
+    ("LtiSystem", lambda c: c.sys),
+    ("StateTrajectory", lambda c: dd.simulate(c.sys, np.zeros(4), np.ones((3, 2)))),
+    ("CorruptedTrajectory", lambda c: dd.read_trajectory_csv(RECORD_CSV)),
+    ("LqrWeights", lambda c: c.weights),
+    ("DataDictionary", lambda c: c.d),
+    ("ExperimentBatch", lambda c: c.batch),
+    ("LqrSolution", lambda c: dd.lqr_from_data(c.batch, c.weights)),
+    ("InstabilityReport", lambda c: dd.instability_report(c.sys, np.ones(4), np.ones((3, 2)))),
+    ("IdentificationResult", lambda c: dd.identify(dd.read_trajectory_csv(RECORD_CSV))),
+]
+
+
+@pytest.mark.parametrize("make", [case[1] for case in RECORDS], ids=[case[0] for case in RECORDS])
+def test_records_compare_by_identity(ctx, make):
+    # Records that hold arrays have no elementwise truth value to compare
+    # by, so equality is identity: it answers, and never raises.
+    x = make(ctx)
+    assert x == x
+    assert (x == copy.copy(x)) is False and x != copy.copy(x)
+    assert hash(x) == hash(x)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -233,8 +235,8 @@ def test_scan_order_matches_estimate(record):
     u = np.random.default_rng(0).standard_normal((15, 1))
     assert dd.scan_order([(u, 2.0 * u)], max_order=3) == 0
     # no output channel: every depth has full row rank, and depth 2 stalls
-    order, d, _ = dd.ident._scan(*dd.hankel._stack([(u, np.zeros((15, 0)))], pairs=True),
-                                 None, dd.DEFAULT_RANK_RTOL)
+    order, d = dd.ident._scan(*dd.hankel._stack([(u, np.zeros((15, 0)))], pairs=True),
+                              None, dd.DEFAULT_RANK_RTOL)[:2]
     assert (order, d.depth) == (0, 2)
     # a random third-order system
     rng = np.random.default_rng(1)
@@ -259,57 +261,66 @@ def test_scan_order_undetermined_lists_estimates(record):
         dd.scan_order(pairs, max_order=1)
 
 
-def rank_deficient_depths(n, p, stall):
-    """The depths up to the stall whose window matrix lacks full row rank on
-    generic data: rank O_L = min(pL, n) falls short of pL once pL > n.  Where
-    p divides n that is the stall alone; otherwise the depth before it too."""
-    return [L for L in range(1, stall + 1) if p * L > n]
+def spy(monkeypatch, owner, name, log, note):
+    """Replace ``owner.name`` by a call that appends ``note(*args)`` to ``log``."""
+    real = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        log.append(note(*args))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, call)
 
 
 def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
     # rank(H_L) - mL equals rank O_L, which stops growing at the observability
     # index l; so the scan never needs a window deeper than l + 1, and
-    # identify completes its impulses on that last matrix.  Only the depths
-    # without full row rank are built, each once: the others are certified
-    # on a sample of the longest run.  The known block of the one dictionary
+    # identify completes its impulses on that depth.  On generic records the
+    # sample of 2k windows of the longest run (k = (m+p)L) decides every
+    # depth's rank, certified on all the data, so the scan cuts one sample
+    # per depth and builds no depth's matrix; the stall sample's known block
     # goes through one SVD, and no excitation test runs.
-    built, excitation_tests = [], []
-
-    def spy(owner, name, log, note):
-        real = getattr(owner, name)
-
-        def call(*args, **kwargs):
-            log.append(note(*args))
-            return real(*args, **kwargs)
-        monkeypatch.setattr(owner, name, call)
-
-    spy(dd.ident, "_dictionary", built, lambda W, ends, m, depth: depth)
-    spy(dd.hankel, "_excitation", excitation_tests, lambda W, ends, depth, rtol: depth)
+    cut, excitation_tests = [], []
+    spy(monkeypatch, dd.ident, "_dictionary", cut, lambda W, ends, m, depth: (depth, W.shape[1]))
+    spy(monkeypatch, dd.hankel, "_excitation", excitation_tests,
+        lambda W, ends, depth, rtol: depth)
     rng = np.random.default_rng(10)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)
         ct = make_record(sys, rng, 300, missing=[100, 211])
-        built.clear()
+        L = lag(sys) + 1
+        samples = [(depth, (2 * (m + p) + 1) * depth - 1) for depth in range(1, L + 1)]
+        cut.clear()
         assert dd.scan_order(dd.segment_trajectory(ct)) == n
-        assert max(built) == lag(sys) + 1
-        built.clear()
+        assert cut == samples
+        cut.clear()
         linalg_calls.clear()
         res = dd.identify(ct)
-        L = lag(sys) + 1
-        known = (m * L + p * (L - 1), (m + p) * L)
+        known = (m * L + p * (L - 1), 2 * (m + p) * L)
         inverted = [shape for name, shape, _ in linalg_calls if name == "svd" and shape == known]
         assert res.order == n
-        assert built == rank_deficient_depths(n, p, L)
-        assert [shape[0] for name, shape, _ in linalg_calls if name == "qr"] == \
-            [298 - 3 * (depth - 1) for depth in built]  # runs of 100, 110 and 88
+        assert cut == samples
         assert len(inverted) == 1
         assert excitation_tests == []
         assert_allclose(res.markov, dd.markov_parameters(sys, 2 * n + 1), atol=1e-8)
 
 
+def identify_without_certificates(ct):
+    """identify with every sample certificate refused: each depth is built and
+    factored, as before samples were cut."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd.ident, "certifies_rank", lambda *args: False)
+        return dd.identify(ct)
+
+
+def assert_same_identification(res, ref):
+    assert res.order == ref.order and res.segment_report == ref.segment_report
+    assert np.array_equal(res.markov, ref.markov) and res.residual == ref.residual
+    assert all(np.array_equal(getattr(res.system, f), getattr(ref.system, f)) for f in "ABCD")
+
+
 def test_scan_falls_back_where_the_longest_run_opens_with_zero_input(monkeypatch):
     # The certificate's sample is cut from the start of the longest run.
-    # There the input is zero, so the sample has no full row rank at any
+    # There the input is zero, so the sample's rank is not the data's at any
     # depth: every depth is built and factored, as with no certificate, and
     # identify still recovers the system, bit for bit as without it.
     rng = np.random.default_rng(14)
@@ -320,29 +331,75 @@ def test_scan_falls_back_where_the_longest_run_opens_with_zero_input(monkeypatch
     uu, yy = traj.u.copy(), traj.y.copy()
     uu[60], yy[60] = np.nan, np.nan
     ct = dd.CorruptedTrajectory(u=uu, y=yy)
-    built, certified = [], []
-    real_dictionary, real_certify = dd.ident._dictionary, dd.ident.certifies_full_row_rank
-
-    def dictionary(W, ends, m, depth):
-        built.append(depth)
-        return real_dictionary(W, ends, m, depth)
+    factored, certified = [], []
+    spy(monkeypatch, dd.ident, "gram_factor", factored, lambda M: len(M) // 2)
+    real_certify = dd.ident.certifies_rank
 
     def certify(*args):
         certified.append(real_certify(*args))
         return certified[-1]
 
-    monkeypatch.setattr(dd.ident, "_dictionary", dictionary)
-    monkeypatch.setattr(dd.ident, "certifies_full_row_rank", certify)
+    monkeypatch.setattr(dd.ident, "certifies_rank", certify)
     res = dd.identify(ct)
     L = lag(sys) + 1
-    assert built == list(range(1, L + 1))
+    assert factored == list(range(1, L + 1))
     assert certified == [False] * L
     assert res.order == 2
     assert_allclose(res.markov, dd.markov_parameters(sys, 5), atol=1e-8)
-    monkeypatch.setattr(dd.ident, "certifies_full_row_rank", lambda *args: False)
-    ref = dd.identify(ct)
-    assert np.array_equal(res.markov, ref.markov) and res.residual == ref.residual
-    assert all(np.array_equal(getattr(res.system, f), getattr(ref.system, f)) for f in "ABCD")
+    monkeypatch.setattr(dd.ident, "certifies_rank", real_certify)
+    assert_same_identification(res, identify_without_certificates(ct))
+
+
+def test_identify_falls_back_where_the_stall_sample_cannot_complete(monkeypatch):
+    # A stall whose rank the sample certifies but whose completion on the
+    # sample refuses, by the defect bound or the residual, is completed again
+    # on all the data's factor: the stall alone is built and factored, and
+    # identify gives what it gives with no certificate, bit for bit.
+    factored = []
+    spy(monkeypatch, dd.ident, "gram_factor", factored, lambda M: len(M))
+    rng = np.random.default_rng(16)
+    sys = random_system(rng, 3, 2, 2)
+    ct = make_record(sys, rng, 300, missing=[100, 211])
+    L = lag(sys) + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd.ident, "_defect_bound", lambda *args: np.inf)
+        res = dd.identify(ct)
+    assert factored == [4 * L]
+    assert res.order == 3
+    assert_same_identification(res, identify_without_certificates(ct))
+    # Zero input: the estimates stall at order 0, which the sample certifies,
+    # but the data do not determine the impulse responses; the refusal is
+    # the one taken on all the data.
+    sys = random_system(rng, 2, 1, 1)
+    traj = dd.simulate(sys, rng.standard_normal(2), np.zeros((300, 1)))
+    ct = dd.CorruptedTrajectory(u=traj.u, y=traj.y)
+    factored.clear()
+    with pytest.raises(dd.InsufficientDataError) as found:
+        dd.identify(ct)
+    assert factored == [2 * 2]
+    with pytest.raises(dd.InsufficientDataError) as reference:
+        identify_without_certificates(ct)
+    assert str(found.value) == str(reference.value)
+
+
+def test_identify_peak_memory_is_below_half_the_stall_dictionary():
+    # On one long complete record identify forms no (m+p)L x N window
+    # matrix: the pass over the records works in blocks, so its peak, the
+    # record's own samples included, stays below half the stall dictionary.
+    rng = np.random.default_rng(15)
+    sys = random_system(rng, 3, 2, 2)
+    traj = dd.simulate(sys, rng.standard_normal(3), rng.standard_normal((20_000, 2)))
+    ct = dd.CorruptedTrajectory(u=traj.u, y=traj.y)
+    L = lag(sys) + 1
+    stall_bytes = (2 + 2) * L * (20_000 - L + 1) * 8
+    tracemalloc.start()
+    try:
+        res = dd.identify(ct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.order == 3
+    assert peak < stall_bytes / 2, (peak, stall_bytes)
 
 
 def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
@@ -358,13 +415,13 @@ def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
 
 
 def test_each_data_matrix_is_factored_once(linalg_calls):
-    # identify factors a depth's (m+p)L x N matrix, by one QR of its
-    # transpose, only when a k x 2k sample (k = (m+p)L) cannot certify it
-    # full row rank: on generic data the stall and, where p does not divide
-    # n, the depth before it.  It completes on the stall's factor.  A
+    # On generic data identify factors no N-column matrix: the rank of every
+    # depth and the stall's completion are decided on a k x 2k sample
+    # (k = (m+p)L), and certified on all N columns by one pass over the
+    # records, so no linear-algebra call sees more than 2k columns.  A
     # data-driven simulation and impulse recovery each factor their one
-    # dictionary once.  Nothing else works on more columns than 2k, or k
-    # after a QR, however many windows were recorded.
+    # dictionary once, by one QR of its transpose; nothing else works on
+    # more columns than k after it, however many windows were recorded.
     rng = np.random.default_rng(13)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)
@@ -373,10 +430,20 @@ def test_each_data_matrix_is_factored_once(linalg_calls):
         res = dd.identify(ct)
         L = lag(sys) + 1
         assert res.order == n
+        assert [name for name, *_ in linalg_calls if name == "qr"] == []
+        assert all(shape[-1] <= 2 * (m + p) * L for name, shape, _ in linalg_calls)
+        # Where the longest run, 101..210, opens with zero input, no sample
+        # has the data's rank: each depth is built and factored once.
+        u = rng.standard_normal((300, m))
+        u[101:161] = 0.0
+        traj = dd.simulate(sys, rng.standard_normal(n), u)
+        present = ~np.isin(np.arange(300), [100, 211])[:, None]
+        zeroed = dd.CorruptedTrajectory(u=np.where(present, traj.u, np.nan),
+                                        y=np.where(present, traj.y, np.nan))
+        linalg_calls.clear()
+        assert dd.identify(zeroed).order == n
         assert [shape for name, shape, _ in linalg_calls if name == "qr"] == \
-            [(298 - 3 * (depth - 1), (m + p) * depth) for depth in rank_deficient_depths(n, p, L)]
-        assert all(shape[-1] <= 2 * (m + p) * L for name, shape, _ in linalg_calls
-                   if name != "qr")
+            [(298 - 3 * (depth - 1), (m + p) * depth) for depth in range(1, L + 1)]
 
         d = dd.build_data_matrix([(ct.u[:100], ct.y[:100])], L)
         past = dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((L - 1, m)))

@@ -1,4 +1,6 @@
 """Randomized properties of the matrix constructions and completion solves."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +55,36 @@ def test_mosaic_and_data_matrix_are_their_definition(extra, depth, d, p, sliced,
     M = dd.build_data_matrix(list(zip(us, ys)), depth).matrix
     assert np.array_equal(M, np.vstack([windows(us, depth), windows(ys, depth)]))
     assert M.flags.c_contiguous  # the row-major layout the dictionary's QR is fast on
+
+
+@settings(PROPERTY, max_examples=100)
+@given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=4), m=st.integers(1, 3),
+       p=st.integers(0, 3), depth=st.integers(1, 6), rows=st.integers(0, 4),
+       block=st.integers(1, 9), exponents=st.lists(st.integers(-8, 8), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(lengths=[20], m=2, p=2, depth=3, rows=3, block=4, exponents=[0] * 6, seed=0)
+@example(lengths=[2, 9, 1, 5], m=1, p=0, depth=6, rows=0, block=2, exponents=[0] * 6, seed=1)
+def test_mosaic_product_is_the_product(lengths, m, p, depth, rows, block, exponents, seed):
+    # One pass over the records gives X times their dictionary-ordered mosaic,
+    # in blocks of at most PASS_BLOCK columns, runs shorter than the depth
+    # left out.  Each entry of either side is a k-term inner product, computed
+    # within gamma_k (|X| |M|) of the exact one, gamma_k = k eps / (1 - k eps)
+    # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    # eq. 3.13), so the two differ by at most twice that.
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((m + p, sum(lengths))) * 10.0 ** np.array(exponents[:m + p])[:, None]
+    ends = np.cumsum(lengths)
+    X = rng.standard_normal((rows, (m + p) * depth))
+    M = dd.hankel._mosaic(W, ends, depth, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd.hankel, "PASS_BLOCK", block)
+        blocks = list(dd.hankel._mosaic_product(X, W, ends, depth, m))
+    assert all(0 < P.shape[1] <= block and len(P) == rows for P in blocks)
+    product = np.hstack(blocks) if blocks else np.zeros((rows, 0))
+    k = len(M)
+    gamma = k * EPS / (1 - k * EPS)
+    assert product.shape == (rows, M.shape[1])
+    assert np.all(np.abs(product - X @ M) <= 2 * gamma * (np.abs(X) @ np.abs(M)))
 
 
 @settings(PROPERTY, max_examples=60)
@@ -351,12 +383,23 @@ def test_scan_order_matches_downward_scan(n, m, p, T, gap, kind, max_order, seed
 
 
 def scan_result(W, ends, m):
-    """``ident._scan``'s order, stall depth and factor, or its refusal's message."""
+    """``ident._scan``'s order and stall depth, or its refusal's message."""
     try:
-        order, d, factor = dd.ident._scan(W, ends, m, None, dd.DEFAULT_RANK_RTOL)
+        order, d = dd.ident._scan(W, ends, m, None, dd.DEFAULT_RANK_RTOL)[:2]
     except dd.OrderUndeterminedError as e:
         return str(e)
-    return order, d.depth, factor
+    return order, d.depth
+
+
+def identify_result(ct):
+    """``identify``'s result, or its refusal's class and message; a record
+    with scaled channels may warn of a truncated realization."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return dd.identify(ct)
+    except dd.DdltiError as e:
+        return type(e), str(e)
 
 
 @settings(PROPERTY, max_examples=300)
@@ -368,32 +411,44 @@ def scan_result(W, ends, m):
 @example(n=4, m=2, p=2, T=200, gap=0.0, kind="gauss", radius=1.3, exponents=[0] * 6, seed=0)
 @example(n=3, m=1, p=2, T=150, gap=0.05, kind="ternary", radius=0.9,
          exponents=[8, -8, 0, 0, 0, 0], seed=1)
-def test_certified_depths_have_full_row_rank(n, m, p, T, gap, kind, radius, exponents, seed):
-    # Every depth the order scan certifies on a sample of its longest run has
-    # full row rank by the rank rule on its whole matrix's factor, so the scan
-    # gives what it gives with no depth certified, bit for bit.
+@example(n=3, m=2, p=2, T=200, gap=0.0, kind="gauss", radius=0.9, exponents=[0] * 6, seed=2)
+def test_certified_depths_have_the_certified_rank(n, m, p, T, gap, kind, radius, exponents,
+                                                  seed):
+    # Every depth whose rank the order scan certifies on a sample of its
+    # longest run has that rank by the rank rule on its whole matrix's
+    # factor, so the scan decides as with no depth certified: the same order,
+    # stall depth or refusal.  identify then gives the same order, segment
+    # report and refusals, and Markov parameters within both completions'
+    # error bounds: a certified stall completes on the sample's dictionary,
+    # the other on all the data's.
     _, ct = gappy_record(np.random.default_rng(seed), n, m, p, T, gap, kind, radius, exponents)
     W, ends, _ = dd.hankel._stack(dd.segment_trajectory(ct), pairs=True)
-    certified, certify = [], dd.ident.certifies_full_row_rank
+    certified, certify = [], dd.ident.certifies_rank
 
-    def spy(sample, *args):
-        passed = certify(sample, *args)
-        certified.extend([len(sample) // len(W)] * passed)
+    def spy(decision, perp, *args):
+        passed = certify(decision, perp, *args)
+        certified.extend([(len(perp) // len(W), decision.rank)] * passed)
         return passed
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dd.ident, "certifies_full_row_rank", spy)
-        found = scan_result(W, ends, m)
-        mp.setattr(dd.ident, "certifies_full_row_rank", lambda *args: False)
-        reference = scan_result(W, ends, m)
-    for depth in certified:
+        mp.setattr(dd.ident, "certifies_rank", spy)
+        found, found_id = scan_result(W, ends, m), identify_result(ct)
+        stall = None if isinstance(found, str) else dd.ident._scan(W, ends, m, None,
+                                                                   dd.DEFAULT_RANK_RTOL)[1]
+        mp.setattr(dd.ident, "certifies_rank", lambda *args: False)
+        reference, ref_id = scan_result(W, ends, m), identify_result(ct)
+    for depth, rank in set(certified):
         M = dd.willems._dictionary(W, ends, m, depth).matrix
-        assert dd.numerical_rank(gram_factor(M)) == len(M), depth
-    assert type(found) is type(reference)
-    if isinstance(found, str):
-        assert found == reference
-    else:
-        assert found[:2] == reference[:2] and np.array_equal(found[2], reference[2])
+        assert dd.numerical_rank(gram_factor(M)) == rank, depth
+    assert found == reference
+    assert type(found_id) is type(ref_id)
+    if isinstance(ref_id, tuple):
+        assert found_id == ref_id
+        return
+    assert (found_id.order, found_id.segment_report) == (ref_id.order, ref_id.segment_report)
+    d = dd.willems._dictionary(W, ends, m, stall.depth)
+    bound = impulse_error_bound(stall, found_id.markov) + impulse_error_bound(d, ref_id.markov)
+    assert np.all(np.linalg.norm(found_id.markov - ref_id.markov, axis=(1, 2)) <= bound)
 
 
 @PROPERTY
