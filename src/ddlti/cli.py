@@ -108,7 +108,7 @@ def cmd_pe_check(args) -> int:
 
 def cmd_dd_simulate(args) -> int:
     ct = read_trajectory_csv(args.data)
-    W, ends, _ = _complete_runs(ct)
+    W, ends, lengths, _ = _complete_runs(ct)
     past = read_trajectory_csv(args.past)
     if not np.all(past.present):
         raise InputError("the past record must be complete")
@@ -116,7 +116,7 @@ def cmd_dd_simulate(args) -> int:
 
     depth = args.depth
     if depth is None:
-        order = _scan(W, ends, ct.m, None, args.tol_rank)[0]
+        order = _scan(W, ends, ct.m, None, args.tol_rank, lengths)[0]
         depth = order + 1
         print(f"estimated order {order}; using window depth {depth}")
     if past.length != depth - 1:

@@ -18,7 +18,8 @@ of signals, each read by ``as_samples``.  They are read in one place,
 ``_stack``, which checks a family of records once and lays it out as one
 (d, N) sample array and the records' end indices; ``_mosaic`` cuts every
 mosaic, dictionary, order scan and LQR batch from that stack, and
-``_mosaic_product`` multiplies a few rows into a dictionary straight from it.
+``_mosaic_product`` multiplies a few rows into a dictionary straight from it,
+walking the records' runs of windows in blocks of at most ``PASS_BLOCK``.
 """
 from __future__ import annotations
 
@@ -133,14 +134,19 @@ def _mosaic(W: np.ndarray, ends, depth: int, m: int | None = None) -> np.ndarray
     first m channels over that of the rest: a data dictionary's row order.
 
     Block row k holds samples k .. T_i - depth + k of every record in turn,
-    so each block row is one concatenation of column slices of W.
+    so each block row is one concatenation of column slices of W; the
+    mosaic of one record is one concatenation of its block rows.
     """
     ends = ends.tolist()
     # (s, t): a record's windows start at samples s .. t-1 of W.
     runs = [(s, t - depth + 1) for s, t in zip([0] + ends[:-1], ends) if t - s >= depth]
+    parts = (W,) if m is None else (W[:m], W[m:])
+    if len(runs) == 1:
+        (s, t), = runs
+        return np.concatenate([part[:, s + k:t + k] for part in parts for k in range(depth)])
     out = np.empty((depth * W.shape[0], sum(t - s for s, t in runs)))
     row = 0
-    for part in (W,) if m is None else (W[:m], W[m:]):
+    for part in parts:
         for k in range(depth):
             if runs:
                 np.concatenate([part[:, s + k:t + k] for s, t in runs], axis=1,
@@ -151,27 +157,31 @@ def _mosaic(W: np.ndarray, ends, depth: int, m: int | None = None) -> np.ndarray
 
 def _mosaic_product(X: np.ndarray, W: np.ndarray, ends, depth: int, m: int):
     """``X @ _mosaic(W, ends, depth, m)`` without forming the mosaic: one pass
-    over W, yielding the product's columns in order, in blocks of at most
-    :data:`PASS_BLOCK`.  A window starting at sample s of W contributes
-    sum_j G_j W[:, s + j], where G_j holds X's columns of window offset j
-    (its input block over its output block), for every s of a block of W at
-    once; the windows that lie within one record are kept."""
+    over the records, yielding the product's columns in order, in blocks of
+    at most :data:`PASS_BLOCK` windows.  Each record's windows are cut into
+    pieces of at most PASS_BLOCK, and consecutive pieces whose starts span at
+    most PASS_BLOCK samples of W share a block.  A block's product is one
+    matmul of X, its columns in window-offset order, by W's windows over the
+    span (one concatenation of W's column slices at offsets 0 .. depth-1),
+    less the windows that cross a record boundary."""
     rows, d = len(X), len(W)
     G = np.concatenate([X[:, :m * depth].reshape(rows, depth, m),
                         X[:, m * depth:].reshape(rows, depth, d - m)], axis=2)
-    last = W.shape[1] - depth + 1  # windows start at samples 0 .. last-1 of W
-    for a in range(0, last, PASS_BLOCK):
-        b = min(a + PASS_BLOCK, last)
-        block = G[:, 0] @ W[:, a:b]
-        for j in range(1, depth):
-            block += G[:, j] @ W[:, a + j:b + j]
-        # A window lies within one record when that record ends after it.
-        starts = np.arange(a, b)
-        inside = ends[np.searchsorted(ends, starts, side="right")] >= starts + depth
-        if inside.all():
-            yield block
-        elif inside.any():
-            yield block[:, inside]
+    G = G.reshape(rows, depth * d)  # X's columns in window-offset order
+    ends = ends.tolist()
+    # (a, b): windows starting at samples a .. b-1 of W, all of one record.
+    pieces = [(a, min(a + PASS_BLOCK, t - depth + 1)) for s, t in zip([0] + ends[:-1], ends)
+              for a in range(s, t - depth + 1, PASS_BLOCK)]
+    i = 0
+    while i < len(pieces):
+        a, j = pieces[i][0], i + 1
+        while j < len(pieces) and pieces[j][1] - a <= PASS_BLOCK:
+            j += 1
+        b = pieces[j - 1][1]
+        block = G @ np.concatenate([W[:, a + k:b + k] for k in range(depth)])
+        yield block if j == i + 1 else np.concatenate(
+            [block[:, s - a:t - a] for s, t in pieces[i:j]], axis=1)
+        i = j
 
 
 def hankel_matrix(signal, depth: int) -> np.ndarray:

@@ -52,10 +52,10 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
     """
     if min_len < 1:
         raise InputError("min_len must be at least 1")
-    W, ends, starts = _complete_runs(ct)
+    W, ends, lengths, starts = _complete_runs(ct)
     pairs = [(SignalSegment(W[:ct.m, b - n:b].T, start_time=s),
               SignalSegment(W[ct.m:, b - n:b].T, start_time=s))
-             for b, n, s in zip(ends.tolist(), np.diff(ends, prepend=0).tolist(), starts.tolist())
+             for b, n, s in zip(ends.tolist(), lengths.tolist(), starts.tolist())
              if n >= min_len]
     if not pairs:
         raise NoUsableDataError(f"no complete run of length >= {min_len} in the record")
@@ -63,20 +63,21 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
 
 
 def _complete_runs(ct: CorruptedTrajectory):
-    """(W, ends, starts): the record's complete samples as hankel's stack does
-    it, inputs over outputs, run after run; the end of each maximal complete
-    run in W; and each run's start time."""
+    """(W, ends, lengths, starts): the record's complete samples as hankel's
+    stack does it, inputs over outputs, run after run; the end of each
+    maximal complete run in W, its length, and its start time."""
     present = ct.present
     # Run starts and stops alternate where the mask, padded with False, flips.
     edges = np.flatnonzero(np.diff(np.concatenate([[False], present, [False]])))
     if not edges.size:
         raise NoUsableDataError("no complete run of length >= 1 in the record")
     runs = [slice(a, b) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
-    ends = np.cumsum(edges[1::2] - edges[::2])
+    lengths = edges[1::2] - edges[::2]
+    ends = np.cumsum(lengths)
     W = np.empty((ct.m + ct.p, int(ends[-1])))
     for rows, side in ((W[:ct.m], ct.u), (W[ct.m:], ct.y)):
         np.concatenate([side[run].T for run in runs], axis=1, out=rows)
-    return W, ends, edges[::2] + ct.start_time
+    return W, ends, lengths, edges[::2] + ct.start_time
 
 
 def recover_markov_parameters(io_pairs, order: int, count: int,
@@ -184,12 +185,12 @@ def scan_order(segments, max_order: int | None = None,
     return _scan(*_stack(segments, pairs=True), max_order, rtol)[0]
 
 
-def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
+def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float, lengths=None):
     """(order, dictionary, completion, sampled) of :func:`scan_order` on the
-    stacked input/output runs (W, ends), inputs in W's first m rows: the
-    order, the depth-L* dictionary of the first stall and its
-    :func:`~ddlti.willems._completion`, and whether that dictionary is the
-    sample below rather than all the data.
+    stacked input/output runs (W, ends), inputs in W's first m rows, given
+    their ``lengths`` if known: the order, the depth-L* dictionary of the
+    first stall and its :func:`~ddlti.willems._completion`, and whether that
+    dictionary is the sample below rather than all the data.
 
     Each depth first cuts the depth-L dictionary of the first 2k windows of
     the longest run (k = (m+p)L rows), a column subset of the depth's matrix
@@ -204,7 +205,8 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float):
     completion would find on it.  At full row rank the pass has no rows.  A
     depth the certificate refuses, or whose longest run is too short for the
     sample, is built and factored."""
-    lengths = np.diff(ends, prepend=0)
+    if lengths is None:
+        lengths = np.diff(ends, prepend=0)
     cap = int(lengths.max())
     if max_order is not None:
         if max_order < 0:
@@ -289,8 +291,8 @@ def identify(ct: CorruptedTrajectory, max_order: int | None = None,
     can support.  ``rtol`` is the rank tolerance shared by every rank
     decision; ``tol`` bounds the relative residual of the completion solves.
     """
-    W, ends, starts = _complete_runs(ct)
-    order, d, completion, sampled = _scan(W, ends, ct.m, max_order, rtol)
+    W, ends, lengths, starts = _complete_runs(ct)
+    order, d, completion, sampled = _scan(W, ends, ct.m, max_order, rtol, lengths)
     count = 2 * order + 1
     try:
         markov = _impulse_response(d, completion, count, rtol, tol)
@@ -303,7 +305,6 @@ def identify(ct: CorruptedTrajectory, max_order: int | None = None,
         markov = _impulse_response(d, _completion(d, gram_factor(d.matrix)), count, rtol, tol)
     system = ho_kalman(markov, order, rtol)
     residual = float(np.max(np.abs(markov_parameters(system, count) - markov)))
-    lengths = np.diff(ends, prepend=0)
     used = lengths >= d.depth
     return IdentificationResult(
         system=system, order=order, markov=markov, residual=residual,

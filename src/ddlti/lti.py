@@ -15,7 +15,7 @@ dataclasses are frozen and safe to share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,19 +92,24 @@ class StateTrajectory:
 class CorruptedTrajectory:
     """A time-indexed input/output record where whole samples may be missing.
 
-    ``u`` is (T, m) and ``y`` is (T, p), 1-D input being a single channel; a
-    missing sample is a row of NaNs in both.  Missingness strikes a time step
-    as a whole: rows that are only partially NaN are rejected.
+    ``u`` is (T, m) and ``y`` is (T, p), 1-D input being a single channel,
+    with m, p >= 1; a missing sample is a row of NaNs in both.  Missingness
+    strikes a time step as a whole: rows that are only partially NaN are
+    rejected.  ``u``, ``y`` and :attr:`present` are read-only copies.
     """
 
     u: np.ndarray
     y: np.ndarray
     start_time: int = 0
+    _present: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u, y = as_samples(self.u, "u"), as_samples(self.y, "y")
         if u.ndim != 2 or y.ndim != 2:
             raise InputError("u and y must be 2-D (one row per time step)")
+        if not (u.shape[1] and y.shape[1]):
+            raise InputError("u and y must each have at least one channel, "
+                             f"got shapes {u.shape} and {y.shape}")
         if u.shape[0] != y.shape[0]:
             raise InputError("u and y must cover the same time steps")
         if u.shape[0] == 0:
@@ -113,15 +118,18 @@ class CorruptedTrajectory:
         y_ok = np.all(np.isfinite(y), axis=1)
         u_gone = np.all(~np.isfinite(u), axis=1)
         y_gone = np.all(~np.isfinite(y), axis=1)
-        whole = (u_ok & y_ok) | (u_gone & y_gone)
+        present = u_ok & y_ok
+        whole = present | (u_gone & y_gone)
         if not np.all(whole):
             bad = int(np.flatnonzero(~whole)[0])
             raise InputError(
                 f"sample at step {self.start_time + bad} is partially missing; "
                 "a missing sample must blank the whole (u, y) row"
             )
-        object.__setattr__(self, "u", u.copy())
-        object.__setattr__(self, "y", y.copy())
+        # Read-only, so that the mask taken here cannot go stale.
+        for name, a in (("u", u.copy()), ("y", y.copy()), ("_present", present)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def length(self) -> int:
@@ -138,11 +146,11 @@ class CorruptedTrajectory:
     @property
     def present(self) -> np.ndarray:
         """Boolean mask, True where the sample is present."""
-        return np.all(np.isfinite(self.u), axis=1)
+        return self._present
 
     @property
     def missing_times(self) -> np.ndarray:
-        return self.start_time + np.flatnonzero(~self.present)
+        return self.start_time + np.flatnonzero(~self._present)
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,6 +123,19 @@ NON_FINITE = [
 ]
 
 
+#: (id, call building a record without an input or an output channel, shapes given)
+NO_CHANNEL = [
+    ("CorruptedTrajectory-u", lambda: dd.CorruptedTrajectory(u=Z((50, 0)), y=Z((50, 1))),
+     "(50, 0) and (50, 1)"),
+    ("CorruptedTrajectory-y", lambda: dd.CorruptedTrajectory(u=Z((50, 2)), y=Z((50, 0))),
+     "(50, 2) and (50, 0)"),
+    # With no u channel a row of u is both complete and blank, so a gap in y looks whole.
+    ("CorruptedTrajectory-u-gap", lambda: dd.CorruptedTrajectory(
+        u=Z((50, 0)), y=np.where(np.arange(50)[:, None] == 7, np.nan, 1.0)),
+     "(50, 0) and (50, 1)"),
+]
+
+
 @pytest.mark.parametrize("call, name, expected, given", [case[1:] for case in CASES],
                          ids=[case[0] for case in CASES])
 def test_wrongly_shaped_arguments_are_refused(ctx, call, name, expected, given):
@@ -135,6 +148,14 @@ def test_wrongly_shaped_arguments_are_refused(ctx, call, name, expected, given):
                          ids=[case[0] for case in NON_FINITE])
 def test_non_finite_arguments_are_refused(call, name):
     with pytest.raises(dd.InputError, match=f"^{name} contains non-finite entries$"):
+        call()
+
+
+@pytest.mark.parametrize("call, shapes", [case[1:] for case in NO_CHANNEL],
+                         ids=[case[0] for case in NO_CHANNEL])
+def test_records_without_a_channel_are_refused(call, shapes):
+    message = f"u and y must each have at least one channel, got shapes {shapes}"
+    with pytest.raises(dd.InputError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import (SHORT_RUNS_CSV, impulse_error_bound, lag, pe_inputs, random_system,
-                      rounding_per_unit_g)
+from conftest import (RECORD_CSV, SHORT_RUNS_CSV, impulse_error_bound, lag, pe_inputs,
+                      random_system, rounding_per_unit_g)
 
 
 def make_record(sys, rng, T, missing, pe_order=None):
@@ -28,6 +28,19 @@ def test_corrupted_trajectory_properties(record):
     assert record.m == 1 and record.p == 1
     assert list(record.missing_times) == [5, 12, 19]
     assert record.present.sum() == 17
+
+
+@pytest.mark.parametrize("path", [RECORD_CSV, SHORT_RUNS_CSV], ids=["record", "short_runs"])
+def test_present_is_the_whole_row_mask_of_a_read_only_record(path):
+    # The mask is taken once, at construction; u and y are read-only, so it
+    # cannot go stale.
+    ct = dd.read_trajectory_csv(path)
+    mask = np.isfinite(ct.u).all(axis=1) & np.isfinite(ct.y).all(axis=1)
+    assert np.array_equal(ct.present, mask) and ct.present.dtype == bool
+    assert np.array_equal(ct.missing_times, ct.start_time + np.flatnonzero(~mask))
+    for name in ("u", "y", "present"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ct, name)[0] = 0.0
 
 
 def test_partially_missing_row_rejected():

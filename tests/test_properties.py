@@ -43,6 +43,7 @@ def test_hankel_matches_column_loop(T, d, back, seed):
 @example(extra=[0, 5, 0, 2], depth=4, d=3, p=2, sliced=True, seed=1)
 @example(extra=[3] * 100, depth=1, d=2, p=1, sliced=True, seed=2)
 @example(extra=[i % 7 for i in range(100)], depth=3, d=2, p=3, sliced=False, seed=3)
+@example(extra=[6], depth=4, d=2, p=3, sliced=True, seed=4)  # one record: one concatenation
 def test_mosaic_and_data_matrix_are_their_definition(extra, depth, d, p, sliced, seed):
     # Records of depth + extra samples, so extra 0 gives one window; with
     # ``sliced`` each record is a column slice of a wider array, which is
@@ -64,11 +65,16 @@ def test_mosaic_and_data_matrix_are_their_definition(extra, depth, d, p, sliced,
        seed=st.integers(0, 2**32 - 1))
 @example(lengths=[20], m=2, p=2, depth=3, rows=3, block=4, exponents=[0] * 6, seed=0)
 @example(lengths=[2, 9, 1, 5], m=1, p=0, depth=6, rows=0, block=2, exponents=[0] * 6, seed=1)
+# Two short records share a block, so a record boundary lies inside it.
+@example(lengths=[5, 3, 12], m=1, p=1, depth=2, rows=2, block=9, exponents=[0] * 6, seed=2)
+# A record longer than two blocks, cut into four, then a record of its own.
+@example(lengths=[20, 4], m=2, p=1, depth=3, rows=5, block=5, exponents=[0] * 6, seed=3)
 def test_mosaic_product_is_the_product(lengths, m, p, depth, rows, block, exponents, seed):
     # One pass over the records gives X times their dictionary-ordered mosaic,
     # in blocks of at most PASS_BLOCK columns, runs shorter than the depth
-    # left out.  Each entry of either side is a k-term inner product, computed
-    # within gamma_k (|X| |M|) of the exact one, gamma_k = k eps / (1 - k eps)
+    # left out, and windows that cross a record boundary too.  Each entry of
+    # either side is a k-term inner product, computed within gamma_k (|X| |M|)
+    # of the exact one, gamma_k = k eps / (1 - k eps)
     # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
     # eq. 3.13), so the two differ by at most twice that.
     rng = np.random.default_rng(seed)
