@@ -5,7 +5,7 @@ certificate pass:
 
 - Rank: :func:`decide_rank` counts the singular values above the cutoff
   ``rtol * sigma_max``, and returns them, the rank and the cutoff as a
-  :class:`RankDecision`.
+  :class:`RankDecision`; an ``rtol`` outside [0, 1) is refused.
 - Rank requirement: :func:`require_rank` accepts a rank at least the required
   one, else raises "context: name has rank r, below the required R; " followed
   by the singular values either side of the cut and the cutoff.
@@ -51,9 +51,16 @@ class RankDecision:
         return ", ".join(sides + [f"cutoff {self.cutoff:.3e}"])
 
 
+def check_rtol(rtol: float) -> float:
+    """``rtol`` if it is a relative cutoff in [0, 1), else (NaN too) an InputError."""
+    if not 0.0 <= rtol < 1.0:
+        raise InputError(f"rtol must be in [0, 1), got {rtol}")
+    return rtol
+
+
 def decide_rank(s: np.ndarray, rtol: float) -> RankDecision:
     """The rank rule on singular values s (none, or all zero, give rank 0)."""
-    cutoff = rtol * s.max(initial=0.0)
+    cutoff = check_rtol(rtol) * s.max(initial=0.0)
     return RankDecision(int(np.count_nonzero(s > cutoff)), s, float(cutoff))
 
 

@@ -6,14 +6,12 @@ window depth grows until rank minus mL stops growing: that first stall is
 the order, see :func:`scan_order`), recover impulse-response (Markov)
 matrices by one batched data-driven simulation on the matrix of that stall,
 certified unique, and realize a state-space model with the Ho-Kalman
-algorithm.  Each depth's rank, and at the stall the completion map, are taken
+algorithm.  Each depth's rank, and at the stall the completion, are decided
 on a k x 2k sample of the longest run (k = (m+p)L rows) and certified on all
-N columns by one O(N k) pass over the records (``hankel._mosaic_product``):
-the rank by ``_linalg.certifies_rank``, the completion's row-space defect by
-``willems._defect_bound``.  No N-column window matrix is then formed.  A depth
-the sample cannot certify is built and its matrix factored once, by the QR
-behind ``gram_factor``; its rank and, at the stall, the completion work on
-that (m+p)L-row factor, as does a stall whose completion the sample refuses.
+N columns by one O(N k) pass over the records (see :func:`_scan`), so no
+N-column window matrix is formed; a depth the sample cannot certify is built
+and its matrix factored once, by the QR behind ``gram_factor``, and decided
+on that (m+p)L-row factor.
 Everything operates on exact (noise-free) data.
 """
 from __future__ import annotations
@@ -25,11 +23,11 @@ import numpy as np
 
 from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_rank, gram_factor, rank_basis,
                       rank_of, require_rank, svd_rank)
-from .errors import (InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError,
-                     OrderInfeasibleError, OrderUndeterminedError)
+from .errors import InputError, NoUsableDataError, OrderInfeasibleError, OrderUndeterminedError
 from .hankel import SignalSegment, _mosaic_product, _stack
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
-from .willems import DataDictionary, _complete, _completion, _defect_bound, _dictionary
+from .willems import (DataDictionary, _complete, _completion, _defect_bound, _dictionary,
+                      _uniqueness_cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,16 +129,11 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
     K, p, m = mk.shape
     if order < 0:
         raise InputError("order must be nonnegative")
-    if order == 0:
-        return LtiSystem(
-            A=np.zeros((0, 0)), B=np.zeros((0, m)),
-            C=np.zeros((p, 0)), D=mk[0],
-        )
     if K < 2 * order + 1:
-        raise InputError(
-            f"need at least {2 * order + 1} Markov parameters for order "
-            f"{order}, got {K}"
-        )
+        raise InputError(f"need at least {2 * order + 1} Markov parameters for order {order}, "
+                         f"got {K}")
+    if order == 0:
+        return LtiSystem(A=np.zeros((0, 0)), B=np.zeros((0, m)), C=np.zeros((p, 0)), D=mk[0])
     c = (K - 1) // 2
     r = K - 1 - c
     # Block (i, j) of H is markov[i + j + 1] and of Hs markov[i + j + 2]: both
@@ -186,25 +179,15 @@ def scan_order(segments, max_order: int | None = None,
 
 
 def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float, lengths=None):
-    """(order, dictionary, completion, sampled) of :func:`scan_order` on the
-    stacked input/output runs (W, ends), inputs in W's first m rows, given
-    their ``lengths`` if known: the order, the depth-L* dictionary of the
-    first stall and its :func:`~ddlti.willems._completion`, and whether that
-    dictionary is the sample below rather than all the data.
+    """(order, dictionary, completion) of :func:`scan_order` on the stacked
+    input/output runs (W, ends), inputs in W's first m rows, given their
+    ``lengths`` if known: the order, and the depth-L* dictionary of the first
+    stall and its certified :func:`~ddlti.willems._completion`.
 
-    Each depth first cuts the depth-L dictionary of the first 2k windows of
-    the longest run (k = (m+p)L rows), a column subset of the depth's matrix
-    M, whose Frobenius norm is at most sqrt(L) ||W||_F, since a sample
-    enters at most L windows.  The rank rule on the sample gives a rank r
-    and a basis perp of what it calls the left null space.  One pass over
-    the records (``_mosaic_product``) then forms perp' M and, where the
-    estimate r - mL stalls, [theta, -I] M and M_new for the sample's
-    completion map theta, so that :func:`~ddlti._linalg.certifies_rank` can
-    certify that the rule on M's own factor gives r, and
-    :func:`~ddlti.willems._defect_bound` bound the row-space defect the
-    completion would find on it.  At full row rank the pass has no rows.  A
-    depth the certificate refuses, or whose longest run is too short for the
-    sample, is built and factored."""
+    Each depth is decided by :func:`_sampled_depth` on the first 2k windows
+    of the longest run (k = (m+p)L rows), a column subset of the depth's
+    matrix M with ||M||_F <= sqrt(L) ||W||_F, as a sample enters at most L
+    windows, or else built and factored, and decided on its factor."""
     if lengths is None:
         lengths = np.diff(ends, prepend=0)
     cap = int(lengths.max())
@@ -221,42 +204,42 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float, lengt
         if n_cols < k:
             break
         # 2k windows: a k x 2k sample keeps sigma_min off 0, a square one not.
-        width = 2 * k + depth - 1
-        sampled = None
+        width, previous, step = 2 * k + depth - 1, seen[-1] if seen else None, None
         if lengths[longest] >= width:
-            sampled = _sampled_depth(W, ends, m, depth, W[:, start:start + width],
-                                     np.sqrt(depth) * w_norm, n_cols, rtol,
-                                     seen[-1] if seen else None)
-        if sampled is None:
+            step = _sampled_depth(W, ends, m, depth, W[:, start:start + width],
+                                  np.sqrt(depth) * w_norm, n_cols, rtol, previous)
+        if step is None:
             d = _dictionary(W, ends, m, depth)
             factor = gram_factor(d.matrix)
-            seen.append(rank_of(factor, rtol).rank - m * depth)
-        else:
-            seen.append(sampled[0])
-        if depth > 1 and seen[-2] == seen[-1] >= 0:
-            order = seen[-1]
+            estimate = rank_of(factor, rtol).rank - m * depth
+            step = estimate, d, _completion(d, factor) if previous == estimate >= 0 else None
+        seen.append(step[0])
+        if previous == step[0] >= 0:
+            order = previous
             break
     if order is None:
         estimates = ", ".join(f"{e} at depth {L}" for L, e in enumerate(seen, 1))
         raise OrderUndeterminedError(
             "no window depth produced a stable order estimate "
-            f"(estimates: {estimates or 'none, no depth had enough columns'})"
-        )
+            f"(estimates: {estimates or 'none, no depth had enough columns'})")
     if max_order is not None and order > max_order:
         raise OrderUndeterminedError(
-            f"estimated order {order} exceeds the requested cap {max_order}"
-        )
-    if sampled is None:
-        return order, d, _completion(d, factor), False
-    return (order,) + sampled[1:] + (True,)
+            f"estimated order {order} exceeds the requested cap {max_order}")
+    return (order,) + step[1:]
 
 
 def _sampled_depth(W, ends, m, depth, run, norm_bound, n_cols, rtol, previous):
-    """The sample path of :func:`_scan` at one depth, on the first 2k windows
-    of ``run``: None where :func:`~ddlti._linalg.certifies_rank` refuses,
-    else (estimate, the sample's dictionary, its completion), the completion
-    only where the estimate stalls at ``previous``, its defect then bounded
-    over all the data by :func:`~ddlti.willems._defect_bound`."""
+    """The sample route of :func:`_scan` at one depth, on the first 2k windows
+    of ``run``: (estimate, the sample's dictionary, its completion where the
+    estimate stalls at ``previous``, else None), or None where the sample
+    cannot decide.  The rank rule on the sample gives a rank r and a basis
+    perp of its left null space.  One pass over the records
+    (``_mosaic_product``) forms perp' M and, at a stall, [theta, -I] M and
+    M_new for the sample's completion map theta; at full row rank it has no
+    rows.  The sample decides where :func:`~ddlti._linalg.certifies_rank`
+    certifies that the rule on M's own factor gives r and, at a stall, where
+    :func:`~ddlti.willems._defect_bound` bounds the completion's defect on M
+    within the cutoff that :func:`~ddlti.willems._complete` certifies."""
     sample = _dictionary(run, np.array([run.shape[1]]), m, depth)
     decision, perp = rank_basis(sample.matrix, rtol)
     estimate, (k, null), p = decision.rank - m * depth, perp.shape, sample.p
@@ -274,6 +257,8 @@ def _sampled_depth(W, ends, m, depth, run, norm_bound, n_cols, rtol, previous):
     if completion is not None:
         defect = _defect_bound(np.sqrt(sq[null:null + p].sum()), np.sqrt(sq[null + p:].sum()),
                                theta, norm_bound, k, n_cols)
+        if not defect <= _uniqueness_cutoff(sample, rtol):
+            return None
         completion = theta, U, defect
     return estimate, sample, completion
 
@@ -283,26 +268,19 @@ def identify(ct: CorruptedTrajectory, max_order: int | None = None,
     """Full pipeline: segmentation, order estimation, impulse recovery, realization.
 
     The impulses are completed on the depth-L* matrix at which the order
-    scan stalled: L* - 1 reaches the lag on exciting data, and the completion
-    raises :class:`InsufficientDataError` when the data do not determine the
-    impulse responses.  The segment report lists the runs at least L* long.
+    scan stalled, by the completion the scan took there: L* - 1 reaches the
+    lag on exciting data, and the completion raises
+    :class:`InsufficientDataError` when the data do not determine the impulse
+    responses.  The segment report lists the runs at least L* long.
 
     ``max_order`` caps the order search; by default the cap is what the data
     can support.  ``rtol`` is the rank tolerance shared by every rank
     decision; ``tol`` bounds the relative residual of the completion solves.
     """
     W, ends, lengths, starts = _complete_runs(ct)
-    order, d, completion, sampled = _scan(W, ends, ct.m, max_order, rtol, lengths)
+    order, d, completion = _scan(W, ends, ct.m, max_order, rtol, lengths)
     count = 2 * order + 1
-    try:
-        markov = _impulse_response(d, completion, count, rtol, tol)
-    except (InsufficientDataError, InconsistentPastError):
-        if not sampled:
-            raise
-        # The sample refused: the rule decides on all N columns, as it would
-        # without the sample.
-        d = _dictionary(W, ends, ct.m, d.depth)
-        markov = _impulse_response(d, _completion(d, gram_factor(d.matrix)), count, rtol, tol)
+    markov = _impulse_response(d, completion, count, rtol, tol)
     system = ho_kalman(markov, order, rtol)
     residual = float(np.max(np.abs(markov_parameters(system, count) - markov)))
     used = lengths >= d.depth

@@ -15,6 +15,7 @@ dataclasses are frozen and safe to share.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,14 @@ class LtiSystem:
         return self.C.shape[0]
 
 
+def _set_start_time(record) -> None:
+    """Store a record's ``start_time`` as an int (numpy integers pass), or refuse it."""
+    try:
+        object.__setattr__(record, "start_time", operator.index(record.start_time))
+    except TypeError:
+        raise InputError(f"start_time must be an integer, got {record.start_time!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class StateTrajectory:
     """A finite input/state/output record of a system run.
@@ -72,16 +81,15 @@ class StateTrajectory:
     start_time: int = 0
 
     def __post_init__(self):
+        _set_start_time(self)
         u, x, y = as_samples(self.u, "u"), as_samples(self.x, "x"), as_samples(self.y, "y")
         if not (u.shape[0] == x.shape[0] == y.shape[0]):
             raise InputError("u, x, y must have the same number of samples")
         final_state = as_samples(self.final_state, "final_state").reshape(-1)
         if final_state.shape[0] != x.shape[1]:
             raise InputError(f"final_state must have {x.shape[1]} entries, got {final_state.size}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "final_state", final_state)
+        for name, a in (("u", u), ("x", x), ("y", y), ("final_state", final_state)):
+            object.__setattr__(self, name, a)
 
     @property
     def length(self) -> int:
@@ -104,6 +112,7 @@ class CorruptedTrajectory:
     _present: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _set_start_time(self)
         u, y = as_samples(self.u, "u"), as_samples(self.y, "y")
         if u.ndim != 2 or y.ndim != 2:
             raise InputError("u and y must be 2-D (one row per time step)")

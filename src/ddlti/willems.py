@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, gram_factor, minnorm, minnorm_cutoff,
-                      rank_of, residual_ratio, svd_rank)
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, check_rtol, gram_factor, minnorm,
+                      minnorm_cutoff, rank_of, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError
 from .hankel import _check_depth, _mosaic, _records, _stack
 from .lti import LtiSystem
@@ -239,6 +239,14 @@ def _defect_bound(defect_norm: float, new_norm: float, theta: np.ndarray, norm_b
     return ((1.0 + gamma) * defect_norm + (4.0 * gamma + eps_n) * theta_norm * norm_bound) / below
 
 
+def _uniqueness_cutoff(dictionary: DataDictionary, rtol: float) -> float:
+    """The largest row-space defect of a unique completion on ``dictionary``: A_new's
+    part outside A_known's row space adds rank, by the rank rule, once above ``rtol``
+    relative to A_new, plus the eps_n that the dropped singular values leave."""
+    k = dictionary.m * dictionary.depth + dictionary.p * (dictionary.depth - 1)
+    return check_rtol(rtol) + minnorm_cutoff(k, dictionary.n_columns)
+
+
 def _complete(dictionary: DataDictionary, completion, wu, wy, fu, tol: float,
               rtol: float) -> np.ndarray:
     """The sliding completion of :func:`datadriven_simulate` for a batch of
@@ -250,10 +258,7 @@ def _complete(dictionary: DataDictionary, completion, wu, wy, fu, tol: float,
     L, p = dictionary.depth, dictionary.p
     k = dictionary.m * L + p * (L - 1)
     theta, U, defect = completion
-    # The new output is unique exactly when A_new's rows lie in A_known's row
-    # space: by the rank rule, the part left outside adds rank once it exceeds
-    # rtol relative to A_new; the dropped singular values leave up to eps_n of it.
-    certify("row-space defect", defect, rtol + minnorm_cutoff(k, dictionary.n_columns),
+    certify("row-space defect", defect, _uniqueness_cutoff(dictionary, rtol),
             InsufficientDataError,
             f"the data at depth {L} do not determine the new output (a deeper window or "
             "more exciting data is needed)")

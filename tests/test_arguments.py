@@ -22,7 +22,8 @@ def ctx():
     record = dd.read_trajectory_csv(RECORD_CSV)
     return SimpleNamespace(
         sys=sys, batch=dd.assemble_batch(runs), weights=dd.LqrWeights(Q=np.eye(4), R=np.eye(2)),
-        d=dd.build_data_matrix(dd.segment_trajectory(record), 3))
+        d=dd.build_data_matrix(dd.segment_trajectory(record), 3), record=record,
+        segments=dd.segment_trajectory(record), runs=runs)
 
 
 def system(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)), D=np.zeros((1, 1))):
@@ -157,6 +158,116 @@ def test_records_without_a_channel_are_refused(call, shapes):
     message = f"u and y must each have at least one channel, got shapes {shapes}"
     with pytest.raises(dd.InputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+#: (id, call on ctx, error, message): an argument outside its range is
+#: refused, named with the rule it breaks.
+OUT_OF_RANGE = [
+    ("segment_trajectory-min_len", lambda c: dd.segment_trajectory(c.record, min_len=0),
+     dd.InputError, "min_len must be at least 1"),
+    ("recover_markov_parameters-count", lambda c: dd.recover_markov_parameters(c.segments, 2, 0),
+     dd.InputError, "count must be at least 1"),
+    ("recover_markov_parameters-order",
+     lambda c: dd.recover_markov_parameters(c.segments, -1, 3),
+     dd.InputError, "order must be nonnegative"),
+    ("ho_kalman-order", lambda c: dd.ho_kalman(Z((3, 1, 1)), -1),
+     dd.InputError, "order must be nonnegative"),
+    # An empty array is as short as any other, order 0 included.
+    ("ho_kalman-empty", lambda c: dd.ho_kalman(Z((0, 1, 1)), 0),
+     dd.InputError, "need at least 1 Markov parameters for order 0, got 0"),
+    ("scan_order-max_order", lambda c: dd.scan_order(c.segments, max_order=-1),
+     dd.InputError, "max_order must be nonnegative"),
+    ("markov_parameters-count", lambda c: dd.markov_parameters(c.sys, 0),
+     dd.InputError, "count must be at least 1"),
+    ("response_maps-L", lambda c: dd.response_maps(c.sys, 0),
+     dd.InputError, "L must be at least 1"),
+    ("CorruptedTrajectory-lengths", lambda c: dd.CorruptedTrajectory(u=Z((5, 1)), y=Z((4, 1))),
+     dd.InputError, "u and y must cover the same time steps"),
+    ("CorruptedTrajectory-no-step", lambda c: dd.CorruptedTrajectory(u=Z((0, 1)), y=Z((0, 1))),
+     dd.InputError, "record must contain at least one time step"),
+    ("CorruptedTrajectory-3d", lambda c: dd.CorruptedTrajectory(u=Z((5, 1, 1)), y=Z((5, 1))),
+     dd.InputError, "u and y must be 2-D (one row per time step)"),
+    ("CorruptedTrajectory-start_time",
+     lambda c: dd.CorruptedTrajectory(u=Z((5, 1)), y=Z((5, 1)), start_time=1.5),
+     dd.InputError, "start_time must be an integer, got 1.5"),
+    ("StateTrajectory-start_time", lambda c: dd.simulate(c.sys, Z(4), Z((3, 2)), start_time=0.5),
+     dd.InputError, "start_time must be an integer, got 0.5"),
+    ("LtiSystem-no-input", lambda c: system(B=Z((2, 0)), D=Z((1, 0))),
+     dd.InputError, "input and output dimensions must be at least 1"),
+    ("check_rank_condition-count",
+     lambda c: dd.check_rank_condition(c.sys, [Z((5, 4))], [Z((5, 2))] * 2, 2),
+     dd.InputError, "state and input records must come in matching numbers"),
+    ("check_rank_condition-states",
+     lambda c: dd.check_rank_condition(c.sys, [Z((5, 3))], [Z((5, 2))], 2),
+     dd.InputError, "state records must have 4 channels, got 3"),
+    ("check_rank_condition-inputs",
+     lambda c: dd.check_rank_condition(c.sys, [Z((5, 4))], [Z((5, 1))], 2),
+     dd.InputError, "input records must have 2 channels, got 1"),
+    ("build_data_matrix-not-pairs", lambda c: dd.build_data_matrix([1, 2], 2),
+     dd.InputError, "each element must be an (input, output) pair"),
+    ("hankel_matrix-no-channel", lambda c: dd.hankel_matrix(Z((5, 0)), 1),
+     dd.InputError, "signal must contain at least one sample and one channel"),
+    ("hankel_matrix-nan", lambda c: dd.hankel_matrix([1.0, np.nan, 2.0], 1),
+     dd.InputError, "signal contains non-finite entries"),
+    ("hankel_matrix-depth", lambda c: dd.hankel_matrix(Z(5), 0),
+     dd.InputError, "depth must be at least 1"),
+    ("pe_length_bound-depth", lambda c: dd.pe_length_bound(0, 1),
+     dd.InputError, "depth, channels and n_signals must be positive"),
+    ("generate_experiments-count",
+     lambda c: dd.generate_experiments(c.sys, 0, 6, 2, np.random.default_rng(0)),
+     dd.InputError, "n_experiments and length must be positive"),
+    # A constant input never excites order 2, however often it is drawn.
+    ("generate_experiments-retries", lambda c: dd.generate_experiments(
+        c.sys, 3, 6, 2, np.random.default_rng(0), input_low=1.0, input_high=1.0, max_retries=2),
+     dd.ExcitationError, "could not draw inputs collectively exciting of order 2 in 2 attempts "
+     "(total samples 18)"),
+    ("export_sdp-no-state", lambda c: dd.export_sdp(
+        dd.ExperimentBatch(Xm=Z((0, 5)), Xp=Z((0, 5)), Um=np.ones((1, 5)), boundaries=(0,)),
+        dd.LqrWeights(Q=Z((0, 0)), R=np.eye(1))),
+     dd.InputError, "the batch must carry at least one state channel"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in OUT_OF_RANGE],
+                         ids=[case[0] for case in OUT_OF_RANGE])
+def test_arguments_out_of_range_are_refused(ctx, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(ctx)
+
+
+#: (id, call on ctx with a rank tolerance): every public rtol reaches the rank rule.
+RTOL = [
+    ("numerical_rank", lambda c, rtol: dd.numerical_rank(np.eye(2), rtol)),
+    ("is_controllable", lambda c, rtol: dd.is_controllable(c.sys.A, c.sys.B, rtol)),
+    ("is_persistently_exciting",
+     lambda c, rtol: dd.is_persistently_exciting(np.ones((30, 1)), 3, rtol=rtol)),
+    ("excitation_report", lambda c, rtol: dd.excitation_report(c.runs[0].u, 2, rtol)),
+    ("max_excitation_order", lambda c, rtol: dd.max_excitation_order(c.runs[0].u, rtol)),
+    ("check_rank_condition", lambda c, rtol: dd.check_rank_condition(
+        c.sys, [r.x for r in c.runs], [r.u for r in c.runs], 2, rtol)),
+    ("ho_kalman", lambda c, rtol: dd.ho_kalman(dd.markov_parameters(c.sys, 9), 4, rtol)),
+    ("scan_order", lambda c, rtol: dd.scan_order(c.segments, rtol=rtol)),
+    # Its rtol reaches only the completion's uniqueness cutoff.
+    ("recover_markov_parameters",
+     lambda c, rtol: dd.recover_markov_parameters(c.segments, 2, 5, rtol=rtol)),
+    ("identify", lambda c, rtol: dd.identify(c.record, rtol=rtol)),
+    ("identify_ab", lambda c, rtol: dd.identify_ab(c.batch, rtol)),
+    ("lqr_from_data", lambda c, rtol: dd.lqr_from_data(c.batch, c.weights, rtol=rtol)),
+]
+
+
+@pytest.mark.parametrize("rtol", [-1.0, np.nan, 1.0, 2.0])
+@pytest.mark.parametrize("call", [case[1] for case in RTOL], ids=[case[0] for case in RTOL])
+def test_rank_tolerances_outside_the_unit_interval_are_refused(ctx, call, rtol):
+    # A negative or NaN tolerance called a constant input exciting; one of 1
+    # or more calls every matrix rank 0.
+    message = f"rtol must be in [0, 1), got {rtol}"
+    with pytest.raises(dd.InputError, match=f"^{re.escape(message)}$"):
+        call(ctx, rtol)
+
+
+def test_a_zero_rank_tolerance_counts_every_nonzero_singular_value():
+    assert dd.numerical_rank(np.diag([1.0, 1e-300]), 0.0) == 2
 
 
 #: (id, call building a record that holds arrays)

@@ -409,3 +409,32 @@ def test_tol_rank_only_where_a_rank_is_decided(tmp_path, capsys, reactor, reacto
                  ["identify", str(RECORD_CSV)],
                  ["lqr", *files, "--weights", eye_weights_json]):
         assert main([*argv, *tol]) == 0
+
+
+def test_tol_rank_outside_the_unit_interval_exits_1(tmp_path, capsys, reactor,
+                                                    eye_weights_json):
+    # A negative tolerance called every depth full rank (identify exit 5); a
+    # NaN one reported rank 0 (pe-check exit 2).  Both are bad usage.
+    files = reactor_experiment_files(tmp_path, reactor)
+    past = tmp_path / "past.csv"
+    past.write_text("t,u1,y1\n-2,0,0\n-1,0,0\n")
+    future = tmp_path / "future.csv"
+    future.write_text("t,u1\n0,1\n1,0\n")
+    for argv in (["pe-check", str(RECORD_CSV), "--order", "3"],
+                 ["dd-simulate", str(RECORD_CSV), "--past", str(past), "--future", str(future)],
+                 ["identify", str(RECORD_CSV)],
+                 ["lqr", *files, "--weights", eye_weights_json]):
+        for tol in ("nan", "-1", "1"):
+            assert main([*argv, "--tol-rank", tol]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: rtol must be in [0, 1), got {float(tol)}\n", (argv, err)
+
+
+def test_dd_simulate_refuses_an_incomplete_past(tmp_path, capsys):
+    past = tmp_path / "past.csv"
+    past.write_text("t,u1,y1\n-2,0,0\n-1,,\n")
+    future = tmp_path / "future.csv"
+    future.write_text("t,u1\n0,1\n")
+    rc = main(["dd-simulate", str(RECORD_CSV), "--past", str(past), "--future", str(future)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the past record must be complete\n"

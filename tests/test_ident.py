@@ -363,11 +363,12 @@ def test_scan_falls_back_where_the_longest_run_opens_with_zero_input(monkeypatch
     assert_same_identification(res, identify_without_certificates(ct))
 
 
-def test_identify_falls_back_where_the_stall_sample_cannot_complete(monkeypatch):
-    # A stall whose rank the sample certifies but whose completion on the
-    # sample refuses, by the defect bound or the residual, is completed again
-    # on all the data's factor: the stall alone is built and factored, and
-    # identify gives what it gives with no certificate, bit for bit.
+def test_scan_factors_the_stall_whose_sample_cannot_complete(monkeypatch):
+    # A stall whose rank the sample certifies but whose completion's defect
+    # bound the sample cannot bring within the uniqueness cutoff is built and
+    # factored by the scan, like a depth whose rank the sample cannot
+    # certify: the stall alone is factored, and identify gives what it gives
+    # with no certificate, bit for bit.
     factored = []
     spy(monkeypatch, dd.ident, "gram_factor", factored, lambda M: len(M))
     rng = np.random.default_rng(16)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ def test_trajectory_roundtrip(tmp_path):
     assert back.start_time == -3
     assert_allclose(back.u, u)
     assert_allclose(back.y, y)
+
+
+def test_records_start_at_a_whole_time_and_round_trip(tmp_path):
+    # A fractional start time would be written as t = 1.5, 2.5, ..., which
+    # the reader refuses; so the records refuse it, and take numpy integers.
+    u = np.arange(6.0).reshape(3, 2)
+    for make in (lambda t: dd.CorruptedTrajectory(u=u, y=u[:, :1], start_time=t),
+                 lambda t: dd.StateTrajectory(u=u, x=u, y=u[:, :1], final_state=[0, 0],
+                                              start_time=t)):
+        with pytest.raises(dd.InputError, match=r"^start_time must be an integer, got 1\.5$"):
+            make(1.5)
+        record = make(np.int64(4))
+        assert type(record.start_time) is int and record.start_time == 4
+    ct = dd.CorruptedTrajectory(u=u, y=u[:, :1], start_time=np.int32(7))
+    dd.write_trajectory_csv(tmp_path / "rec.csv", ct)
+    assert dd.read_trajectory_csv(tmp_path / "rec.csv").start_time == 7
+    traj = dd.StateTrajectory(u=u, x=u, y=u[:, :1], final_state=[0, 0], start_time=np.int64(2))
+    dd.write_experiment_csv(tmp_path / "exp.csv", traj)
+    assert (tmp_path / "exp.csv").read_text().splitlines()[1].startswith("2,")
+    x, back = dd.read_experiment_csv(tmp_path / "exp.csv")
+    assert_allclose(back, u)
+    assert_allclose(x, np.vstack([u, [0, 0]]))
 
 
 def test_trajectory_nan_spelled_out(tmp_path):
@@ -168,6 +191,14 @@ def test_experiment_requires_complete_inputs(tmp_path):
         dd.read_experiment_csv(path)
 
 
+def test_experiment_needs_an_input_row(tmp_path):
+    path = tmp_path / "exp.csv"
+    path.write_text("t,u1,x1\n0,,1\n")
+    message = f"{path}: an experiment needs at least one input sample"
+    with pytest.raises(dd.ParseError, match=f"^{re.escape(message)}$"):
+        dd.read_experiment_csv(path)
+
+
 def test_experiment_without_state_columns(tmp_path):
     path = tmp_path / "exp.csv"
     path.write_text("t,u1,y1\n0,1,2\n1,,\n")
@@ -207,6 +238,14 @@ def test_system_json_inconsistent_shapes(tmp_path):
     path = tmp_path / "sys.json"
     path.write_text('{"A": [[1]], "B": [[1], [2]], "C": [[1]], "D": [[0]]}')
     with pytest.raises(dd.ParseError):
+        dd.read_system_json(path)
+
+
+def test_system_json_three_dimensional_key(tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_text('{"A": [[[1]]], "B": [[1]], "C": [[1]], "D": [[0]]}')
+    message = f"{path}: key 'A' must be a nested (2-D) array"
+    with pytest.raises(dd.ParseError, match=f"^{re.escape(message)}$"):
         dd.read_system_json(path)
 
 

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -639,6 +640,10 @@ def test_export_sdp_writes_file(tmp_path):
     out = tmp_path / "prog.dat-s"
     text = dd.export_sdp(batch, eye_weights(), destination=out)
     assert out.read_text() == text
+    # A writable text stream receives the same text.
+    stream = io.StringIO()
+    assert dd.export_sdp(batch, eye_weights(), destination=stream) == text
+    assert stream.getvalue() == text
 
 
 # --- open-loop instability ------------------------------------------------
