@@ -101,11 +101,16 @@ def residual_ratio(R: np.ndarray, B: np.ndarray, axis: int | None = None):
     return r / np.where(nb > 0.0, nb, 1.0)
 
 
-def gram_factor(M: np.ndarray) -> np.ndarray:
-    """Lower-trapezoidal L = R' from M' = QR, so L L' = M M' on at most as many
-    columns as M has rows: L has M's singular values, row-space relations,
-    min-norm solves and residuals."""
-    return np.linalg.qr(M.T, mode="r").T
+def gram_factor(blocks) -> np.ndarray:
+    """Lower-trapezoidal L with L L' = M M', M the column ``blocks`` side by side, on at
+    most as many columns as M has rows: L has M's singular values, row-space relations,
+    min-norm solves and residuals.  Each block is folded into R = L' by a QR of [R; block']
+    (sequential TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012)."""
+    R = None
+    for B in blocks:
+        R = B.T if R is None else np.vstack([R, B.T])  # frees the previous factor
+        R = np.linalg.qr(R, mode="r")
+    return R.T
 
 
 def rank_basis(M: np.ndarray, rtol: float):

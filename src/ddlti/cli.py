@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from ._linalg import DEFAULT_RANK_RTOL
+from ._linalg import DEFAULT_RANK_RTOL, check_rtol
 from .errors import DdltiError, DepthTooLargeError, InputError
 from .hankel import excitation_report, max_excitation_order, pe_length_bound
 from .ident import _complete_runs, _scan, identify, segment_trajectory
@@ -43,7 +43,7 @@ from .lqr import (
     lqr_from_data,
 )
 from .lti import CorruptedTrajectory, simulate
-from .willems import _dictionary, datadriven_simulate
+from .willems import DataDictionary, datadriven_simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,6 +52,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InputError(message)
+
+
+def rtol(text: str) -> float:
+    """A ``--tol-rank`` value: a float in [0, 1), by the rank rule's check."""
+    try:
+        return check_rtol(float(text))
+    except InputError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _fmt(M) -> str:
@@ -123,7 +131,7 @@ def cmd_dd_simulate(args) -> int:
         raise InputError(
             f"past record must have exactly {depth - 1} samples for depth {depth}"
         )
-    d = _dictionary(W, ends, ct.m, depth)  # runs shorter than the depth have no window
+    d = DataDictionary(depth, W, ends, ct.m)  # runs shorter than the depth have no window
     ys = datadriven_simulate(d, past.u, past.y, future_u, tol=args.tol)
     print(f"completed {ys.shape[0]} output sample(s):")
     for k in range(ys.shape[0]):
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         if ranks:
-            p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_RTOL,
+            p.add_argument("--tol-rank", type=rtol, default=DEFAULT_RANK_RTOL,
                            help="relative singular-value cutoff for rank decisions")
         return p
 

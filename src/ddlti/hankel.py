@@ -16,10 +16,10 @@ Arguments named ``signals`` are read one way: an ndarray, a SignalSegment or
 a flat list of numbers is one signal; any other list or tuple is a sequence
 of signals, each read by ``as_samples``.  They are read in one place,
 ``_stack``, which checks a family of records once and lays it out as one
-(d, N) sample array and the records' end indices; ``_mosaic`` cuts every
-mosaic, dictionary, order scan and LQR batch from that stack, and
-``_mosaic_product`` multiplies a few rows into a dictionary straight from it,
-walking the records' runs of windows in blocks of at most ``PASS_BLOCK``.
+(d, N) sample array and the records' end indices.  One walker, ``_windows``,
+cuts every window from that stack in blocks of at most ``PASS_BLOCK``: a
+mosaic is its one block spanning the stack, and every pass and factor works
+block by block, so no factored path forms an N-column matrix.
 """
 from __future__ import annotations
 
@@ -29,14 +29,15 @@ import numpy as np
 
 from ._linalg import DEFAULT_RANK_RTOL, RankDecision, as_samples, gram_factor, rank_of
 from .errors import DepthTooLargeError, InputError
+from .lti import _set_start_time
 
-#: Largest mosaic, in bytes, that an excitation test builds (256 MiB).  The QR
-#: behind its rank holds two more copies, so a test peaks near three times
-#: this; a larger one raises InputError (exit 1) before allocating anything.
+#: Largest factor plus one block of windows, in bytes, that an excitation test
+#: folds (256 MiB).  Each fold's QR holds [factor; block'] twice, so a test peaks
+#: near three times this; a larger one raises InputError (exit 1) beforehand.
 MAX_EXCITATION_BYTES = 1 << 28
 
-#: Windows per block of a data pass (:func:`_mosaic_product`): its scratch is
-#: two blocks of this many columns, however many windows were recorded.
+#: Windows per block of :func:`_windows`: a pass or a factor over the records
+#: holds one block of this many columns, however many windows were recorded.
 PASS_BLOCK = 1024
 
 
@@ -47,14 +48,15 @@ class SignalSegment:
 
     ``samples`` is stored as a (T, d) float copy, checked like every record
     (see :func:`_stack`); 1-D input is treated as a single-channel signal.
-    ``start_time`` is bookkeeping only and does not affect any matrix
-    construction.
+    ``start_time``, an integer, is bookkeeping only and does not affect any
+    matrix construction.
     """
 
     samples: np.ndarray
     start_time: int = 0
 
     def __post_init__(self):
+        _set_start_time(self)
         object.__setattr__(self, "samples", _stack([self.samples])[0].T)
 
     @property
@@ -128,60 +130,39 @@ def _check_depth(ends, depth: int) -> None:
         raise DepthTooLargeError(f"depth {depth} exceeds the length {lengths[i]} of signal {i}")
 
 
-def _mosaic(W: np.ndarray, ends, depth: int, m: int | None = None) -> np.ndarray:
-    """Depth-``depth`` mosaic of the records of W that end at ``ends``,
-    skipping records shorter than ``depth``.  With ``m``, the mosaic of W's
-    first m channels over that of the rest: a data dictionary's row order.
-
-    Block row k holds samples k .. T_i - depth + k of every record in turn,
-    so each block row is one concatenation of column slices of W; the
-    mosaic of one record is one concatenation of its block rows.
-    """
-    ends = ends.tolist()
-    # (s, t): a record's windows start at samples s .. t-1 of W.
-    runs = [(s, t - depth + 1) for s, t in zip([0] + ends[:-1], ends) if t - s >= depth]
-    parts = (W,) if m is None else (W[:m], W[m:])
-    if len(runs) == 1:
-        (s, t), = runs
-        return np.concatenate([part[:, s + k:t + k] for part in parts for k in range(depth)])
-    out = np.empty((depth * W.shape[0], sum(t - s for s, t in runs)))
-    row = 0
-    for part in parts:
-        for k in range(depth):
-            if runs:
-                np.concatenate([part[:, s + k:t + k] for s, t in runs], axis=1,
-                               out=out[row:row + len(part)])
-            row += len(part)
-    return out
-
-
-def _mosaic_product(X: np.ndarray, W: np.ndarray, ends, depth: int, m: int):
-    """``X @ _mosaic(W, ends, depth, m)`` without forming the mosaic: one pass
-    over the records, yielding the product's columns in order, in blocks of
-    at most :data:`PASS_BLOCK` windows.  Each record's windows are cut into
-    pieces of at most PASS_BLOCK, and consecutive pieces whose starts span at
-    most PASS_BLOCK samples of W share a block.  A block's product is one
-    matmul of X, its columns in window-offset order, by W's windows over the
-    span (one concatenation of W's column slices at offsets 0 .. depth-1),
-    less the windows that cross a record boundary."""
-    rows, d = len(X), len(W)
-    G = np.concatenate([X[:, :m * depth].reshape(rows, depth, m),
-                        X[:, m * depth:].reshape(rows, depth, d - m)], axis=2)
-    G = G.reshape(rows, depth * d)  # X's columns in window-offset order
+def _windows(W: np.ndarray, ends, depth: int, m: int | None = None, block: int | None = None):
+    """The columns of ``_mosaic(W, ends, depth, m)``, in blocks of at most ``block``
+    windows (default :data:`PASS_BLOCK`).  Pieces of a record's windows whose starts
+    span at most ``block`` samples share a block: one strided copy of W's windows over
+    the span per channel group, less the windows that cross a record boundary."""
+    block, W = PASS_BLOCK if block is None else block, np.ascontiguousarray(W)
+    groups = [(0, len(W))] if m is None else [(0, m), (m, len(W))]  # channel rows, by group
+    # V[k, c, a] = W[c, a + k], a strided view: the windows of W at offset k.
+    V = np.ndarray((depth, len(W), max(W.shape[1] - depth + 1, 0)), W.dtype, W, 0,
+                   W.strides[1:] + W.strides)
     ends = ends.tolist()
     # (a, b): windows starting at samples a .. b-1 of W, all of one record.
-    pieces = [(a, min(a + PASS_BLOCK, t - depth + 1)) for s, t in zip([0] + ends[:-1], ends)
-              for a in range(s, t - depth + 1, PASS_BLOCK)]
+    pieces = [(a, min(a + block, t - depth + 1)) for s, t in zip([0] + ends[:-1], ends)
+              for a in range(s, t - depth + 1, block)]
     i = 0
     while i < len(pieces):
         a, j = pieces[i][0], i + 1
-        while j < len(pieces) and pieces[j][1] - a <= PASS_BLOCK:
+        while j < len(pieces) and pieces[j][1] - a <= block:
             j += 1
         b = pieces[j - 1][1]
-        block = G @ np.concatenate([W[:, a + k:b + k] for k in range(depth)])
-        yield block if j == i + 1 else np.concatenate(
-            [block[:, s - a:t - a] for s, t in pieces[i:j]], axis=1)
+        span = np.empty((len(W) * depth, b - a))
+        for lo, hi in groups:  # a group's rows hold its channels at offset 0, 1, ...
+            span[lo * depth:hi * depth].reshape(depth, hi - lo, b - a)[...] = V[:, lo:hi, a:b]
+        yield span if j == i + 1 else np.concatenate(
+            [span[:, s - a:t - a] for s, t in pieces[i:j]], axis=1)
         i = j
+
+
+def _mosaic(W: np.ndarray, ends, depth: int, m: int | None = None) -> np.ndarray:
+    """Depth-``depth`` mosaic of the records of W that end at ``ends``, skipping
+    records shorter than ``depth``; with ``m``, W's first m channels' mosaic over
+    the rest's (a data dictionary's row order).  One block of :func:`_windows`."""
+    return next(_windows(W, ends, depth, m, W.shape[1]), np.empty((depth * len(W), 0)))
 
 
 def hankel_matrix(signal, depth: int) -> np.ndarray:
@@ -238,14 +219,13 @@ def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> E
 def _excitation(W: np.ndarray, ends, depth: int, rtol: float) -> ExcitationReport:
     """:func:`excitation_report` on the stacked records (W, ends), leaving out
     those shorter than ``depth``: the report has no column of theirs.  Refuses
-    a mosaic above :data:`MAX_EXCITATION_BYTES` before building it."""
+    a factor plus block above :data:`MAX_EXCITATION_BYTES` before folding."""
     rows, cols = depth * len(W), int(np.maximum(np.diff(ends, prepend=0) - depth + 1, 0).sum())
-    if rows * cols * W.itemsize > MAX_EXCITATION_BYTES:
-        raise InputError(f"the depth-{depth} excitation test needs a {rows} x {cols} matrix of "
-                         f"{rows * cols * W.itemsize} bytes, above the "
-                         f"{MAX_EXCITATION_BYTES}-byte limit")
-    H = _mosaic(W, ends, depth)
-    decision = rank_of(gram_factor(H), rtol)
+    held = rows * (min(rows, cols) + min(PASS_BLOCK, cols)) * W.itemsize
+    if held > MAX_EXCITATION_BYTES:
+        raise InputError(f"the depth-{depth} excitation test needs {held} bytes to factor its "
+                         f"{rows} x {cols} matrix, above the {MAX_EXCITATION_BYTES}-byte limit")
+    decision = rank_of(gram_factor(_windows(W, ends, depth)), rtol)
     return ExcitationReport(**vars(decision), depth=depth, required_rank=rows,
                             n_columns=cols, exciting=decision.rank == rows)
 

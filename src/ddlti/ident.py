@@ -8,10 +8,9 @@ matrices by one batched data-driven simulation on the matrix of that stall,
 certified unique, and realize a state-space model with the Ho-Kalman
 algorithm.  Each depth's rank, and at the stall the completion, are decided
 on a k x 2k sample of the longest run (k = (m+p)L rows) and certified on all
-N columns by one O(N k) pass over the records (see :func:`_scan`), so no
-N-column window matrix is formed; a depth the sample cannot certify is built
-and its matrix factored once, by the QR behind ``gram_factor``, and decided
-on that (m+p)L-row factor.
+N columns by one O(N k) pass over the records (see :func:`_scan`); a depth
+the sample cannot certify is decided on the (m+p)L-row factor its windows
+fold into, block by block.  No N-column window matrix is formed.
 Everything operates on exact (noise-free) data.
 """
 from __future__ import annotations
@@ -21,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_rank, gram_factor, rank_basis,
-                      rank_of, require_rank, svd_rank)
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_rank, check_rtol, gram_factor,
+                      rank_basis, rank_of, require_rank, svd_rank)
 from .errors import InputError, NoUsableDataError, OrderInfeasibleError, OrderUndeterminedError
-from .hankel import SignalSegment, _mosaic_product, _stack
+from .hankel import SignalSegment, _mosaic, _stack, _windows
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
-from .willems import (DataDictionary, _complete, _completion, _defect_bound, _dictionary,
-                      _uniqueness_cutoff)
+from .willems import DataDictionary, _complete, _completion, _defect_bound, _uniqueness_cutoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +93,8 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
         raise InputError("count must be at least 1")
     if order < 0:
         raise InputError("order must be nonnegative")
-    d = _dictionary(*_stack(io_pairs, pairs=True), order + 1)
-    return _impulse_response(d, _completion(d, gram_factor(d.matrix)), count, rtol, tol)
+    d = DataDictionary(order + 1, *_stack(io_pairs, pairs=True))
+    return _impulse_response(d, _completion(d, gram_factor(d.blocks())), count, rtol, tol)
 
 
 def _impulse_response(d: DataDictionary, completion, count: int, rtol: float,
@@ -125,7 +123,7 @@ def ho_kalman(markov, order: int, rtol: float = DEFAULT_RANK_RTOL) -> LtiSystem:
     numerical rank below ``order`` the requested order is infeasible; rank
     above ``order`` triggers a truncation warning.
     """
-    mk = as_matrix(markov, "markov", (None, None, None), samples=True)
+    mk, rtol = as_matrix(markov, "markov", (None, None, None), samples=True), check_rtol(rtol)
     K, p, m = mk.shape
     if order < 0:
         raise InputError("order must be nonnegative")
@@ -209,8 +207,8 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float, lengt
             step = _sampled_depth(W, ends, m, depth, W[:, start:start + width],
                                   np.sqrt(depth) * w_norm, n_cols, rtol, previous)
         if step is None:
-            d = _dictionary(W, ends, m, depth)
-            factor = gram_factor(d.matrix)
+            d = DataDictionary(depth, W, ends, m)
+            factor = gram_factor(d.blocks())
             estimate = rank_of(factor, rtol).rank - m * depth
             step = estimate, d, _completion(d, factor) if previous == estimate >= 0 else None
         seen.append(step[0])
@@ -230,27 +228,29 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float, lengt
 
 def _sampled_depth(W, ends, m, depth, run, norm_bound, n_cols, rtol, previous):
     """The sample route of :func:`_scan` at one depth, on the first 2k windows
-    of ``run``: (estimate, the sample's dictionary, its completion where the
-    estimate stalls at ``previous``, else None), or None where the sample
-    cannot decide.  The rank rule on the sample gives a rank r and a basis
-    perp of its left null space.  One pass over the records
-    (``_mosaic_product``) forms perp' M and, at a stall, [theta, -I] M and
+    of ``run``: (estimate, and where it stalls at ``previous`` the sample's
+    dictionary and completion, else None and None), or None where the sample
+    cannot decide.  The rank rule on the sample S gives a rank r and a basis
+    perp of its left null space.  One pass over the records' windows
+    (``hankel._windows``) forms perp' M and, at a stall, [theta, -I] M and
     M_new for the sample's completion map theta; at full row rank it has no
     rows.  The sample decides where :func:`~ddlti._linalg.certifies_rank`
     certifies that the rule on M's own factor gives r and, at a stall, where
     :func:`~ddlti.willems._defect_bound` bounds the completion's defect on M
     within the cutoff that :func:`~ddlti.willems._complete` certifies."""
-    sample = _dictionary(run, np.array([run.shape[1]]), m, depth)
-    decision, perp = rank_basis(sample.matrix, rtol)
-    estimate, (k, null), p = decision.rank - m * depth, perp.shape, sample.p
-    rows, completion = [perp.T], None
+    S = _mosaic(run, np.array([run.shape[1]]), depth, m)
+    decision, perp = rank_basis(S, rtol)
+    estimate, (k, null), p = decision.rank - m * depth, perp.shape, len(run) - m
+    rows, sample, completion = [perp.T], None, None
     if previous == estimate >= 0:
-        theta, U, _ = completion = _completion(sample, sample.matrix)
+        sample = DataDictionary(depth, run, np.array([run.shape[1]]), m)
+        theta, U, _ = completion = _completion(sample, S)
         rows += [np.hstack([theta, -np.eye(p)]), np.eye(p, k, k - p)]
     X = np.vstack(rows)
     sq = np.zeros(len(X))
     if len(X):
-        for P in _mosaic_product(X, W, ends, depth, m):
+        for B in _windows(W, ends, depth, m):
+            P = X @ B
             sq += np.einsum("ij,ij->i", P, P)
     if not certifies_rank(decision, perp, np.sqrt(sq[:null].sum()), norm_bound, n_cols, rtol):
         return None

@@ -216,7 +216,7 @@ def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
 def _factor_ab(batch: ExperimentBatch, rtol: float):
     """(A, B) and the column blocks [Rx, Rp, Ru] = R of [Xm; Xp; Um]' = QR."""
     n = batch.n
-    R = gram_factor(np.vstack([batch.Xm, batch.Xp, batch.Um])).T
+    R = gram_factor([np.vstack([batch.Xm, batch.Xp, batch.Um])]).T
     Rx, Rp, Ru = R[:, :n], R[:, n:2 * n], R[:, 2 * n:]
     U, s, Vt, decision = svd_rank(np.hstack([Rx, Ru]), rtol)
     require_rank("[Xm; Um]", decision, n + batch.m, InsufficientDataError,

@@ -15,7 +15,8 @@ one linear map formed on the matrix's (m+p)L-row triangular Gram factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,32 +24,46 @@ import numpy as np
 from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, check_rtol, gram_factor, minnorm,
                       minnorm_cutoff, rank_of, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError
-from .hankel import _check_depth, _mosaic, _records, _stack
+from .hankel import _check_depth, _mosaic, _records, _stack, _windows
 from .lti import LtiSystem
 
 
 @dataclass(frozen=True, eq=False)
 class DataDictionary:
-    """Stacked input/output mosaic-Hankel matrix of depth L.
+    """Stacked input/output mosaic-Hankel matrix of depth L, kept as its records:
+    W's m input channels over its p outputs, record i in columns ends[i-1]:ends[i].
 
-    ``matrix`` is the one (m+p)L x N array: the depth-L input mosaic in its
-    first mL rows, the matching output mosaic below.  Column c is the c-th
-    recorded length-L window, inputs over outputs, flattened time-major.
-    ``m`` is the input channel count; ``p`` follows from the row count.
-    ``input_block`` and ``output_block`` are row-slice views of ``matrix``.
+    ``matrix``, formed when first read, is the (m+p)L x N depth-L input mosaic
+    over the output mosaic: column c is the c-th recorded window (records
+    shorter than L have none), flattened time-major.  Factors fold its
+    :meth:`blocks` instead; ``input_block`` and ``output_block`` are its row views.
+    A dictionary without windows raises :class:`NoUsableDataError`.
     """
 
     depth: int
-    matrix: np.ndarray
+    W: np.ndarray
+    ends: np.ndarray
     m: int
+    n_columns: int = field(init=False)
+
+    def __post_init__(self):
+        ends = self.ends.tolist()
+        object.__setattr__(self, "n_columns", sum(max(t - s - self.depth + 1, 0)
+                                                  for s, t in zip([0] + ends[:-1], ends)))
+        if not self.n_columns:
+            raise NoUsableDataError(f"no run is long enough for windows of depth {self.depth}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _mosaic(self.W, self.ends, self.depth, self.m)
+
+    def blocks(self):
+        """``matrix``'s columns in blocks of at most ``hankel.PASS_BLOCK`` windows."""
+        return _windows(self.W, self.ends, self.depth, self.m)
 
     @property
     def p(self) -> int:
-        return self.matrix.shape[0] // self.depth - self.m
-
-    @property
-    def n_columns(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.W) - self.m
 
     @property
     def input_block(self) -> np.ndarray:
@@ -79,29 +94,19 @@ def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
     """
     W, ends, m = _stack(io_pairs, pairs=True)
     _check_depth(ends, depth)
-    return _dictionary(W, ends, m, depth)
-
-
-def _dictionary(W: np.ndarray, ends, m: int, depth: int) -> DataDictionary:
-    """The depth-L dictionary of the stacked input/output records (W, ends),
-    inputs in W's first m rows, leaving out records shorter than L; raises
-    :class:`NoUsableDataError` when that leaves none."""
-    M = _mosaic(W, ends, depth, m)
-    if not M.shape[1]:
-        raise NoUsableDataError(f"no run is long enough for windows of depth {depth}")
-    return DataDictionary(depth=depth, matrix=M, m=m)
+    return DataDictionary(depth, W, ends, m)
 
 
 def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
                          depth: int, rtol: float = DEFAULT_RANK_RTOL) -> bool:
     """Rank test that guarantees the depth-L dictionary spans all trajectories.
 
-    Stacks the initial states x^i(0..T_i-L) of each record (block row 0 of
-    the states' depth-L mosaic) over the depth-L input mosaic and checks
-    numerical rank n + mL.  When it holds (it always does for controllable
-    systems with collectively exciting inputs of order n + L), every length-L
-    trajectory is a column combination of the recorded windows, and
-    conversely.  Every record must have at least L samples.
+    Stacks the initial states x^i(0..T_i-L) of each record (block row 0 of the
+    states' depth-L mosaic) over the depth-L input mosaic and checks numerical
+    rank n + mL, on those rows of both mosaics' Gram factor.  When it holds (it
+    always does for controllable systems with collectively exciting inputs of
+    order n + L), every length-L trajectory is a column combination of the
+    recorded windows, and conversely.  Every record must have at least L samples.
     """
     xs, us = _records(state_segments), _records(input_segments)
     if len(xs) != len(us):
@@ -112,8 +117,8 @@ def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
     if len(W) - n != sys.m:
         raise InputError(f"input records must have {sys.m} channels, got {len(W) - n}")
     _check_depth(ends, depth)
-    M = _mosaic(W, ends, depth, n)
-    return rank_of(np.vstack([M[:n], M[n * depth:]]), rtol).rank == n + sys.m * depth
+    L = gram_factor(_windows(W, ends, depth, n))
+    return rank_of(np.vstack([L[:n], L[n * depth:]]), rtol).rank == n + sys.m * depth
 
 
 def synthesize_trajectory(dictionary: DataDictionary, g) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +190,7 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     wu = as_matrix(past_u, "past_u", (L - 1, m), samples=True)
     wy = as_matrix(past_y, "past_y", (L - 1, p), samples=True)
     fu = as_matrix(future_u, "future_u", (None, m), samples=True)
-    return _complete(dictionary, _completion(dictionary, gram_factor(dictionary.matrix)),
+    return _complete(dictionary, _completion(dictionary, gram_factor(dictionary.blocks())),
                      wu[..., None], wy[..., None], fu[..., None], tol, DEFAULT_RANK_RTOL)[..., 0]
 
 

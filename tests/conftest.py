@@ -1,6 +1,8 @@
 """Shared helpers: random system/test-signal generators and fixed fixtures."""
 from __future__ import annotations
 
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,24 @@ def impulse_error_bound(d, markov):
         g = np.linalg.lstsq(A_known, b, rcond=None)[0]
         E[t + L - 1] = per_g * np.linalg.norm(g) + Z_y * E[t:t + L - 1].sum()
     return E[L - 1:]
+
+
+def traced_peak(call):
+    """(``call()``, the peak of the memory tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def least_refused_depth():
+    """The least depth d whose excitation test on one channel of 2d samples is
+    refused: it folds a d x (d + 1) mosaic into a d x d factor, one d x
+    PASS_BLOCK block at a time, and 8 d (d + PASS_BLOCK) bytes, which is
+    8 ((d + PASS_BLOCK / 2)^2 - (PASS_BLOCK / 2)^2), exceed the limit."""
+    half = dd.hankel.PASS_BLOCK // 2
+    return math.isqrt(dd.hankel.MAX_EXCITATION_BYTES // 8 + half ** 2) + 1 - half
 
 
 def simulate_records(rng, sys, lengths, order):

@@ -192,6 +192,8 @@ OUT_OF_RANGE = [
      dd.InputError, "start_time must be an integer, got 1.5"),
     ("StateTrajectory-start_time", lambda c: dd.simulate(c.sys, Z(4), Z((3, 2)), start_time=0.5),
      dd.InputError, "start_time must be an integer, got 0.5"),
+    ("SignalSegment-start_time", lambda c: dd.SignalSegment(np.arange(4.0), start_time=1.5),
+     dd.InputError, "start_time must be an integer, got 1.5"),
     ("LtiSystem-no-input", lambda c: system(B=Z((2, 0)), D=Z((1, 0))),
      dd.InputError, "input and output dimensions must be at least 1"),
     ("check_rank_condition-count",
@@ -246,6 +248,8 @@ RTOL = [
     ("check_rank_condition", lambda c, rtol: dd.check_rank_condition(
         c.sys, [r.x for r in c.runs], [r.u for r in c.runs], 2, rtol)),
     ("ho_kalman", lambda c, rtol: dd.ho_kalman(dd.markov_parameters(c.sys, 9), 4, rtol)),
+    # Order 0 decides no rank: its tolerance is checked on entry.
+    ("ho_kalman-order-0", lambda c, rtol: dd.ho_kalman(np.zeros((1, 1, 1)), 0, rtol)),
     ("scan_order", lambda c, rtol: dd.scan_order(c.segments, rtol=rtol)),
     # Its rtol reaches only the completion's uniqueness cutoff.
     ("recover_markov_parameters",

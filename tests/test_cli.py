@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import ddlti as dd
 from ddlti.cli import main
-from conftest import RECORD_CSV, SHORT_RUNS_CSV, unstabilized_runs
+from conftest import RECORD_CSV, SHORT_RUNS_CSV, least_refused_depth, unstabilized_runs
 
 
 @pytest.fixture
@@ -138,12 +137,12 @@ def test_pe_check_rank_shortfall(tmp_path, capsys):
 
 
 def test_pe_check_refuses_a_test_above_the_memory_limit(tmp_path, capsys):
-    side = math.isqrt(dd.hankel.MAX_EXCITATION_BYTES // 8) + 1
+    side = least_refused_depth()
     path = tmp_path / "long.csv"
     u = np.random.default_rng(0).standard_normal((2 * side, 1))
     dd.write_trajectory_csv(path, dd.CorruptedTrajectory(u=u, y=u))
     assert main(["pe-check", str(path), "--order", "2"]) == 1
-    assert f"excitation test needs a {side} x {side + 1} matrix" in capsys.readouterr().err
+    assert f"to factor its {side} x {side + 1} matrix, above the" in capsys.readouterr().err
 
 
 # --- generate ---------------------------------------------------------------
@@ -414,20 +413,25 @@ def test_tol_rank_only_where_a_rank_is_decided(tmp_path, capsys, reactor, reacto
 def test_tol_rank_outside_the_unit_interval_exits_1(tmp_path, capsys, reactor,
                                                     eye_weights_json):
     # A negative tolerance called every depth full rank (identify exit 5); a
-    # NaN one reported rank 0 (pe-check exit 2).  Both are bad usage.
+    # NaN one reported rank 0 (pe-check exit 2).  Both are bad usage, refused
+    # as the option is read: dd-simulate with --depth decides no rank at all.
     files = reactor_experiment_files(tmp_path, reactor)
     past = tmp_path / "past.csv"
     past.write_text("t,u1,y1\n-2,0,0\n-1,0,0\n")
     future = tmp_path / "future.csv"
     future.write_text("t,u1\n0,1\n1,0\n")
+    simulate = ["dd-simulate", str(RECORD_CSV), "--past", str(past), "--future", str(future)]
     for argv in (["pe-check", str(RECORD_CSV), "--order", "3"],
-                 ["dd-simulate", str(RECORD_CSV), "--past", str(past), "--future", str(future)],
+                 simulate, [*simulate, "--depth", "3"],
                  ["identify", str(RECORD_CSV)],
                  ["lqr", *files, "--weights", eye_weights_json]):
         for tol in ("nan", "-1", "1"):
             assert main([*argv, "--tol-rank", tol]) == 1
             err = capsys.readouterr().err
-            assert err == f"error: rtol must be in [0, 1), got {float(tol)}\n", (argv, err)
+            assert err.startswith(f"usage: ddlti {argv[0]} "), (argv, err)
+            assert err.endswith("\nerror: argument --tol-rank: rtol must be in [0, 1), "
+                                f"got {float(tol)}\n"), (argv, err)
+    assert main([*simulate, "--depth", "3"]) == 0  # the row above, at the default tolerance
 
 
 def test_dd_simulate_refuses_an_incomplete_past(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import pe_inputs
+from conftest import least_refused_depth, pe_inputs, traced_peak
 
 FIXTURE_INPUTS = [
     np.array([1.0, 0.0, 2.0, -1.0, 0.0]),
@@ -196,14 +195,29 @@ def test_max_excitation_order_tests_the_counting_bound_first(monkeypatch):
         assert tested == [bound]
 
 
+def test_excitation_report_peak_memory_is_below_half_the_mosaic():
+    # The test folds the mosaic's blocks into its factor without forming the
+    # 10 x (T - 4) mosaic, so its peak, the stacked record included, stays
+    # below half of that mosaic.
+    signal = np.random.default_rng(18).standard_normal((100_000, 2))
+    report, peak = traced_peak(lambda: dd.excitation_report(signal, 5))
+    mosaic_bytes = 5 * 2 * (100_000 - 4) * 8
+    assert report.exciting and report.n_columns == 100_000 - 4
+    assert peak < mosaic_bytes / 2, (peak, mosaic_bytes)
+
+
 def test_excitation_tests_above_the_memory_limit_are_refused_before_allocating():
-    # The depth-side test of 2 * side samples needs a side x (side + 1) mosaic,
-    # just above the limit; the record itself is 2 * side floats.
-    side = math.isqrt(dd.hankel.MAX_EXCITATION_BYTES // 8) + 1
+    # The depth-side test of 2 * side samples folds a side x (side + 1) mosaic
+    # into a side x side factor, one side x PASS_BLOCK block at a time: the
+    # least depth whose factor plus block exceed the limit.  The record
+    # itself is 2 * side floats.
+    side, block = least_refused_depth(), dd.hankel.PASS_BLOCK
     signal = np.zeros(2 * side)
-    size = 8 * side * (side + 1)
-    message = (f"^the depth-{side} excitation test needs a {side} x {side + 1} matrix of "
-               f"{size} bytes, above the {dd.hankel.MAX_EXCITATION_BYTES}-byte limit$")
+    size = 8 * side * (side + block)
+    assert 8 * (side - 1) * (side - 1 + block) <= dd.hankel.MAX_EXCITATION_BYTES < size
+    message = (f"^the depth-{side} excitation test needs {size} bytes to factor its "
+               f"{side} x {side + 1} matrix, above the "
+               f"{dd.hankel.MAX_EXCITATION_BYTES}-byte limit$")
     tracemalloc.start()
     try:
         for call in (dd.excitation_report, dd.is_persistently_exciting):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import ddlti as dd
 from conftest import (RECORD_CSV, SHORT_RUNS_CSV, impulse_error_bound, lag, pe_inputs,
-                      random_system, rounding_per_unit_g)
+                      random_system, rounding_per_unit_g, traced_peak)
 
 
 def make_record(sys, rng, T, missing, pe_order=None):
@@ -284,6 +284,18 @@ def spy(monkeypatch, owner, name, log, note):
     monkeypatch.setattr(owner, name, call)
 
 
+def spy_factor(monkeypatch, log, note):
+    """Replace ident's ``gram_factor`` by a call that appends ``note(M)`` to
+    ``log``, M the matrix whose column blocks it folds."""
+    real = dd.ident.gram_factor
+
+    def call(blocks):
+        blocks = list(blocks)
+        log.append(note(np.hstack(blocks)))
+        return real(blocks)
+    monkeypatch.setattr(dd.ident, "gram_factor", call)
+
+
 def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
     # rank(H_L) - mL equals rank O_L, which stops growing at the observability
     # index l; so the scan never needs a window deeper than l + 1, and
@@ -293,7 +305,7 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
     # per depth and builds no depth's matrix; the stall sample's known block
     # goes through one SVD, and no excitation test runs.
     cut, excitation_tests = [], []
-    spy(monkeypatch, dd.ident, "_dictionary", cut, lambda W, ends, m, depth: (depth, W.shape[1]))
+    spy(monkeypatch, dd.ident, "_mosaic", cut, lambda W, ends, depth, m: (depth, W.shape[1]))
     spy(monkeypatch, dd.hankel, "_excitation", excitation_tests,
         lambda W, ends, depth, rtol: depth)
     rng = np.random.default_rng(10)
@@ -345,7 +357,7 @@ def test_scan_falls_back_where_the_longest_run_opens_with_zero_input(monkeypatch
     uu[60], yy[60] = np.nan, np.nan
     ct = dd.CorruptedTrajectory(u=uu, y=yy)
     factored, certified = [], []
-    spy(monkeypatch, dd.ident, "gram_factor", factored, lambda M: len(M) // 2)
+    spy_factor(monkeypatch, factored, lambda M: len(M) // 2)
     real_certify = dd.ident.certifies_rank
 
     def certify(*args):
@@ -370,7 +382,7 @@ def test_scan_factors_the_stall_whose_sample_cannot_complete(monkeypatch):
     # certify: the stall alone is factored, and identify gives what it gives
     # with no certificate, bit for bit.
     factored = []
-    spy(monkeypatch, dd.ident, "gram_factor", factored, lambda M: len(M))
+    spy_factor(monkeypatch, factored, lambda M: len(M))
     rng = np.random.default_rng(16)
     sys = random_system(rng, 3, 2, 2)
     ct = make_record(sys, rng, 300, missing=[100, 211])
@@ -416,6 +428,18 @@ def test_identify_peak_memory_is_below_half_the_stall_dictionary():
     assert peak < stall_bytes / 2, (peak, stall_bytes)
 
 
+def test_recover_markov_peak_memory_is_below_half_the_dictionary():
+    # Impulse recovery factors its depth-(n+1) dictionary from the record,
+    # block by block, so its peak stays below half that dictionary.
+    rng = np.random.default_rng(19)
+    sys = random_system(rng, 3, 2, 2)
+    traj = dd.simulate(sys, rng.standard_normal(3), rng.standard_normal((20_000, 2)))
+    markov, peak = traced_peak(lambda: dd.recover_markov_parameters([(traj.u, traj.y)], 3, 7))
+    dictionary_bytes = (2 + 2) * 4 * (20_000 - 3) * 8
+    assert_allclose(markov, dd.markov_parameters(sys, 7), atol=1e-8)
+    assert peak < dictionary_bytes / 2, (peak, dictionary_bytes)
+
+
 def test_recover_markov_inverts_the_dictionary_once(linalg_calls):
     rng = np.random.default_rng(11)
     sys = random_system(rng, 3, 2, 2)
@@ -434,8 +458,10 @@ def test_each_data_matrix_is_factored_once(linalg_calls):
     # (k = (m+p)L), and certified on all N columns by one pass over the
     # records, so no linear-algebra call sees more than 2k columns.  A
     # data-driven simulation and impulse recovery each factor their one
-    # dictionary once, by one QR of its transpose; nothing else works on
-    # more columns than k after it, however many windows were recorded.
+    # dictionary once, folding its blocks of at most PASS_BLOCK windows: one
+    # QR of the first block's transpose, then one of [R; block'] per further
+    # block, each with k columns; nothing else works on more columns than k,
+    # however many windows were recorded.
     rng = np.random.default_rng(13)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)
@@ -472,6 +498,20 @@ def test_each_data_matrix_is_factored_once(linalg_calls):
         rows = (m + p) * (n + 1)  # the depth-(n+1) dictionary
         assert [shape[1] for name, shape, _ in linalg_calls if name == "qr"] == [rows]
         assert all(shape[-1] <= rows for name, shape, _ in linalg_calls if name != "qr")
+
+        # Over more than two blocks of windows, three folds.
+        long = dd.simulate(sys, rng.standard_normal(n), rng.standard_normal((2500, m)))
+        block = dd.hankel.PASS_BLOCK
+        for depth, call in [
+                (L, lambda: dd.datadriven_simulate(dd.build_data_matrix([(long.u, long.y)], L),
+                                                   past.u, past.y, rng.standard_normal((5, m)))),
+                (n + 1, lambda: dd.recover_markov_parameters([(long.u, long.y)], n, 2 * n + 1))]:
+            k, N = (m + p) * depth, 2500 - depth + 1
+            linalg_calls.clear()
+            call()
+            assert [shape for name, shape, _ in linalg_calls if name == "qr"] == \
+                [(block, k), (k + block, k), (k + N - 2 * block, k)]
+            assert all(shape[-1] <= k for name, shape, _ in linalg_calls if name != "qr")
 
 
 def test_recover_markov_batch_matches_per_channel_simulation():

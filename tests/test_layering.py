@@ -3,9 +3,9 @@ only the _linalg kernel calls numpy's SVD, QR, pinv or lstsq; only io opens
 files; arguments are coerced to float only by _linalg's rules (io parses
 files, cli formats output); records are converted once, by hankel's stack,
 so only segment_trajectory, whose output needs start times, builds a
-SignalSegment; only the experiment generator raises ExcitationError; and
+SignalSegment; only the experiment generator raises ExcitationError;
 certificate and rank errors are raised only by _linalg's certificate and
-rank-requirement rules."""
+rank-requirement rules; and no pipeline factors a formed window matrix."""
 import ast
 from pathlib import Path
 
@@ -68,6 +68,47 @@ def constructions(path: Path, name: str) -> list[str]:
             if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
                 found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     return found
+
+
+def holds_formed_matrix(node: ast.AST, names: set[str]) -> bool:
+    """Whether an expression holds a formed window matrix: a ``.matrix``
+    attribute, a ``_mosaic(...)`` call or one of ``names``."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "matrix"
+               or isinstance(n, ast.Call) and "_mosaic" in (getattr(n.func, "id", None),
+                                                          getattr(n.func, "attr", None))
+               or isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+
+
+def factored_formed_matrices(source: str, stem: str) -> list[str]:
+    """``stem:line`` of every ``gram_factor`` call on a formed window matrix,
+    directly or through names assigned from one in the same top-level
+    definition."""
+    found = []
+    for top in ast.parse(source).body:
+        assigns = [n for n in ast.walk(top) if isinstance(n, ast.Assign)]
+        names: set[str] = set()
+        while True:  # names assigned from formed matrices, or from those names
+            new = {t.id for a in assigns if holds_formed_matrix(a.value, names)
+                   for target in a.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+            if new <= names:
+                break
+            names |= new
+        found += [f"{stem}:{n.lineno}" for n in ast.walk(top) if isinstance(n, ast.Call)
+                  and "gram_factor" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                  and any(holds_formed_matrix(arg, names) for arg in n.args)]
+    return found
+
+
+def test_no_pipeline_factors_a_formed_window_matrix():
+    # Every factor of a mosaic or dictionary is folded from the walker's blocks
+    # (hankel._windows), so no pipeline holds an N-column window matrix to
+    # factor it.  lqr._factor_ab factors the batch matrices it is handed.
+    calls = [c for path in sorted(PACKAGE.glob("*.py"))
+             for c in factored_formed_matrices(path.read_text(), path.stem)]
+    assert calls == []
+    source = ("def f(d, W):\n    M = _mosaic(W)\n    A = M[:2]\n"
+              "    return gram_factor([A]), gram_factor(d.matrix), gram_factor(d.blocks())\n")
+    assert factored_formed_matrices(source, "f") == ["f:4", "f:4"]
 
 
 def test_every_module_has_a_layer():

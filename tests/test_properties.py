@@ -70,27 +70,85 @@ def test_mosaic_and_data_matrix_are_their_definition(extra, depth, d, p, sliced,
 # A record longer than two blocks, cut into four, then a record of its own.
 @example(lengths=[20, 4], m=2, p=1, depth=3, rows=5, block=5, exponents=[0] * 6, seed=3)
 def test_mosaic_product_is_the_product(lengths, m, p, depth, rows, block, exponents, seed):
-    # One pass over the records gives X times their dictionary-ordered mosaic,
-    # in blocks of at most PASS_BLOCK columns, runs shorter than the depth
-    # left out, and windows that cross a record boundary too.  Each entry of
-    # either side is a k-term inner product, computed within gamma_k (|X| |M|)
-    # of the exact one, gamma_k = k eps / (1 - k eps)
-    # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-    # eq. 3.13), so the two differ by at most twice that.
+    # The walker yields the records' dictionary-ordered mosaic in blocks of
+    # at most PASS_BLOCK columns, runs shorter than the depth left out, and
+    # windows that cross a record boundary too: side by side, the blocks are
+    # the mosaic, byte for byte.  So the order scan's pass, X times each
+    # block, is X times the mosaic.  Each entry of either side is a k-term
+    # inner product, computed within gamma_k (|X| |M|) of the exact one,
+    # gamma_k = k eps / (1 - k eps) (Higham, "Accuracy and Stability of
+    # Numerical Algorithms", 2nd ed., eq. 3.13), so the two differ by at most
+    # twice that.
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((m + p, sum(lengths))) * 10.0 ** np.array(exponents[:m + p])[:, None]
     ends = np.cumsum(lengths)
     X = rng.standard_normal((rows, (m + p) * depth))
     M = dd.hankel._mosaic(W, ends, depth, m)
+    k = len(M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd.hankel, "PASS_BLOCK", block)
-        blocks = list(dd.hankel._mosaic_product(X, W, ends, depth, m))
-    assert all(0 < P.shape[1] <= block and len(P) == rows for P in blocks)
-    product = np.hstack(blocks) if blocks else np.zeros((rows, 0))
-    k = len(M)
+        blocks = list(dd.hankel._windows(W, ends, depth, m))
+    assert all(0 < B.shape[1] <= block and len(B) == k for B in blocks)
+    assert np.array_equal(np.hstack(blocks) if blocks else np.zeros((k, 0)), M)
+    product = np.hstack([X @ B for B in blocks]) if blocks else np.zeros((rows, 0))
     gamma = k * EPS / (1 - k * EPS)
     assert product.shape == (rows, M.shape[1])
     assert np.all(np.abs(product - X @ M) <= 2 * gamma * (np.abs(X) @ np.abs(M)))
+
+
+def cycled(q):
+    """Lengths of q records, 1 to 60 samples in turn, short records included."""
+    return [1 + i % 60 for i in range(q)]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(lengths=st.lists(st.integers(1, 60), min_size=1, max_size=40), m=st.integers(1, 3),
+       p=st.integers(1, 3), depth=st.integers(1, 6), block=st.integers(1, 9),
+       exponents=st.lists(st.integers(-8, 8), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(lengths=[60], m=2, p=2, depth=5, block=9, exponents=[0] * 6, seed=0)
+@example(lengths=cycled(100), m=1, p=2, depth=4, block=7, exponents=[8, -8, 0, 0, 0, 0], seed=1)
+@example(lengths=cycled(2_000), m=2, p=1, depth=6, block=9, exponents=[0] * 6, seed=2)
+@example(lengths=[12] * 10_000, m=1, p=1, depth=5, block=9, exponents=[-8, 8, 0, 0, 0, 0],
+         seed=3)
+def test_the_fold_is_the_gram_matrix_of_the_mosaic(lengths, m, p, depth, block, exponents, seed):
+    # The mosaic is its definition, byte for byte, and C-contiguous.  Its
+    # factor, folded from the walker's blocks, has its Gram matrix within a
+    # backward-error bound.  The fold is nb QRs, the i-th of S_i = [R_i-1;
+    # B_i'] with at most a = k + PASS_BLOCK rows.  Householder QR gives the
+    # exact R of S_i + E with ||E e_j|| <= gamma ||S_i e_j||, gamma = a k eps
+    # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    # Thm 19.4, with the constant the library's certificates take), and
+    # ||S_i e_j|| <= (1 + gamma)^(i-1) r_j, r_j the norm of the mosaic's row j.
+    # So fold i moves R'R from S_i'S_i = R_i-1'R_i-1 + B_i B_i' by at most
+    # ((1 + gamma)^2 - 1) (1 + gamma)^(2i - 2) r_j r_l at entry (j, l), and all
+    # nb folds by ((1 + gamma)^(2 nb) - 1) r_j r_l.  Forming L L' and M M'
+    # adds gamma_k (1 + gamma)^(2 nb) and gamma_N of r_j r_l, inner products
+    # of rows of norm at most (1 + gamma)^nb r_j and r_j; the computed row
+    # norms are within gamma_N of r_j.
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((m + p, sum(lengths))) * 10.0 ** np.array(exponents[:m + p])[:, None]
+    ends = np.cumsum(lengths)
+    records = np.split(W, ends[:-1], axis=1)
+    k = (m + p) * depth
+    M = dd.hankel._mosaic(W, ends, depth, m)
+    if max(lengths) < depth:
+        assert M.shape == (k, 0)
+        return
+    us, ys = [r[:m].T for r in records], [r[m:].T for r in records]
+    assert np.array_equal(M, np.vstack([windows(us, depth), windows(ys, depth)]))
+    assert M.flags.c_contiguous
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd.hankel, "PASS_BLOCK", block)
+        nb = sum(1 for _ in dd.hankel._windows(W, ends, depth, m))
+        L = gram_factor(dd.hankel._windows(W, ends, depth, m))
+    N = M.shape[1]
+    gamma, gamma_k, gamma_n = ((j * EPS / (1 - j * EPS)) for j in ((k + block) * k, k, N))
+    r = np.linalg.norm(M, axis=1) / (1 - gamma_n)
+    grown = (1 + gamma) ** (2 * nb)
+    bound = (grown * (1 + gamma_k) - 1 + gamma_n) * np.outer(r, r)
+    assert L.shape == (k, min(k, N))
+    assert np.all(np.abs(L @ L.T - M @ M.T) <= bound)
 
 
 @settings(PROPERTY, max_examples=60)
@@ -185,7 +243,7 @@ def test_excitation_rank_is_numerical_rank(lengths, d, back, seed):
     rep = dd.excitation_report(signals, depth)
     assert rep.rank == dd.numerical_rank(dd.mosaic_hankel(signals, depth))
     # The report is the rank decision on the mosaic's factor, plus the verdict.
-    decision = rank_of(gram_factor(dd.mosaic_hankel(signals, depth)), dd.DEFAULT_RANK_RTOL)
+    decision = rank_of(gram_factor([dd.mosaic_hankel(signals, depth)]), dd.DEFAULT_RANK_RTOL)
     assert isinstance(rep, dd.RankDecision) and rep.rank == decision.rank
     assert np.array_equal(rep.singular_values, decision.singular_values)
     assert rep.cutoff == decision.cutoff
@@ -444,15 +502,15 @@ def test_certified_depths_have_the_certified_rank(n, m, p, T, gap, kind, radius,
         mp.setattr(dd.ident, "certifies_rank", lambda *args: False)
         reference, ref_id = scan_result(W, ends, m), identify_result(ct)
     for depth, rank in set(certified):
-        M = dd.willems._dictionary(W, ends, m, depth).matrix
-        assert dd.numerical_rank(gram_factor(M)) == rank, depth
+        factor = gram_factor(dd.DataDictionary(depth, W, ends, m).blocks())
+        assert dd.numerical_rank(factor) == rank, depth
     assert found == reference
     assert type(found_id) is type(ref_id)
     if isinstance(ref_id, tuple):
         assert found_id == ref_id
         return
     assert (found_id.order, found_id.segment_report) == (ref_id.order, ref_id.segment_report)
-    d = dd.willems._dictionary(W, ends, m, stall.depth)
+    d = dd.DataDictionary(stall.depth, W, ends, m)
     bound = impulse_error_bound(stall, found_id.markov) + impulse_error_bound(d, ref_id.markov)
     assert np.all(np.linalg.norm(found_id.markov - ref_id.markov, axis=(1, 2)) <= bound)
 

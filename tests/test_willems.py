@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import lag, pe_inputs, random_system
+from conftest import lag, pe_inputs, random_system, traced_peak
 
 
 def fixture_pairs(record):
@@ -193,6 +193,22 @@ def test_datadriven_simulate_matches_model():
         ref = dd.simulate(sys, x0, uu)
         ys = dd.datadriven_simulate(d, ref.u[:n], ref.y[:n], ref.u[n:])
         assert_allclose(ys, ref.y[n:], atol=1e-8)
+
+
+def test_datadriven_simulate_peak_memory_is_below_half_the_dictionary():
+    # The dictionary keeps its record, and its factor is folded from the
+    # record's windows block by block: building it and simulating from it
+    # peak below half the (m+p)L x N matrix, the stacked record included.
+    rng = np.random.default_rng(20)
+    sys = random_system(rng, 3, 2, 2)
+    data = dd.simulate(sys, rng.standard_normal(3), rng.standard_normal((20_000, 2)))
+    L = 4
+    ref = dd.simulate(sys, rng.standard_normal(3), rng.standard_normal((L - 1 + 5, 2)))
+    ys, peak = traced_peak(lambda: dd.datadriven_simulate(
+        dd.build_data_matrix([(data.u, data.y)], L), ref.u[:L - 1], ref.y[:L - 1], ref.u[L - 1:]))
+    dictionary_bytes = (2 + 2) * L * (20_000 - L + 1) * 8
+    assert_allclose(ys, ref.y[L - 1:], atol=1e-8)
+    assert peak < dictionary_bytes / 2, (peak, dictionary_bytes)
 
 
 def test_datadriven_simulate_refuses_completions_below_the_lag():
