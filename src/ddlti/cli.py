@@ -116,7 +116,7 @@ def cmd_pe_check(args) -> int:
 
 def cmd_dd_simulate(args) -> int:
     ct = read_trajectory_csv(args.data)
-    W, ends, lengths, _ = _complete_runs(ct)
+    stack, _ = _complete_runs(ct)
     past = read_trajectory_csv(args.past)
     if not np.all(past.present):
         raise InputError("the past record must be complete")
@@ -124,14 +124,14 @@ def cmd_dd_simulate(args) -> int:
 
     depth = args.depth
     if depth is None:
-        order = _scan(W, ends, ct.m, None, args.tol_rank, lengths)[0]
+        order = _scan(stack, None, args.tol_rank)[0]
         depth = order + 1
         print(f"estimated order {order}; using window depth {depth}")
     if past.length != depth - 1:
         raise InputError(
             f"past record must have exactly {depth - 1} samples for depth {depth}"
         )
-    d = DataDictionary(depth, W, ends, ct.m)  # runs shorter than the depth have no window
+    d = DataDictionary(depth, stack)  # runs shorter than the depth have no window
     ys = datadriven_simulate(d, past.u, past.y, future_u, tol=args.tol)
     print(f"completed {ys.shape[0]} output sample(s):")
     for k in range(ys.shape[0]):

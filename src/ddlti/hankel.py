@@ -15,15 +15,16 @@ mosaic matrix has full row rank kd.
 Arguments named ``signals`` are read one way: an ndarray, a SignalSegment or
 a flat list of numbers is one signal; any other list or tuple is a sequence
 of signals, each read by ``as_samples``.  They are read in one place,
-``_stack``, which checks a family of records once and lays it out as one
-(d, N) sample array and the records' end indices.  One walker, ``_windows``,
-cuts every window from that stack in blocks of at most ``PASS_BLOCK``: a
-mosaic is its one block spanning the stack, and every pass and factor works
-block by block, so no factored path forms an N-column matrix.
+``_stack``, which checks a family of records once and returns one
+``_Stack``, the only code that knows the records' layout.  Every pipeline
+takes the stack.  Its one walker, ``windows``, cuts every window in blocks of
+at most ``PASS_BLOCK``: a mosaic is its one block spanning the stack, and
+every pass and factor works block by block, so none forms an N-column matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .lti import _set_start_time
 #: near three times this; a larger one raises InputError (exit 1) beforehand.
 MAX_EXCITATION_BYTES = 1 << 28
 
-#: Windows per block of :func:`_windows`: a pass or a factor over the records
+#: Windows per block of :meth:`_Stack.windows`: a pass or a factor over the records
 #: holds one block of this many columns, however many windows were recorded.
 PASS_BLOCK = 1024
 
@@ -57,7 +58,7 @@ class SignalSegment:
 
     def __post_init__(self):
         _set_start_time(self)
-        object.__setattr__(self, "samples", _stack([self.samples])[0].T)
+        object.__setattr__(self, "samples", _stack([self.samples]).W.T)
 
     @property
     def length(self) -> int:
@@ -78,10 +79,69 @@ def _records(signals) -> list:
     return signals
 
 
-def _stack(signals, pairs: bool = False):
-    """(W, ends, m): the records of ``signals`` side by side in one (d, N)
-    float array W, one row per channel (so every slice a mosaic copies is
-    contiguous), record i in columns ends[i-1]:ends[i]; and m = d.  With
+@dataclass(frozen=True, eq=False)
+class _Stack:
+    """Checked records (see :func:`_stack`) side by side in one (d, N) array W, one
+    row per channel, record i in columns ends[i-1]:ends[i], and the first m channels
+    the inputs (m = d for plain signals, whose second channel group is empty)."""
+
+    W: np.ndarray
+    ends: np.ndarray
+    m: int
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return self.ends - np.concatenate(([0], self.ends[:-1]))  # diff's prepend is slower
+
+    def columns(self, depth: int) -> int:
+        """The number of depth-``depth`` windows: records shorter than it have none."""
+        return int(np.maximum(self.lengths - depth + 1, 0).sum())
+
+    def checked(self, depth: int) -> _Stack:
+        """The stack, once ``depth`` is at least 1 and no record is shorter than it."""
+        if depth < 1:
+            raise InputError("depth must be at least 1")
+        if self.lengths.min() < depth:
+            i = int(np.argmax(self.lengths < depth))
+            raise DepthTooLargeError(f"depth {depth} exceeds the length {self.lengths[i]} "
+                                     f"of signal {i}")
+        return self
+
+    def windows(self, depth: int, block: int | None = None):
+        """The columns of :meth:`mosaic`, in blocks of at most ``block`` windows
+        (default :data:`PASS_BLOCK`).  Pieces of a record's windows whose starts
+        span at most ``block`` samples share a block: one strided copy of W's windows
+        over the span per channel group, less the windows that cross a record boundary."""
+        block, W = PASS_BLOCK if block is None else block, np.ascontiguousarray(self.W)
+        groups = [(0, self.m), (self.m, len(W))]  # channel rows, by group
+        # V[k, c, a] = W[c, a + k], a strided view: the windows of W at offset k.
+        V = np.ndarray((depth, len(W), max(W.shape[1] - depth + 1, 0)), W.dtype, W, 0,
+                       W.strides[1:] + W.strides)
+        ends = self.ends.tolist()
+        # (a, b): windows starting at samples a .. b-1 of W, all of one record.
+        pieces = [(a, min(a + block, t - depth + 1)) for s, t in zip([0] + ends[:-1], ends)
+                  for a in range(s, t - depth + 1, block)]
+        i = 0
+        while i < len(pieces):
+            a, j = pieces[i][0], i + 1
+            while j < len(pieces) and pieces[j][1] - a <= block:
+                j += 1
+            b = pieces[j - 1][1]
+            span = np.empty((len(W) * depth, b - a))
+            for lo, hi in groups:  # a group's rows hold its channels at offset 0, 1, ...
+                span[lo * depth:hi * depth].reshape(depth, hi - lo, b - a)[...] = V[:, lo:hi, a:b]
+            yield span if j == i + 1 else np.concatenate(
+                [span[:, s - a:t - a] for s, t in pieces[i:j]], axis=1)
+            i = j
+
+    def mosaic(self, depth: int) -> np.ndarray:
+        """The depth-``depth`` mosaic of the records at least ``depth`` long, the first m
+        channels' over the rest's (a dictionary's row order): one :meth:`windows` block."""
+        return next(self.windows(depth, self.W.shape[1]), np.empty((depth * len(self.W), 0)))
+
+
+def _stack(signals, pairs: bool = False) -> _Stack:
+    """The records of ``signals`` as one :class:`_Stack`, float, in order.  With
     ``pairs``, ``signals`` holds (input, output) pairs, and W has the m input
     channels over the outputs'.  Records are checked here, once over the
     stack: each has a sample and the stack a channel, paired records share a
@@ -118,51 +178,7 @@ def _stack(signals, pairs: bool = False):
         raise InputError("signal must contain at least one sample and one channel")
     if not np.isfinite(W).all():
         raise InputError("signal contains non-finite entries")
-    return W, ends, dims[0]
-
-
-def _check_depth(ends, depth: int) -> None:
-    if depth < 1:
-        raise InputError("depth must be at least 1")
-    lengths = np.diff(ends, prepend=0)
-    if lengths.min() < depth:
-        i = int(np.argmax(lengths < depth))
-        raise DepthTooLargeError(f"depth {depth} exceeds the length {lengths[i]} of signal {i}")
-
-
-def _windows(W: np.ndarray, ends, depth: int, m: int | None = None, block: int | None = None):
-    """The columns of ``_mosaic(W, ends, depth, m)``, in blocks of at most ``block``
-    windows (default :data:`PASS_BLOCK`).  Pieces of a record's windows whose starts
-    span at most ``block`` samples share a block: one strided copy of W's windows over
-    the span per channel group, less the windows that cross a record boundary."""
-    block, W = PASS_BLOCK if block is None else block, np.ascontiguousarray(W)
-    groups = [(0, len(W))] if m is None else [(0, m), (m, len(W))]  # channel rows, by group
-    # V[k, c, a] = W[c, a + k], a strided view: the windows of W at offset k.
-    V = np.ndarray((depth, len(W), max(W.shape[1] - depth + 1, 0)), W.dtype, W, 0,
-                   W.strides[1:] + W.strides)
-    ends = ends.tolist()
-    # (a, b): windows starting at samples a .. b-1 of W, all of one record.
-    pieces = [(a, min(a + block, t - depth + 1)) for s, t in zip([0] + ends[:-1], ends)
-              for a in range(s, t - depth + 1, block)]
-    i = 0
-    while i < len(pieces):
-        a, j = pieces[i][0], i + 1
-        while j < len(pieces) and pieces[j][1] - a <= block:
-            j += 1
-        b = pieces[j - 1][1]
-        span = np.empty((len(W) * depth, b - a))
-        for lo, hi in groups:  # a group's rows hold its channels at offset 0, 1, ...
-            span[lo * depth:hi * depth].reshape(depth, hi - lo, b - a)[...] = V[:, lo:hi, a:b]
-        yield span if j == i + 1 else np.concatenate(
-            [span[:, s - a:t - a] for s, t in pieces[i:j]], axis=1)
-        i = j
-
-
-def _mosaic(W: np.ndarray, ends, depth: int, m: int | None = None) -> np.ndarray:
-    """Depth-``depth`` mosaic of the records of W that end at ``ends``, skipping
-    records shorter than ``depth``; with ``m``, W's first m channels' mosaic over
-    the rest's (a data dictionary's row order).  One block of :func:`_windows`."""
-    return next(_windows(W, ends, depth, m, W.shape[1]), np.empty((depth * len(W), 0)))
+    return _Stack(W, ends, dims[0])
 
 
 def hankel_matrix(signal, depth: int) -> np.ndarray:
@@ -180,9 +196,7 @@ def mosaic_hankel(signals, depth: int) -> np.ndarray:
     ``sum_i (T_i - depth + 1)`` columns, blocks in input order; so a nested
     list gives one block per inner list, and an ndarray is one signal.
     """
-    W, ends, _ = _stack(signals)
-    _check_depth(ends, depth)
-    return _mosaic(W, ends, depth)
+    return _stack(signals).checked(depth).mosaic(depth)
 
 
 def pe_length_bound(depth: int, channels: int, n_signals: int = 1) -> int:
@@ -211,21 +225,19 @@ class ExcitationReport(RankDecision):
 
 def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> ExcitationReport:
     """Rank diagnostics for the depth-k mosaic Hankel matrix of ``signals``."""
-    W, ends, _ = _stack(signals)
-    _check_depth(ends, depth)
-    return _excitation(W, ends, depth, rtol)
+    return _excitation(_stack(signals).checked(depth), depth, rtol)
 
 
-def _excitation(W: np.ndarray, ends, depth: int, rtol: float) -> ExcitationReport:
-    """:func:`excitation_report` on the stacked records (W, ends), leaving out
-    those shorter than ``depth``: the report has no column of theirs.  Refuses
-    a factor plus block above :data:`MAX_EXCITATION_BYTES` before folding."""
-    rows, cols = depth * len(W), int(np.maximum(np.diff(ends, prepend=0) - depth + 1, 0).sum())
-    held = rows * (min(rows, cols) + min(PASS_BLOCK, cols)) * W.itemsize
+def _excitation(stack: _Stack, depth: int, rtol: float) -> ExcitationReport:
+    """:func:`excitation_report` on a stack, leaving out records shorter than
+    ``depth``: the report has no column of theirs.  Refuses a factor plus
+    block above :data:`MAX_EXCITATION_BYTES` before folding."""
+    rows, cols = depth * len(stack.W), stack.columns(depth)
+    held = rows * (min(rows, cols) + min(PASS_BLOCK, cols)) * stack.W.itemsize
     if held > MAX_EXCITATION_BYTES:
         raise InputError(f"the depth-{depth} excitation test needs {held} bytes to factor its "
                          f"{rows} x {cols} matrix, above the {MAX_EXCITATION_BYTES}-byte limit")
-    decision = rank_of(gram_factor(_windows(W, ends, depth)), rtol)
+    decision = rank_of(gram_factor(stack.windows(depth)), rtol)
     return ExcitationReport(**vars(decision), depth=depth, required_rank=rows,
                             n_columns=cols, exciting=decision.rank == rows)
 
@@ -248,15 +260,15 @@ def max_excitation_order(signals, rtol: float = DEFAULT_RANK_RTOL) -> int:
     exciting data reach it, so it is tested first; only if it fails is the
     order, monotone in k, bisected below it: O(log T) rank tests.
     """
-    W, ends, d = _stack(signals)
-    q = len(ends)
-    top = int(min(np.diff(ends, prepend=0).min(), (ends[-1] + q) // (d + q)))
-    if top and _excitation(W, ends, top, rtol).exciting:
+    stack = _stack(signals)
+    q, d = len(stack.ends), len(stack.W)
+    top = int(min(stack.lengths.min(), (stack.ends[-1] + q) // (d + q)))
+    if top and _excitation(stack, top, rtol).exciting:
         return top
     lo, hi = 0, top - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _excitation(W, ends, mid, rtol).exciting:
+        if _excitation(stack, mid, rtol).exciting:
             lo = mid
         else:
             hi = mid - 1

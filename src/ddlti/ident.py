@@ -23,7 +23,7 @@ import numpy as np
 from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_rank, check_rtol, gram_factor,
                       rank_basis, rank_of, require_rank, svd_rank)
 from .errors import InputError, NoUsableDataError, OrderInfeasibleError, OrderUndeterminedError
-from .hankel import SignalSegment, _mosaic, _stack, _windows
+from .hankel import SignalSegment, _stack, _Stack
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
 from .willems import DataDictionary, _complete, _completion, _defect_bound, _uniqueness_cutoff
 
@@ -48,10 +48,10 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
     """
     if min_len < 1:
         raise InputError("min_len must be at least 1")
-    W, ends, lengths, starts = _complete_runs(ct)
-    pairs = [(SignalSegment(W[:ct.m, b - n:b].T, start_time=s),
-              SignalSegment(W[ct.m:, b - n:b].T, start_time=s))
-             for b, n, s in zip(ends.tolist(), lengths.tolist(), starts.tolist())
+    stack, starts = _complete_runs(ct)
+    pairs = [(SignalSegment(stack.W[:ct.m, b - n:b].T, start_time=s),
+              SignalSegment(stack.W[ct.m:, b - n:b].T, start_time=s))
+             for b, n, s in zip(stack.ends.tolist(), stack.lengths.tolist(), starts.tolist())
              if n >= min_len]
     if not pairs:
         raise NoUsableDataError(f"no complete run of length >= {min_len} in the record")
@@ -59,21 +59,20 @@ def segment_trajectory(ct: CorruptedTrajectory, min_len: int = 1):
 
 
 def _complete_runs(ct: CorruptedTrajectory):
-    """(W, ends, lengths, starts): the record's complete samples as hankel's
-    stack does it, inputs over outputs, run after run; the end of each
-    maximal complete run in W, its length, and its start time."""
+    """(stack, starts): the record's complete samples as a
+    :class:`~ddlti.hankel._Stack`, inputs over outputs, one record per
+    maximal complete run, and each run's start time."""
     present = ct.present
     # Run starts and stops alternate where the mask, padded with False, flips.
     edges = np.flatnonzero(np.diff(np.concatenate([[False], present, [False]])))
     if not edges.size:
         raise NoUsableDataError("no complete run of length >= 1 in the record")
     runs = [slice(a, b) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
-    lengths = edges[1::2] - edges[::2]
-    ends = np.cumsum(lengths)
+    ends = np.cumsum(edges[1::2] - edges[::2])
     W = np.empty((ct.m + ct.p, int(ends[-1])))
     for rows, side in ((W[:ct.m], ct.u), (W[ct.m:], ct.y)):
         np.concatenate([side[run].T for run in runs], axis=1, out=rows)
-    return W, ends, lengths, edges[::2] + ct.start_time
+    return _Stack(W, ends, ct.m), edges[::2] + ct.start_time
 
 
 def recover_markov_parameters(io_pairs, order: int, count: int,
@@ -93,7 +92,7 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
         raise InputError("count must be at least 1")
     if order < 0:
         raise InputError("order must be nonnegative")
-    d = DataDictionary(order + 1, *_stack(io_pairs, pairs=True))
+    d = DataDictionary(order + 1, _stack(io_pairs, pairs=True))
     return _impulse_response(d, _completion(d, gram_factor(d.blocks())), count, rtol, tol)
 
 
@@ -169,48 +168,59 @@ def scan_order(segments, max_order: int | None = None,
     (Markovsky & Dörfler, "Identifiability in the behavioral setting",
     IEEE TAC 2023), so the first depth whose estimate equals the previous
     depth's, and is nonnegative, gives the order; deeper windows add nothing.
+    On runs that do not excite a depth (collectively, of order L + n) the
+    estimate can fall there instead, and the scan stops, undetermined.
     Each depth's rank is decided on a sample of 2(m+p)L windows of the
     longest run and certified on all the data by one pass over the records;
     only a depth the sample cannot certify is built and factored.
     """
-    return _scan(*_stack(segments, pairs=True), max_order, rtol)[0]
+    return _scan(_stack(segments, pairs=True), max_order, rtol)[0]
 
 
-def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float, lengths=None):
-    """(order, dictionary, completion) of :func:`scan_order` on the stacked
-    input/output runs (W, ends), inputs in W's first m rows, given their
-    ``lengths`` if known: the order, and the depth-L* dictionary of the first
+def _scan(stack: _Stack, max_order: int | None, rtol: float):
+    """(order, dictionary, completion) of :func:`scan_order` on a stack of
+    input/output runs: the order, and the depth-L* dictionary of the first
     stall and its certified :func:`~ddlti.willems._completion`.
 
     Each depth is decided by :func:`_sampled_depth` on the first 2k windows
     of the longest run (k = (m+p)L rows), a column subset of the depth's
     matrix M with ||M||_F <= sqrt(L) ||W||_F, as a sample enters at most L
-    windows, or else built and factored, and decided on its factor."""
-    if lengths is None:
-        lengths = np.diff(ends, prepend=0)
+    windows, or else built and factored, and decided on its factor.  Runs
+    whose ||W||_F overflows are refused before any depth: no rank decision or
+    certificate bound is finite on them."""
+    W, m, lengths = stack.W, stack.m, stack.lengths
     cap = int(lengths.max())
     if max_order is not None:
         if max_order < 0:
             raise InputError("max_order must be nonnegative")
         cap = min(cap, max_order + 1)
     longest = int(np.argmax(lengths))
-    start, w_norm = int(ends[longest] - lengths[longest]), float(np.linalg.norm(W))
+    start = int(stack.ends[longest] - lengths[longest])
+    with np.errstate(over="ignore"):  # an overflowing norm is refused, not warned of
+        w_norm = float(np.linalg.norm(W))
+    if not np.isfinite(w_norm):
+        raise InputError("the runs' norm overflows: their samples are too large for a rank "
+                         "decision")
     order, seen = None, []
     for depth in range(1, cap + 1):
         # Runs shorter than the depth have no window at it.
-        n_cols, k = int(np.maximum(lengths - depth + 1, 0).sum()), len(W) * depth
+        n_cols, k = stack.columns(depth), len(W) * depth
         if n_cols < k:
             break
         # 2k windows: a k x 2k sample keeps sigma_min off 0, a square one not.
         width, previous, step = 2 * k + depth - 1, seen[-1] if seen else None, None
         if lengths[longest] >= width:
-            step = _sampled_depth(W, ends, m, depth, W[:, start:start + width],
+            step = _sampled_depth(stack, depth, W[:, start:start + width],
                                   np.sqrt(depth) * w_norm, n_cols, rtol, previous)
         if step is None:
-            d = DataDictionary(depth, W, ends, m)
+            d = DataDictionary(depth, stack)
             factor = gram_factor(d.blocks())
             estimate = rank_of(factor, rtol).rank - m * depth
             step = estimate, d, _completion(d, factor) if previous == estimate >= 0 else None
+        if previous is not None and step[0] < previous:
+            raise OrderUndeterminedError(
+                f"the order estimate fell from {previous} at depth {depth - 1} to {step[0]} at "
+                f"depth {depth}; it never falls on runs exciting enough to decide the order")
         seen.append(step[0])
         if previous == step[0] >= 0:
             order = previous
@@ -226,41 +236,46 @@ def _scan(W: np.ndarray, ends, m: int, max_order: int | None, rtol: float, lengt
     return (order,) + step[1:]
 
 
-def _sampled_depth(W, ends, m, depth, run, norm_bound, n_cols, rtol, previous):
+def _sampled_depth(stack: _Stack, depth, run, norm_bound, n_cols, rtol, previous):
     """The sample route of :func:`_scan` at one depth, on the first 2k windows
     of ``run``: (estimate, and where it stalls at ``previous`` the sample's
     dictionary and completion, else None and None), or None where the sample
     cannot decide.  The rank rule on the sample S gives a rank r and a basis
     perp of its left null space.  One pass over the records' windows
-    (``hankel._windows``) forms perp' M and, at a stall, [theta, -I] M and
+    (``stack.windows``) forms perp' M and, at a stall, [theta, -I] M and
     M_new for the sample's completion map theta; at full row rank it has no
     rows.  The sample decides where :func:`~ddlti._linalg.certifies_rank`
     certifies that the rule on M's own factor gives r and, at a stall, where
     :func:`~ddlti.willems._defect_bound` bounds the completion's defect on M
-    within the cutoff that :func:`~ddlti.willems._complete` certifies."""
-    S = _mosaic(run, np.array([run.shape[1]]), depth, m)
+    within the cutoff that :func:`~ddlti.willems._complete` certifies, and its
+    measured part within its rounding part: a larger defect (a mode below the
+    rank cutoff) makes the completion depend on the windows sampled, so M's
+    own factor completes it."""
+    sample = _Stack(run, np.array([run.shape[1]]), stack.m)
+    S = sample.mosaic(depth)
     decision, perp = rank_basis(S, rtol)
-    estimate, (k, null), p = decision.rank - m * depth, perp.shape, len(run) - m
-    rows, sample, completion = [perp.T], None, None
+    estimate, (k, null), p = decision.rank - stack.m * depth, perp.shape, len(run) - stack.m
+    rows, dictionary, completion = [perp.T], None, None
     if previous == estimate >= 0:
-        sample = DataDictionary(depth, run, np.array([run.shape[1]]), m)
-        theta, U, _ = completion = _completion(sample, S)
+        dictionary = DataDictionary(depth, sample)
+        theta, U, _ = completion = _completion(dictionary, S)
         rows += [np.hstack([theta, -np.eye(p)]), np.eye(p, k, k - p)]
     X = np.vstack(rows)
     sq = np.zeros(len(X))
     if len(X):
-        for B in _windows(W, ends, depth, m):
+        for B in stack.windows(depth):
             P = X @ B
             sq += np.einsum("ij,ij->i", P, P)
     if not certifies_rank(decision, perp, np.sqrt(sq[:null].sum()), norm_bound, n_cols, rtol):
         return None
     if completion is not None:
-        defect = _defect_bound(np.sqrt(sq[null:null + p].sum()), np.sqrt(sq[null + p:].sum()),
-                               theta, norm_bound, k, n_cols)
-        if not defect <= _uniqueness_cutoff(sample, rtol):
+        args = np.sqrt(sq[null + p:].sum()), theta, norm_bound, k, n_cols
+        defect = _defect_bound(np.sqrt(sq[null:null + p].sum()), *args)
+        rounding = _defect_bound(0.0, *args)
+        if not defect <= min(_uniqueness_cutoff(dictionary, rtol), 2.0 * rounding):
             return None
         completion = theta, U, defect
-    return estimate, sample, completion
+    return estimate, dictionary, completion
 
 
 def identify(ct: CorruptedTrajectory, max_order: int | None = None,
@@ -277,14 +292,14 @@ def identify(ct: CorruptedTrajectory, max_order: int | None = None,
     can support.  ``rtol`` is the rank tolerance shared by every rank
     decision; ``tol`` bounds the relative residual of the completion solves.
     """
-    W, ends, lengths, starts = _complete_runs(ct)
-    order, d, completion = _scan(W, ends, ct.m, max_order, rtol, lengths)
+    stack, starts = _complete_runs(ct)
+    order, d, completion = _scan(stack, max_order, rtol)
     count = 2 * order + 1
     markov = _impulse_response(d, completion, count, rtol, tol)
     system = ho_kalman(markov, order, rtol)
     residual = float(np.max(np.abs(markov_parameters(system, count) - markov)))
-    used = lengths >= d.depth
+    used = stack.lengths >= d.depth
     return IdentificationResult(
         system=system, order=order, markov=markov, residual=residual,
-        segment_report=tuple(zip(starts[used].tolist(), lengths[used].tolist())),
+        segment_report=tuple(zip(starts[used].tolist(), stack.lengths[used].tolist())),
     )

@@ -30,7 +30,7 @@ from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, gram_factor, minnor
                       require_rank, svd_rank)
 from .errors import (CertificationError, ExcitationError, InputError, InsufficientDataError,
                      RiccatiDivergenceError)
-from .hankel import _excitation, _mosaic, _stack, pe_length_bound
+from .hankel import _excitation, _stack, _Stack, pe_length_bound
 from .io import _write_text
 from .lti import LqrWeights, LtiSystem, StateTrajectory, _simulate_runs, simulate, spectral_radius
 
@@ -106,19 +106,18 @@ def assemble_batch(experiments) -> ExperimentBatch:
     """
     pairs = [(np.concatenate([e.x, e.final_state[None]]), e.u)
              if isinstance(e, StateTrajectory) else e for e in experiments]
-    X, x_ends, n = _stack([x for x, _ in pairs])
-    U, ends, _ = _stack([u for _, u in pairs])
-    x_len, u_len = np.diff(x_ends, prepend=0), np.diff(ends, prepend=0)
-    bad = np.flatnonzero(x_len != u_len + 1)
+    X = _stack([x for x, _ in pairs])
+    U = _stack([u for _, u in pairs])
+    bad = np.flatnonzero(X.lengths != U.lengths + 1)
     if bad.size:
         i = int(bad[0])
         raise InputError(
             f"experiment {i}: states must have one more sample than inputs "
-            f"(terminal state included), got {x_len[i]} vs {u_len[i]}"
+            f"(terminal state included), got {X.lengths[i]} vs {U.lengths[i]}"
         )
-    XX = _mosaic(X, x_ends, 2)  # [x(0..T-1); x(1..T)] of every experiment
-    return ExperimentBatch(Xm=XX[:n], Xp=XX[n:], Um=U,
-                           boundaries=tuple((ends - u_len).tolist()))
+    XX = X.mosaic(2)  # [x(0..T-1); x(1..T)] of every experiment
+    return ExperimentBatch(Xm=XX[:X.m], Xp=XX[X.m:], Um=U.W,
+                           boundaries=tuple((U.ends - U.lengths).tolist()))
 
 
 def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
@@ -401,8 +400,8 @@ def generate_experiments(sys: LtiSystem, n_experiments: int, length: int,
     ends = length * np.arange(1, n_experiments + 1)
     for _ in range(max_retries):
         inputs = rng.uniform(input_low, input_high, size=(n_experiments, length, sys.m))
-        W = inputs.transpose(2, 0, 1).reshape(sys.m, -1)  # the runs as one stack
-        if not _excitation(W, ends, pe_order, DEFAULT_RANK_RTOL).exciting:
+        runs = _Stack(inputs.transpose(2, 0, 1).reshape(sys.m, -1), ends, sys.m)
+        if not _excitation(runs, pe_order, DEFAULT_RANK_RTOL).exciting:
             continue
         x, y = _simulate_runs(sys, x0_scale * rng.standard_normal((n_experiments, sys.n)),
                               inputs.transpose(1, 0, 2))

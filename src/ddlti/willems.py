@@ -24,56 +24,45 @@ import numpy as np
 from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, check_rtol, gram_factor, minnorm,
                       minnorm_cutoff, rank_of, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError
-from .hankel import _check_depth, _mosaic, _records, _stack, _windows
+from .hankel import _records, _stack, _Stack
 from .lti import LtiSystem
 
 
 @dataclass(frozen=True, eq=False)
 class DataDictionary:
-    """Stacked input/output mosaic-Hankel matrix of depth L, kept as its records:
-    W's m input channels over its p outputs, record i in columns ends[i-1]:ends[i].
+    """Stacked input/output mosaic-Hankel matrix of depth L, kept as its records'
+    checked stack, m input channels over p outputs: see :func:`build_data_matrix`.
 
     ``matrix``, formed when first read, is the (m+p)L x N depth-L input mosaic
     over the output mosaic: column c is the c-th recorded window (records
-    shorter than L have none), flattened time-major.  Factors fold its
-    :meth:`blocks` instead; ``input_block`` and ``output_block`` are its row views.
-    A dictionary without windows raises :class:`NoUsableDataError`.
+    shorter than L have none), flattened time-major.  Pipelines read its
+    :meth:`blocks` instead.  A dictionary without windows raises :class:`NoUsableDataError`.
     """
 
     depth: int
-    W: np.ndarray
-    ends: np.ndarray
-    m: int
+    stack: _Stack
     n_columns: int = field(init=False)
 
     def __post_init__(self):
-        ends = self.ends.tolist()
-        object.__setattr__(self, "n_columns", sum(max(t - s - self.depth + 1, 0)
-                                                  for s, t in zip([0] + ends[:-1], ends)))
+        object.__setattr__(self, "n_columns", self.stack.columns(self.depth))
         if not self.n_columns:
             raise NoUsableDataError(f"no run is long enough for windows of depth {self.depth}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _mosaic(self.W, self.ends, self.depth, self.m)
+        return self.stack.mosaic(self.depth)
 
     def blocks(self):
         """``matrix``'s columns in blocks of at most ``hankel.PASS_BLOCK`` windows."""
-        return _windows(self.W, self.ends, self.depth, self.m)
+        return self.stack.windows(self.depth)
+
+    @property
+    def m(self) -> int:
+        return self.stack.m
 
     @property
     def p(self) -> int:
-        return len(self.W) - self.m
-
-    @property
-    def input_block(self) -> np.ndarray:
-        """The depth-L input mosaic (mL x N), a view of ``matrix``."""
-        return self.matrix[:self.m * self.depth]
-
-    @property
-    def output_block(self) -> np.ndarray:
-        """The depth-L output mosaic (pL x N), a view of ``matrix``."""
-        return self.matrix[self.m * self.depth:]
+        return len(self.stack.W) - self.stack.m
 
 
 def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
@@ -92,9 +81,7 @@ def build_data_matrix(io_pairs, depth: int) -> DataDictionary:
     DataDictionary
         With ``N = sum_i (T_i - L + 1)`` columns.
     """
-    W, ends, m = _stack(io_pairs, pairs=True)
-    _check_depth(ends, depth)
-    return DataDictionary(depth, W, ends, m)
+    return DataDictionary(depth, _stack(io_pairs, pairs=True).checked(depth))
 
 
 def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
@@ -111,13 +98,13 @@ def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
     xs, us = _records(state_segments), _records(input_segments)
     if len(xs) != len(us):
         raise InputError("state and input records must come in matching numbers")
-    W, ends, n = _stack(zip(xs, us), pairs=True)
+    stack = _stack(zip(xs, us), pairs=True)
+    n = stack.m
     if n != sys.n:
         raise InputError(f"state records must have {sys.n} channels, got {n}")
-    if len(W) - n != sys.m:
-        raise InputError(f"input records must have {sys.m} channels, got {len(W) - n}")
-    _check_depth(ends, depth)
-    L = gram_factor(_windows(W, ends, depth, n))
+    if len(stack.W) - n != sys.m:
+        raise InputError(f"input records must have {sys.m} channels, got {len(stack.W) - n}")
+    L = gram_factor(stack.checked(depth).windows(depth))
     return rank_of(np.vstack([L[:n], L[n * depth:]]), rtol).rank == n + sys.m * depth
 
 
@@ -125,12 +112,18 @@ def synthesize_trajectory(dictionary: DataDictionary, g) -> tuple[np.ndarray, np
     """Form the trajectory encoded by coefficient vector g.
 
     Returns the flat input part (length mL) and output part (length pL) of
-    ``matrix @ g``.  Whenever the dictionary's data came from a controllable
-    system under sufficient excitation, the result is itself a genuine
-    length-L trajectory of that system.
+    ``matrix @ g``, one pass over its blocks.  Whenever the dictionary's data
+    came from a controllable system under sufficient excitation, the result is
+    itself a genuine length-L trajectory of that system.
     """
     g = as_matrix(g, "g", (dictionary.n_columns,))
-    return dictionary.input_block @ g, dictionary.output_block @ g
+    k = dictionary.m * dictionary.depth
+    w = np.zeros(k + dictionary.p * dictionary.depth)
+    at = 0
+    for B in dictionary.blocks():
+        w += B @ g[at:at + B.shape[1]]
+        at += B.shape[1]
+    return w[:k], w[k:]
 
 
 class Membership(NamedTuple):
@@ -145,13 +138,17 @@ def is_system_trajectory(dictionary: DataDictionary, u, y,
 
     Solves the stacked system for the minimum-norm g and accepts when the
     relative residual is at most ``tol``.  The g is returned so callers can
-    reuse or inspect the certificate.
+    reuse or inspect the certificate.  On the :func:`~ddlti._linalg.gram_factor`
+    F = matrix Q', z = F+ b has the residual and g = Q z = matrix' (F')+ z.
     """
     L = dictionary.depth
     u = as_matrix(u, "u", (dictionary.m * L,))
     y = as_matrix(y, "y", (dictionary.p * L,))
     b = np.concatenate([u, y])
-    g, res = minnorm(dictionary.matrix, b, dictionary.n_columns)
+    factor = gram_factor(dictionary.blocks())
+    z, res = minnorm(factor, b, dictionary.n_columns)
+    w = minnorm(factor.T, z, dictionary.n_columns)[0]
+    g = np.concatenate([B.T @ w for B in dictionary.blocks()])
     return Membership(member=bool(res <= tol), residual=res, g=g)
 
 

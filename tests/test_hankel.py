@@ -183,9 +183,9 @@ def test_max_excitation_order_tests_the_counting_bound_first(monkeypatch):
     # so one excitation test, at that bound, decides the order.
     tested, real = [], dd.hankel._excitation
 
-    def spy(W, ends, depth, rtol):
+    def spy(stack, depth, rtol):
         tested.append(depth)
-        return real(W, ends, depth, rtol)
+        return real(stack, depth, rtol)
     monkeypatch.setattr(dd.hankel, "_excitation", spy)
     rng = np.random.default_rng(17)
     for lengths, d, bound in [([200], 1, 100), ([300], 2, 100), ([40, 25, 60], 2, 25),

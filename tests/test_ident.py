@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -248,7 +250,7 @@ def test_scan_order_matches_estimate(record):
     u = np.random.default_rng(0).standard_normal((15, 1))
     assert dd.scan_order([(u, 2.0 * u)], max_order=3) == 0
     # no output channel: every depth has full row rank, and depth 2 stalls
-    order, d = dd.ident._scan(*dd.hankel._stack([(u, np.zeros((15, 0)))], pairs=True),
+    order, d = dd.ident._scan(dd.hankel._stack([(u, np.zeros((15, 0)))], pairs=True),
                               None, dd.DEFAULT_RANK_RTOL)[:2]
     assert (order, d.depth) == (0, 2)
     # a random third-order system
@@ -272,6 +274,53 @@ def test_scan_order_undetermined_lists_estimates(record):
                        match=r"^no window depth produced a stable order estimate "
                              r"\(estimates: 1 at depth 1, 2 at depth 2\)$"):
         dd.scan_order(pairs, max_order=1)
+
+
+def unstable_record(T):
+    """The response of a plant with poles 1.3 and 0.5 to T Gaussian input
+    samples, input and initial state drawn from ``default_rng(0)``: its
+    output grows as 1.3^t, to 1.1e114 at T = 1,000 and 2.1e159 at T = 1,400."""
+    sys = dd.LtiSystem(A=np.array([[1.3, 0.2], [0.0, 0.5]]), B=np.ones((2, 1)),
+                       C=np.ones((1, 2)), D=np.zeros((1, 1)))
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((T, 1))
+    traj = dd.simulate(sys, rng.standard_normal(2), u)
+    return dd.CorruptedTrajectory(u=traj.u, y=traj.y)
+
+
+def refused_within_a_second(call, error, match):
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(error, match=match):
+            call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_scan_refuses_at_the_first_falling_estimate():
+    # Collective excitation of order L + n makes the estimate rank(H_L) - mL
+    # equal rank O_L, which never falls up to depth L.  So after a fall no
+    # deeper stall is backed by the data, and the scan refuses there.  Both
+    # records below were walked toward their column cap before this rule:
+    # zeros, whose estimate is -L at every depth (T^4 in time), and an
+    # unstable response whose output hides its input (13.7 s to refuse).
+    zeros = dd.CorruptedTrajectory(u=np.zeros((3_126, 1)), y=np.zeros((3_126, 3)))
+    refused_within_a_second(lambda: dd.identify(zeros), dd.OrderUndeterminedError,
+                            r"^the order estimate fell from -1 at depth 1 to -2 at depth 2; it "
+                            r"never falls on runs exciting enough to decide the order$")
+    refused_within_a_second(lambda: dd.scan_order(dd.segment_trajectory(unstable_record(1_000))),
+                            dd.OrderUndeterminedError,
+                            r"^the order estimate fell from 0 at depth 1 to -1 at depth 2;")
+
+
+def test_scan_refuses_runs_whose_norm_overflows():
+    # ||W|| overflows once the output passes about 1e154: no rank decision or
+    # certificate bound is finite there, and identify used to run past 40 s.
+    record = unstable_record(1_400)
+    for call in (lambda: dd.identify(record),
+                 lambda: dd.scan_order(dd.segment_trajectory(record))):
+        refused_within_a_second(call, dd.InputError, r"^the runs' norm overflows: their samples "
+                                                     r"are too large for a rank decision$")
 
 
 def spy(monkeypatch, owner, name, log, note):
@@ -305,9 +354,10 @@ def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):
     # per depth and builds no depth's matrix; the stall sample's known block
     # goes through one SVD, and no excitation test runs.
     cut, excitation_tests = [], []
-    spy(monkeypatch, dd.ident, "_mosaic", cut, lambda W, ends, depth, m: (depth, W.shape[1]))
+    spy(monkeypatch, dd.hankel._Stack, "mosaic", cut,
+        lambda stack, depth: (depth, stack.W.shape[1]))
     spy(monkeypatch, dd.hankel, "_excitation", excitation_tests,
-        lambda W, ends, depth, rtol: depth)
+        lambda stack, depth, rtol: depth)
     rng = np.random.default_rng(10)
     for n, m, p in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 2), (6, 2, 3)]:
         sys = random_system(rng, n, m, p)

@@ -70,18 +70,22 @@ def constructions(path: Path, name: str) -> list[str]:
     return found
 
 
+#: The kernel calls that factor a matrix: none may be handed a formed window matrix.
+FACTORS = ("gram_factor", "minnorm", "svd_rank")
+
+
 def holds_formed_matrix(node: ast.AST, names: set[str]) -> bool:
     """Whether an expression holds a formed window matrix: a ``.matrix``
-    attribute, a ``_mosaic(...)`` call or one of ``names``."""
+    attribute, a stack's ``mosaic(...)`` call or one of ``names``."""
     return any(isinstance(n, ast.Attribute) and n.attr == "matrix"
-               or isinstance(n, ast.Call) and "_mosaic" in (getattr(n.func, "id", None),
-                                                          getattr(n.func, "attr", None))
+               or isinstance(n, ast.Call) and "mosaic" in (getattr(n.func, "id", None),
+                                                         getattr(n.func, "attr", None))
                or isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
 
 
 def factored_formed_matrices(source: str, stem: str) -> list[str]:
-    """``stem:line`` of every ``gram_factor`` call on a formed window matrix,
-    directly or through names assigned from one in the same top-level
+    """``stem:line`` of every call in :data:`FACTORS` on a formed window
+    matrix, directly or through names assigned from one in the same top-level
     definition."""
     found = []
     for top in ast.parse(source).body:
@@ -94,21 +98,27 @@ def factored_formed_matrices(source: str, stem: str) -> list[str]:
                 break
             names |= new
         found += [f"{stem}:{n.lineno}" for n in ast.walk(top) if isinstance(n, ast.Call)
-                  and "gram_factor" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                  and {getattr(n.func, "id", None), getattr(n.func, "attr", None)} & set(FACTORS)
                   and any(holds_formed_matrix(arg, names) for arg in n.args)]
     return found
 
 
 def test_no_pipeline_factors_a_formed_window_matrix():
-    # Every factor of a mosaic or dictionary is folded from the walker's blocks
-    # (hankel._windows), so no pipeline holds an N-column window matrix to
-    # factor it.  lqr._factor_ab factors the batch matrices it is handed.
+    # Every factor or min-norm solve of a mosaic or dictionary works on the
+    # factor folded from the walker's blocks (hankel._Stack.windows), so no
+    # pipeline holds an N-column window matrix to factor it.  lqr._factor_ab
+    # factors the batch matrices it is handed.  The sample route's k x 2k
+    # mosaic is decided by rank_basis, which is not a FACTORS call.
     calls = [c for path in sorted(PACKAGE.glob("*.py"))
              for c in factored_formed_matrices(path.read_text(), path.stem)]
     assert calls == []
-    source = ("def f(d, W):\n    M = _mosaic(W)\n    A = M[:2]\n"
-              "    return gram_factor([A]), gram_factor(d.matrix), gram_factor(d.blocks())\n")
-    assert factored_formed_matrices(source, "f") == ["f:4", "f:4"]
+    source = ("def f(d, stack):\n    M = stack.mosaic(3)\n    A = M[:2]\n"
+              "    return gram_factor([A]), gram_factor(d.matrix), gram_factor(d.blocks())\n"
+              "def g(dictionary, b, stack):\n"
+              "    g, res = minnorm(dictionary.matrix, b, dictionary.n_columns)\n"
+              "    U = svd_rank(stack.mosaic(2), 0.0)\n"
+              "    return minnorm(gram_factor(dictionary.blocks()), b, 1)\n")
+    assert factored_formed_matrices(source, "f") == ["f:4", "f:4", "f:6", "f:7"]
 
 
 def test_every_module_has_a_layer():

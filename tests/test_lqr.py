@@ -691,9 +691,9 @@ def test_generate_experiments_keeps_the_draw_order(reactor, monkeypatch):
     real = dd.lqr._excitation
     tests = []
 
-    def first_fails(W, ends, order, rtol):
+    def first_fails(stack, order, rtol):
         tests.append(order)
-        report = real(W, ends, order, rtol)
+        report = real(stack, order, rtol)
         return replace(report, exciting=len(tests) > 1 and report.exciting)
 
     monkeypatch.setattr(dd.lqr, "_excitation", first_fails)

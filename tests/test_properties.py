@@ -81,13 +81,13 @@ def test_mosaic_product_is_the_product(lengths, m, p, depth, rows, block, expone
     # twice that.
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((m + p, sum(lengths))) * 10.0 ** np.array(exponents[:m + p])[:, None]
-    ends = np.cumsum(lengths)
+    stack = dd.hankel._Stack(W, np.cumsum(lengths), m)
     X = rng.standard_normal((rows, (m + p) * depth))
-    M = dd.hankel._mosaic(W, ends, depth, m)
+    M = stack.mosaic(depth)
     k = len(M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd.hankel, "PASS_BLOCK", block)
-        blocks = list(dd.hankel._windows(W, ends, depth, m))
+        blocks = list(stack.windows(depth))
     assert all(0 < B.shape[1] <= block and len(B) == k for B in blocks)
     assert np.array_equal(np.hstack(blocks) if blocks else np.zeros((k, 0)), M)
     product = np.hstack([X @ B for B in blocks]) if blocks else np.zeros((rows, 0))
@@ -128,10 +128,10 @@ def test_the_fold_is_the_gram_matrix_of_the_mosaic(lengths, m, p, depth, block, 
     # norms are within gamma_N of r_j.
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((m + p, sum(lengths))) * 10.0 ** np.array(exponents[:m + p])[:, None]
-    ends = np.cumsum(lengths)
-    records = np.split(W, ends[:-1], axis=1)
+    stack = dd.hankel._Stack(W, np.cumsum(lengths), m)
+    records = np.split(W, stack.ends[:-1], axis=1)
     k = (m + p) * depth
-    M = dd.hankel._mosaic(W, ends, depth, m)
+    M = stack.mosaic(depth)
     if max(lengths) < depth:
         assert M.shape == (k, 0)
         return
@@ -140,8 +140,8 @@ def test_the_fold_is_the_gram_matrix_of_the_mosaic(lengths, m, p, depth, block, 
     assert M.flags.c_contiguous
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd.hankel, "PASS_BLOCK", block)
-        nb = sum(1 for _ in dd.hankel._windows(W, ends, depth, m))
-        L = gram_factor(dd.hankel._windows(W, ends, depth, m))
+        nb = sum(1 for _ in stack.windows(depth))
+        L = gram_factor(stack.windows(depth))
     N = M.shape[1]
     gamma, gamma_k, gamma_n = ((j * EPS / (1 - j * EPS)) for j in ((k + block) * k, k, N))
     r = np.linalg.norm(M, axis=1) / (1 - gamma_n)
@@ -446,10 +446,10 @@ def test_scan_order_matches_downward_scan(n, m, p, T, gap, kind, max_order, seed
     assert outcome(dd.scan_order, segs, max_order) == outcome(downward_scan, segs, max_order)
 
 
-def scan_result(W, ends, m):
+def scan_result(stack):
     """``ident._scan``'s order and stall depth, or its refusal's message."""
     try:
-        order, d = dd.ident._scan(W, ends, m, None, dd.DEFAULT_RANK_RTOL)[:2]
+        order, d = dd.ident._scan(stack, None, dd.DEFAULT_RANK_RTOL)[:2]
     except dd.OrderUndeterminedError as e:
         return str(e)
     return order, d.depth
@@ -476,6 +476,11 @@ def identify_result(ct):
 @example(n=3, m=1, p=2, T=150, gap=0.05, kind="ternary", radius=0.9,
          exponents=[8, -8, 0, 0, 0, 0], seed=1)
 @example(n=3, m=2, p=2, T=200, gap=0.0, kind="gauss", radius=0.9, exponents=[0] * 6, seed=2)
+# A second mode 5e-10 below the first, under the rank cutoff: the sample's
+# completion fits it differently from all the data's, so the stall is
+# completed on the data's factor.
+@example(n=2, m=1, p=1, T=157, gap=0.2, kind="gauss", radius=1.140625,
+         exponents=[0, -5, 0, 0, 0, 0], seed=2**32 - 1)
 def test_certified_depths_have_the_certified_rank(n, m, p, T, gap, kind, radius, exponents,
                                                   seed):
     # Every depth whose rank the order scan certifies on a sample of its
@@ -486,23 +491,23 @@ def test_certified_depths_have_the_certified_rank(n, m, p, T, gap, kind, radius,
     # error bounds: a certified stall completes on the sample's dictionary,
     # the other on all the data's.
     _, ct = gappy_record(np.random.default_rng(seed), n, m, p, T, gap, kind, radius, exponents)
-    W, ends, _ = dd.hankel._stack(dd.segment_trajectory(ct), pairs=True)
+    stack = dd.hankel._stack(dd.segment_trajectory(ct), pairs=True)
     certified, certify = [], dd.ident.certifies_rank
 
     def spy(decision, perp, *args):
         passed = certify(decision, perp, *args)
-        certified.extend([(len(perp) // len(W), decision.rank)] * passed)
+        certified.extend([(len(perp) // len(stack.W), decision.rank)] * passed)
         return passed
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd.ident, "certifies_rank", spy)
-        found, found_id = scan_result(W, ends, m), identify_result(ct)
-        stall = None if isinstance(found, str) else dd.ident._scan(W, ends, m, None,
+        found, found_id = scan_result(stack), identify_result(ct)
+        stall = None if isinstance(found, str) else dd.ident._scan(stack, None,
                                                                    dd.DEFAULT_RANK_RTOL)[1]
         mp.setattr(dd.ident, "certifies_rank", lambda *args: False)
-        reference, ref_id = scan_result(W, ends, m), identify_result(ct)
+        reference, ref_id = scan_result(stack), identify_result(ct)
     for depth, rank in set(certified):
-        factor = gram_factor(dd.DataDictionary(depth, W, ends, m).blocks())
+        factor = gram_factor(dd.DataDictionary(depth, stack).blocks())
         assert dd.numerical_rank(factor) == rank, depth
     assert found == reference
     assert type(found_id) is type(ref_id)
@@ -510,9 +515,34 @@ def test_certified_depths_have_the_certified_rank(n, m, p, T, gap, kind, radius,
         assert found_id == ref_id
         return
     assert (found_id.order, found_id.segment_report) == (ref_id.order, ref_id.segment_report)
-    d = dd.DataDictionary(stall.depth, W, ends, m)
+    d = dd.DataDictionary(stall.depth, stack)
     bound = impulse_error_bound(stall, found_id.markov) + impulse_error_bound(d, ref_id.markov)
     assert np.all(np.linalg.norm(found_id.markov - ref_id.markov, axis=(1, 2)) <= bound)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(n=st.integers(0, 6), m=st.integers(1, 3), p=st.integers(1, 3),
+       T=st.integers(1, 200), gap=st.sampled_from([0.0, 0.05, 0.2]),
+       kind=st.sampled_from(["gauss", "ternary", "zero"]), radius=st.floats(0.5, 1.3),
+       exponents=st.lists(st.integers(-8, 8), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_no_accepted_identify_had_a_falling_estimate(n, m, p, T, gap, kind, radius, exponents,
+                                                     seed):
+    # Collective excitation of order L + n makes rank(H_L) - mL = rank O_L,
+    # which never falls up to depth L.  The scan refuses at the first fall, so
+    # wherever identify answers, the estimates up to its stall depth, each
+    # decided by the rank rule on the whole depth's factor, never fall, and
+    # the last two are the order.
+    _, ct = gappy_record(np.random.default_rng(seed), n, m, p, T, gap, kind, radius, exponents)
+    found = identify_result(ct)
+    if isinstance(found, tuple):
+        return
+    stack = dd.ident._complete_runs(ct)[0]
+    stall = dd.ident._scan(stack, None, dd.DEFAULT_RANK_RTOL)[1].depth
+    estimates = [dd.numerical_rank(gram_factor(dd.DataDictionary(depth, stack).blocks()))
+                 - m * depth for depth in range(1, stall + 1)]
+    assert estimates == sorted(estimates)
+    assert estimates[-2:] == [found.order] * 2
 
 
 @PROPERTY
@@ -610,7 +640,7 @@ def test_identify_matches_parent_and_model(n, m, p, T, gap, kind, seed):
     except dd.DdltiError:
         assert order is None, "the parent identified this record"
         return
-    _, d = dd.ident._scan(*dd.hankel._stack(dd.segment_trajectory(ct), pairs=True), None,
+    _, d = dd.ident._scan(dd.hankel._stack(dd.segment_trajectory(ct), pairs=True), None,
                           dd.DEFAULT_RANK_RTOL)[:2]
     bound = impulse_error_bound(d, res.markov)
     assert res.order == n

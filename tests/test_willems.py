@@ -33,8 +33,8 @@ def test_dictionary_single_record_reduces_to_hankel_stack():
     u = rng.standard_normal((9, 2))
     y = rng.standard_normal((9, 1))
     d = dd.build_data_matrix([(u, y)], 3)
-    assert_allclose(d.input_block, dd.hankel_matrix(u, 3))
-    assert_allclose(d.output_block, dd.hankel_matrix(y, 3))
+    assert_allclose(d.matrix[:6], dd.hankel_matrix(u, 3))
+    assert_allclose(d.matrix[6:], dd.hankel_matrix(y, 3))
 
 
 def test_dictionary_rejects_misaligned_pairs():
@@ -208,6 +208,24 @@ def test_datadriven_simulate_peak_memory_is_below_half_the_dictionary():
         dd.build_data_matrix([(data.u, data.y)], L), ref.u[:L - 1], ref.y[:L - 1], ref.u[L - 1:]))
     dictionary_bytes = (2 + 2) * L * (20_000 - L + 1) * 8
     assert_allclose(ys, ref.y[L - 1:], atol=1e-8)
+    assert peak < dictionary_bytes / 2, (peak, dictionary_bytes)
+
+
+def test_membership_peak_memory_is_below_half_the_dictionary():
+    # Membership is decided on the dictionary's factor, folded block by block,
+    # and g is one pass over the blocks: the test peaks below half the
+    # (m+p)L x N matrix it used to factor.
+    rng = np.random.default_rng(21)
+    sys = random_system(rng, 4, 2, 2)
+    data = dd.simulate(sys, rng.standard_normal(4), rng.standard_normal((100_000, 2)))
+    L = 5
+    d = dd.build_data_matrix([(data.u, data.y)], L)
+    ref = dd.simulate(sys, rng.standard_normal(4), rng.standard_normal((L, 2)))
+    b = np.concatenate([ref.u.reshape(-1), ref.y.reshape(-1)])
+    res, peak = traced_peak(lambda: dd.is_system_trajectory(d, b[:2 * L], b[2 * L:]))
+    dictionary_bytes = (2 + 2) * L * (100_000 - L + 1) * 8
+    assert res.member and res.residual <= 1e-10
+    assert_allclose(np.concatenate(dd.synthesize_trajectory(d, res.g)), b, atol=1e-8)
     assert peak < dictionary_bytes / 2, (peak, dictionary_bytes)
 
 
