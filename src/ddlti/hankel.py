@@ -33,12 +33,14 @@ from .errors import DepthTooLargeError, InputError
 from .lti import _set_start_time
 
 #: Largest factor plus one block of windows, in bytes, that an excitation test
-#: folds (256 MiB).  Each fold's QR holds [factor; block'] twice, so a test peaks
-#: near three times this; a larger one raises InputError (exit 1) beforehand.
+#: folds (256 MiB).  Each fold's QR holds [factor; block'], or the one block of a
+#: family that fits it, twice, so a test peaks near three times this; a larger
+#: one raises InputError (exit 1) beforehand.
 MAX_EXCITATION_BYTES = 1 << 28
 
 #: Windows per block of :meth:`_Stack.windows`: a pass or a factor over the records
-#: holds one block of this many columns, however many windows were recorded.
+#: holds one block of this many columns, however many windows were recorded
+#: (a factor, all of them where they fit one fold step: see :meth:`_Stack.fold`).
 PASS_BLOCK = 1024
 
 
@@ -133,6 +135,15 @@ class _Stack:
             yield span if j == i + 1 else np.concatenate(
                 [span[:, s - a:t - a] for s, t in pieces[i:j]], axis=1)
             i = j
+
+    def fold(self, depth: int) -> np.ndarray:
+        """The :func:`~ddlti._linalg.gram_factor` of :meth:`windows`, one QR of
+        them all where their starts span at most the factor's rows plus
+        :data:`PASS_BLOCK`: each fold step holds [factor; block'] of that many
+        rows, and with more rows than :data:`PASS_BLOCK` the first of
+        :data:`PASS_BLOCK` windows would leave a wide factor, then a stacked copy."""
+        span, rows = self.W.shape[1], len(self.W) * depth
+        return gram_factor(self.windows(depth, span if span - depth < rows + PASS_BLOCK else None))
 
     def mosaic(self, depth: int) -> np.ndarray:
         """The depth-``depth`` mosaic of the records at least ``depth`` long, the first m
@@ -237,7 +248,7 @@ def _excitation(stack: _Stack, depth: int, rtol: float) -> ExcitationReport:
     if held > MAX_EXCITATION_BYTES:
         raise InputError(f"the depth-{depth} excitation test needs {held} bytes to factor its "
                          f"{rows} x {cols} matrix, above the {MAX_EXCITATION_BYTES}-byte limit")
-    decision = rank_of(gram_factor(stack.windows(depth)), rtol)
+    decision = rank_of(stack.fold(depth), rtol)
     return ExcitationReport(**vars(decision), depth=depth, required_rank=rows,
                             n_columns=cols, exciting=decision.rank == rows)
 

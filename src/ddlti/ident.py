@@ -20,12 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_rank, check_rtol, gram_factor,
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certifies_rank, check_rtol,
                       rank_basis, rank_of, require_rank, svd_rank)
 from .errors import InputError, NoUsableDataError, OrderInfeasibleError, OrderUndeterminedError
 from .hankel import SignalSegment, _stack, _Stack
 from .lti import CorruptedTrajectory, LtiSystem, markov_parameters
 from .willems import DataDictionary, _complete, _completion, _defect_bound, _uniqueness_cutoff
+
+
+#: Depths the order scan decides one by one before it probes deeper (see
+#: :func:`_scan`): a scan that stalls by then, as on exciting data of order
+#: up to PROBE_AFTER - 1, does no more work than deciding each depth.
+PROBE_AFTER = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +99,7 @@ def recover_markov_parameters(io_pairs, order: int, count: int,
     if order < 0:
         raise InputError("order must be nonnegative")
     d = DataDictionary(order + 1, _stack(io_pairs, pairs=True))
-    return _impulse_response(d, _completion(d, gram_factor(d.blocks())), count, rtol, tol)
+    return _impulse_response(d, _completion(d, d.factor), count, rtol, tol)
 
 
 def _impulse_response(d: DataDictionary, completion, count: int, rtol: float,
@@ -172,7 +178,9 @@ def scan_order(segments, max_order: int | None = None,
     estimate can fall there instead, and the scan stops, undetermined.
     Each depth's rank is decided on a sample of 2(m+p)L windows of the
     longest run and certified on all the data by one pass over the records;
-    only a depth the sample cannot certify is built and factored.
+    only a depth the sample cannot certify is built and factored.  Past depth
+    :data:`PROBE_AFTER`, depths of full row rank, whose estimates never stall
+    or fall, are passed in one decision at up to twice the depth.
     """
     return _scan(_stack(segments, pairs=True), max_order, rtol)[0]
 
@@ -187,8 +195,16 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
     matrix M with ||M||_F <= sqrt(L) ||W||_F, as a sample enters at most L
     windows, or else built and factored, and decided on its factor.  Runs
     whose ||W||_F overflows are refused before any depth: no rank decision or
-    certificate bound is finite on them."""
+    certificate bound is finite on them.
+
+    Past depth :data:`PROBE_AFTER`, while the previous depth had full row
+    rank, a probe (:func:`_full_rank_through`) certifies full row rank up to
+    twice the depth in one decision, and the scan passes those depths: their
+    estimates pL grow (p >= 1), so none stalls or falls.  A probe that does not
+    certify (a depth lacks full row rank, or the margin is too small) ends the
+    probing: a scan makes at most one probe it cannot use."""
     W, m, lengths = stack.W, stack.m, stack.lengths
+    p = len(W) - m
     cap = int(lengths.max())
     if max_order is not None:
         if max_order < 0:
@@ -201,12 +217,20 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
     if not np.isfinite(w_norm):
         raise InputError("the runs' norm overflows: their samples are too large for a rank "
                          "decision")
-    order, seen = None, []
-    for depth in range(1, cap + 1):
+    order, seen, probing, depth = None, [], True, 0
+    while depth < cap:
+        depth += 1
         # Runs shorter than the depth have no window at it.
         n_cols, k = stack.columns(depth), len(W) * depth
         if n_cols < k:
             break
+        if probing and depth > PROBE_AFTER and p and seen[-1] == p * (depth - 1):
+            top = _full_rank_through(stack, depth, cap, start, w_norm, rtol)
+            probing = top is not None
+            if probing:
+                seen += [p * j for j in range(depth, top + 1)]
+                depth = top
+                continue
         # 2k windows: a k x 2k sample keeps sigma_min off 0, a square one not.
         width, previous, step = 2 * k + depth - 1, seen[-1] if seen else None, None
         if lengths[longest] >= width:
@@ -214,9 +238,8 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
                                   np.sqrt(depth) * w_norm, n_cols, rtol, previous)
         if step is None:
             d = DataDictionary(depth, stack)
-            factor = gram_factor(d.blocks())
-            estimate = rank_of(factor, rtol).rank - m * depth
-            step = estimate, d, _completion(d, factor) if previous == estimate >= 0 else None
+            estimate = rank_of(d.factor, rtol).rank - m * depth
+            step = estimate, d, _completion(d, d.factor) if previous == estimate >= 0 else None
         if previous is not None and step[0] < previous:
             raise OrderUndeterminedError(
                 f"the order estimate fell from {previous} at depth {depth - 1} to {step[0]} at "
@@ -234,6 +257,40 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
         raise OrderUndeterminedError(
             f"estimated order {order} exceeds the requested cap {max_order}")
     return (order,) + step[1:]
+
+
+def _full_rank_through(stack: _Stack, depth: int, cap: int, start: int, w_norm: float,
+                       rtol: float) -> int | None:
+    """The deepest depth ``top`` up to min(2 ``depth``, ``cap``) with at least
+    as many windows as rows, if one decision at ``top`` certifies that the rank
+    rule on each depth's factor gives full row rank from ``depth`` to ``top``;
+    else None.  It is taken on the first 2k windows of the longest run (from
+    sample ``start``) where that run holds them, else on the depth's factor.
+
+    Write M_j for depth j's k_j x N_j matrix, B = sqrt(top) ||W||_F >= ||M_j||_F
+    and gamma = eps max_j k_j N_j over these depths.  M_top's rows at times
+    0 .. j-1 are some of M_j's columns, and deleting rows of a wide matrix or
+    adding columns never lowers its least singular value (Cauchy interlacing
+    on M M'): sigma_kj(M_j) >= sigma_k(M_top) >= sigma_k(S), S the sample.
+    As :func:`~ddlti._linalg.certifies_rank` derives, the decision's s_k is
+    within gamma B of sigma_k(S), or of sigma_k(M_top) on the factor, and the
+    rule on M_j's factor sees singular values within gamma B of M_j's, at most
+    (1 + gamma) B.  So it gives full row rank once
+    s_k > (rtol (1 + gamma) + 2 gamma) B."""
+    rows, top, kn = len(stack.W), depth, 0
+    for j in range(depth, min(2 * depth, cap) + 1):
+        n_cols = stack.columns(j)
+        if n_cols < rows * j:  # and at every deeper depth: windows fall, rows grow
+            break
+        top, kn = j, max(kn, rows * j * n_cols)
+    k, gamma = rows * top, kn * np.finfo(float).eps
+    width = 2 * k + top - 1
+    if stack.lengths.max() >= width:
+        M = _Stack(stack.W[:, start:start + width], np.array([width]), stack.m).mosaic(top)
+    else:
+        M = DataDictionary(top, stack).factor
+    s_k = rank_of(M, rtol).singular_values[k - 1]
+    return top if s_k > (rtol * (1.0 + gamma) + 2.0 * gamma) * np.sqrt(top) * w_norm else None
 
 
 def _sampled_depth(stack: _Stack, depth, run, norm_bound, n_cols, rtol, previous):

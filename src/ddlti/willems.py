@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, check_rtol, gram_factor, minnorm,
-                      minnorm_cutoff, rank_of, residual_ratio, svd_rank)
+from ._linalg import (DEFAULT_RANK_RTOL, as_matrix, certify, check_rtol, minnorm_cutoff,
+                      rank_of, residual_ratio, svd_rank)
 from .errors import InconsistentPastError, InputError, InsufficientDataError, NoUsableDataError
 from .hankel import _records, _stack, _Stack
 from .lti import LtiSystem
@@ -36,7 +36,8 @@ class DataDictionary:
     ``matrix``, formed when first read, is the (m+p)L x N depth-L input mosaic
     over the output mosaic: column c is the c-th recorded window (records
     shorter than L have none), flattened time-major.  Pipelines read its
-    :meth:`blocks` instead.  A dictionary without windows raises :class:`NoUsableDataError`.
+    :meth:`blocks`, and its one factorization, ``factor``, folded from them
+    when first read.  A dictionary without windows raises :class:`NoUsableDataError`.
     """
 
     depth: int
@@ -51,6 +52,13 @@ class DataDictionary:
     @cached_property
     def matrix(self) -> np.ndarray:
         return self.stack.mosaic(self.depth)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The :func:`~ddlti._linalg.gram_factor` of ``matrix``'s columns, as
+        the stack folds its windows (:meth:`~ddlti.hankel._Stack.fold`): its
+        rank, row-space relations and min-norm solves are ``matrix``'s."""
+        return self.stack.fold(self.depth)
 
     def blocks(self):
         """``matrix``'s columns in blocks of at most ``hankel.PASS_BLOCK`` windows."""
@@ -104,7 +112,7 @@ def check_rank_condition(sys: LtiSystem, state_segments, input_segments,
         raise InputError(f"state records must have {sys.n} channels, got {n}")
     if len(stack.W) - n != sys.m:
         raise InputError(f"input records must have {sys.m} channels, got {len(stack.W) - n}")
-    L = gram_factor(stack.checked(depth).windows(depth))
+    L = stack.checked(depth).fold(depth)
     return rank_of(np.vstack([L[:n], L[n * depth:]]), rtol).rank == n + sys.m * depth
 
 
@@ -138,16 +146,18 @@ def is_system_trajectory(dictionary: DataDictionary, u, y,
 
     Solves the stacked system for the minimum-norm g and accepts when the
     relative residual is at most ``tol``.  The g is returned so callers can
-    reuse or inspect the certificate.  On the :func:`~ddlti._linalg.gram_factor`
-    F = matrix Q', z = F+ b has the residual and g = Q z = matrix' (F')+ z.
+    reuse or inspect the certificate.  On the dictionary's ``factor``
+    F = matrix Q' = U s V', cut as the min-norm rule cuts it, z = F+ b has the
+    residual ||U U' b - b|| / ||b||, and g = Q z = matrix' (F')+ z = matrix' U s^-2 U' b.
     """
     L = dictionary.depth
     u = as_matrix(u, "u", (dictionary.m * L,))
     y = as_matrix(y, "y", (dictionary.p * L,))
     b = np.concatenate([u, y])
-    factor = gram_factor(dictionary.blocks())
-    z, res = minnorm(factor, b, dictionary.n_columns)
-    w = minnorm(factor.T, z, dictionary.n_columns)[0]
+    U, s, _, _ = svd_rank(dictionary.factor, minnorm_cutoff(len(b), dictionary.n_columns))
+    c = U.T @ b
+    res = float(residual_ratio(U @ c - b, b))
+    w = U @ (c / s / s)
     g = np.concatenate([B.T @ w for B in dictionary.blocks()])
     return Membership(member=bool(res <= tol), residual=res, g=g)
 
@@ -187,7 +197,7 @@ def datadriven_simulate(dictionary: DataDictionary, past_u, past_y, future_u,
     wu = as_matrix(past_u, "past_u", (L - 1, m), samples=True)
     wy = as_matrix(past_y, "past_y", (L - 1, p), samples=True)
     fu = as_matrix(future_u, "future_u", (None, m), samples=True)
-    return _complete(dictionary, _completion(dictionary, gram_factor(dictionary.blocks())),
+    return _complete(dictionary, _completion(dictionary, dictionary.factor),
                      wu[..., None], wy[..., None], fu[..., None], tol, DEFAULT_RANK_RTOL)[..., 0]
 
 

@@ -41,6 +41,25 @@ def random_system(rng, n, m, p, *, radius=0.9, minimal=True, max_tries=200):
     raise RuntimeError("could not draw a suitable random system")
 
 
+def gappy_record(rng, n, m, p, T, gap, kind, radius=0.9, exponents=(0,) * 6):
+    """A random system of spectral radius ``radius`` and its response to a
+    "gauss", "ternary" or "zero" input, channel j (inputs, then outputs) scaled
+    by 10 ** exponents[j], each sample missing with probability ``gap`` (never
+    all of them)."""
+    sys = random_system(rng, n, m, p, radius=radius)
+    u = {"gauss": lambda: rng.standard_normal((T, m)),
+         "ternary": lambda: rng.integers(-1, 2, size=(T, m)).astype(float),
+         "zero": lambda: np.zeros((T, m))}[kind]()
+    rec = dd.simulate(sys, rng.standard_normal(n), u)
+    keep = rng.random(T) >= gap
+    if not keep.any():
+        keep[0] = True
+    blank = np.where(keep[:, None], 1.0, np.nan)
+    scale = 10.0 ** np.array(exponents[:m + p])
+    return sys, dd.CorruptedTrajectory(u=rec.u * blank * scale[:m],
+                                       y=rec.y * blank * scale[m:])
+
+
 def lag(sys):
     """Observability index of an observable system with n >= 1: the least k
     whose k-step observability matrix has rank n."""

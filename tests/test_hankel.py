@@ -206,6 +206,25 @@ def test_excitation_report_peak_memory_is_below_half_the_mosaic():
     assert peak < mosaic_bytes / 2, (peak, mosaic_bytes)
 
 
+def test_a_family_that_fits_one_fold_step_is_folded_in_one_qr(monkeypatch, linalg_calls):
+    # With more rows than PASS_BLOCK, a fold in blocks of PASS_BLOCK windows
+    # holds a wide first factor, then a stacked copy of it and the next block,
+    # above what one QR of the formed mosaic holds.  A family whose windows
+    # fit one fold step, [factor; block'], is folded in one QR, and the test
+    # peaks at most as it does on the formed mosaic, but for the Python
+    # objects of the walker that yields the block (its suspended frame, under
+    # a kilobyte) and of first calls: 4 KiB, against a 9.7 MB mosaic.
+    depth = dd.hankel.PASS_BLOCK + 76
+    signal = np.random.default_rng(23).standard_normal(2 * depth)  # a depth x (depth + 1) mosaic
+    report, peak = traced_peak(lambda: dd.excitation_report(signal, depth))
+    assert [shape for name, shape, _ in linalg_calls if name == "qr"] == [(depth + 1, depth)]
+    monkeypatch.setattr(dd.hankel._Stack, "fold",
+                        lambda stack, depth: dd._linalg.gram_factor([stack.mosaic(depth)]))
+    formed, formed_peak = traced_peak(lambda: dd.excitation_report(signal, depth))
+    assert report.exciting and report.rank == formed.rank == depth
+    assert peak <= formed_peak + 4096, (peak, formed_peak)
+
+
 def test_excitation_tests_above_the_memory_limit_are_refused_before_allocating():
     # The depth-side test of 2 * side samples folds a side x (side + 1) mosaic
     # into a side x side factor, one side x PASS_BLOCK block at a time: the

@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import (RECORD_CSV, SHORT_RUNS_CSV, impulse_error_bound, lag, pe_inputs,
-                      random_system, rounding_per_unit_g, traced_peak)
+from conftest import (RECORD_CSV, SHORT_RUNS_CSV, gappy_record, impulse_error_bound, lag,
+                      pe_inputs, random_system, rounding_per_unit_g, traced_peak)
 
 
 def make_record(sys, rng, T, missing, pe_order=None):
@@ -313,6 +313,73 @@ def test_scan_refuses_at_the_first_falling_estimate():
                             r"^the order estimate fell from 0 at depth 1 to -1 at depth 2;")
 
 
+def test_scan_refuses_records_it_answered_wrong_before_the_fall_rule():
+    # Two records of a 4,000-record corpus whose scans, with no stop at a
+    # falling estimate, stalled later and gave an order below the true one:
+    # 2 for n = 3, then 0 for n = 5.  Both estimates fall at depth 2.
+    for (seed, n, m, p, T, gap, kind, radius), fell in [
+            ((3699709976, 3, 1, 3, 360, 0.05, "ternary", 1.059), "from 0 at depth 1 to -1"),
+            ((2251593442, 5, 2, 3, 81, 0.0, "gauss", 1.265), "from 1 at depth 1 to 0")]:
+        _, ct = gappy_record(np.random.default_rng(seed), n, m, p, T, gap, kind, radius)
+        message = (f"^the order estimate fell {fell} at depth 2; it never falls on runs exciting "
+                   "enough to decide the order$")
+        for call in (lambda: dd.identify(ct), lambda: dd.scan_order(dd.segment_trajectory(ct))):
+            with pytest.raises(dd.OrderUndeterminedError, match=message):
+                call()
+
+
+def test_scan_passes_full_row_rank_depths_in_one_decision():
+    # On noise every depth has full row rank up to the column cap, so the
+    # estimate pL grows at every depth and the scan refuses at the cap.  Its
+    # depth-by-depth SVDs grew as T^4 (3.6 s at T = 800, m = p = 1); probing
+    # depths up to twice as deep, each certified by interlacing, passes them
+    # in a few decisions, with the same message.
+    for m, p, seed in [(1, 1, 24), (2, 2, 25)]:
+        rng = np.random.default_rng(seed)
+        ct = dd.CorruptedTrajectory(u=rng.standard_normal((800, m)),
+                                    y=rng.standard_normal((800, p)))
+        cap = max(L for L in range(1, 801) if 801 - L >= (m + p) * L)  # windows at least rows
+        estimates = ", ".join(f"{p * L} at depth {L}" for L in range(1, cap + 1))
+        refused_within_a_second(lambda: dd.identify(ct), dd.OrderUndeterminedError,
+                                "^no window depth produced a stable order estimate "
+                                rf"\(estimates: {estimates}\)$")
+
+
+def test_probes_past_depth_8_change_no_answer(monkeypatch):
+    # High-order records reach the probe.  Where it certifies, every depth it
+    # passes has full row rank; where it does not, the scan decides depth by
+    # depth from there.  Either way identify and scan_order answer as a scan
+    # that never probes, bit for bit, refusals with their message.
+    probes, real = [], dd.ident._full_rank_through
+
+    def probe(stack, depth, *args):
+        probes.append((depth, real(stack, depth, *args)))
+        return probes[-1][1]
+
+    def outcomes(ct):
+        found = []
+        for call in (lambda: dd.identify(ct), lambda: dd.scan_order(dd.segment_trajectory(ct))):
+            try:
+                found.append(call())
+            except dd.DdltiError as err:
+                found.append((type(err), str(err)))
+        return found
+
+    monkeypatch.setattr(dd.ident, "_full_rank_through", probe)
+    for seed, n, T, gap in [(0, 10, 200, 0.0), (11, 21, 420, 0.05)]:
+        _, ct = gappy_record(np.random.default_rng(seed), n, 1, 1, T, gap, "gauss")
+        probed = outcomes(ct)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dd.ident, "PROBE_AFTER", T)
+            ref = outcomes(ct)
+        if isinstance(ref[0], dd.IdentificationResult):
+            assert_same_identification(probed[0], ref[0])
+        else:
+            assert probed[0] == ref[0]
+        assert probed[1] == ref[1]
+    assert probes == [(9, None)] * 2 + [(9, 18), (19, None)] * 2
+
+
 def test_scan_refuses_runs_whose_norm_overflows():
     # ||W|| overflows once the output passes about 1e154: no rank decision or
     # certificate bound is finite there, and identify used to run past 40 s.
@@ -334,15 +401,16 @@ def spy(monkeypatch, owner, name, log, note):
 
 
 def spy_factor(monkeypatch, log, note):
-    """Replace ident's ``gram_factor`` by a call that appends ``note(M)`` to
-    ``log``, M the matrix whose column blocks it folds."""
-    real = dd.ident.gram_factor
+    """Replace the ``gram_factor`` that folds records' windows (hankel's, in
+    ``_Stack.fold``, which ``DataDictionary.factor`` reads) by a call that
+    appends ``note(M)`` to ``log``, M the matrix whose column blocks it folds."""
+    real = dd.hankel.gram_factor
 
     def call(blocks):
         blocks = list(blocks)
         log.append(note(np.hstack(blocks)))
         return real(blocks)
-    monkeypatch.setattr(dd.ident, "gram_factor", call)
+    monkeypatch.setattr(dd.hankel, "gram_factor", call)
 
 
 def test_scan_order_stops_at_first_stall(monkeypatch, linalg_calls):

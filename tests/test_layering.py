@@ -5,7 +5,9 @@ files, cli formats output); records are converted once, by hankel's stack,
 so only segment_trajectory, whose output needs start times, builds a
 SignalSegment; only the experiment generator raises ExcitationError;
 certificate and rank errors are raised only by _linalg's certificate and
-rank-requirement rules; and no pipeline factors a formed window matrix."""
+rank-requirement rules; no pipeline factors a formed window matrix; and
+records' windows are folded only by the stack, which a dictionary reads
+through its factor."""
 import ast
 from pathlib import Path
 
@@ -119,6 +121,51 @@ def test_no_pipeline_factors_a_formed_window_matrix():
               "    U = svd_rank(stack.mosaic(2), 0.0)\n"
               "    return minnorm(gram_factor(dictionary.blocks()), b, 1)\n")
     assert factored_formed_matrices(source, "f") == ["f:4", "f:4", "f:6", "f:7"]
+
+
+def calls_within(source: str, stem: str, match) -> list[str]:
+    """``stem.definition`` of every call for which ``match(call)`` holds, by the
+    function, or class and method, it sits in."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and match(child):
+                found.append(where)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+    visit(ast.parse(source), stem)
+    return found
+
+
+def folds_windows(call: ast.Call) -> bool:
+    """A ``gram_factor`` call on a stack's ``windows(...)`` or a dictionary's ``blocks()``."""
+    walked = [a for a in call.args if isinstance(a, ast.Call)
+              and getattr(a.func, "attr", None) in ("windows", "blocks")]
+    return bool(walked) and "gram_factor" in (getattr(call.func, "id", None),
+                                               getattr(call.func, "attr", None))
+
+
+def test_records_are_folded_only_by_the_stack():
+    # hankel._Stack.fold is the one fold of a family's windows, and a
+    # dictionary reads it only through its factor, which it keeps: a
+    # dictionary simulated from or tested against many times is factored
+    # once.  A pipeline that folds the blocks itself refolds them per call.
+    sources = [(path.read_text(), path.stem) for path in sorted(PACKAGE.glob("*.py"))]
+    assert [c for src, stem in sources for c in calls_within(src, stem, folds_windows)] == \
+        ["hankel._Stack.fold"]
+    assert sorted(c for src, stem in sources for c in calls_within(
+        src, stem, lambda call: getattr(call.func, "attr", None) == "fold")) == \
+        ["hankel._excitation", "willems.DataDictionary.factor", "willems.check_rank_condition"]
+    source = ("def datadriven_simulate(dictionary, wu, wy, fu, tol):\n"
+              "    return _complete(dictionary, _completion(dictionary, "
+              "gram_factor(dictionary.blocks())),\n"
+              "                     wu, wy, fu, tol, DEFAULT_RANK_RTOL)\n"
+              "class Stack:\n    def f(self, depth):\n"
+              "        return (gram_factor(self.windows(depth)),\n"
+              "                gram_factor([self.mosaic(depth)]))\n")
+    assert calls_within(source, "willems", folds_windows) == \
+        ["willems.datadriven_simulate", "willems.Stack.f"]
 
 
 def test_every_module_has_a_layer():

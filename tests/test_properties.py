@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ddlti as dd
 from ddlti._linalg import gram_factor, minnorm, rank_of, svd_rank
-from conftest import (EPS, impulse_error_bound, lag, pe_inputs, random_system,
+from conftest import (EPS, gappy_record, impulse_error_bound, lag, pe_inputs, random_system,
                       rounding_per_unit_g)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -407,25 +407,6 @@ def downward_scan(segments, max_order=None, rtol=dd.DEFAULT_RANK_RTOL):
     if max_order is not None and order > max_order:
         raise dd.OrderUndeterminedError(f"estimated order {order} exceeds the cap {max_order}")
     return order
-
-
-def gappy_record(rng, n, m, p, T, gap, kind, radius=0.9, exponents=(0,) * 6):
-    """A random system of spectral radius ``radius`` and its response to a
-    "gauss", "ternary" or "zero" input, channel j (inputs, then outputs) scaled
-    by 10 ** exponents[j], each sample missing with probability ``gap`` (never
-    all of them)."""
-    sys = random_system(rng, n, m, p, radius=radius)
-    u = {"gauss": lambda: rng.standard_normal((T, m)),
-         "ternary": lambda: rng.integers(-1, 2, size=(T, m)).astype(float),
-         "zero": lambda: np.zeros((T, m))}[kind]()
-    rec = dd.simulate(sys, rng.standard_normal(n), u)
-    keep = rng.random(T) >= gap
-    if not keep.any():
-        keep[0] = True
-    blank = np.where(keep[:, None], 1.0, np.nan)
-    scale = 10.0 ** np.array(exponents[:m + p])
-    return sys, dd.CorruptedTrajectory(u=rec.u * blank * scale[:m],
-                                       y=rec.y * blank * scale[m:])
 
 
 def outcome(scan, segments, max_order):

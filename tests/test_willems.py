@@ -229,6 +229,37 @@ def test_membership_peak_memory_is_below_half_the_dictionary():
     assert peak < dictionary_bytes / 2, (peak, dictionary_bytes)
 
 
+def test_a_dictionary_is_factored_once_across_calls(linalg_calls):
+    # The dictionary keeps the factor it folds on first read: simulations and
+    # membership tests after the first run no QR, and each membership test
+    # solves both its min-norm problems on one SVD of the factor.
+    rng = np.random.default_rng(22)
+    sys = random_system(rng, 3, 1, 2)
+    data = dd.simulate(sys, rng.standard_normal(3), rng.standard_normal((2500, 1)))
+    L = lag(sys) + 1
+    k, block = (1 + 2) * L, dd.hankel.PASS_BLOCK
+    ref = dd.simulate(sys, rng.standard_normal(3), rng.standard_normal((L + 4, 1)))
+    calls = {  # each call and the one matrix it takes an SVD of
+        "simulate": (lambda d: dd.datadriven_simulate(d, ref.u[:L - 1], ref.y[:L - 1],
+                                                      ref.u[L - 1:]), (k - 2, k)),
+        "member": (lambda d: dd.is_system_trajectory(d, ref.u[:L].reshape(-1),
+                                                     ref.y[:L].reshape(-1)), (k, k))}
+    folds = [(block, k), (k + block, k), (k + 2500 - L + 1 - 2 * block, k)]
+    for order in (["simulate", "member"], ["member", "simulate"]):
+        d = dd.build_data_matrix([(data.u, data.y)], L)
+        outputs = {name: [] for name in order}
+        for i, name in enumerate(order * 2):
+            call, svd = calls[name]
+            linalg_calls.clear()
+            outputs[name].append(call(d))
+            assert [shape for f, shape, _ in linalg_calls if f == "qr"] == (folds if i == 0 else [])
+            assert [shape for f, shape, _ in linalg_calls if f == "svd"] == [svd]
+        assert np.array_equal(*outputs["simulate"])
+        first, again = outputs["member"]
+        assert first.member and again.residual == first.residual
+        assert np.array_equal(again.g, first.g)
+
+
 def test_datadriven_simulate_refuses_completions_below_the_lag():
     # A past of L-1 < l samples leaves part of the state free, so the new
     # output is one of many, even on exact, richly exciting data.
