@@ -32,11 +32,11 @@ from ._linalg import DEFAULT_RANK_RTOL, RankDecision, as_samples, gram_factor, r
 from .errors import DepthTooLargeError, InputError
 from .lti import _set_start_time
 
-#: Largest factor plus one block of windows, in bytes, that an excitation test
+#: Largest factor plus one block of windows, in bytes, that :meth:`_Stack.fold`
 #: folds (256 MiB).  Each fold's QR holds [factor; block'], or the one block of a
-#: family that fits it, twice, so a test peaks near three times this; a larger
+#: family that fits it, twice, so a fold peaks near three times this; a larger
 #: one raises InputError (exit 1) beforehand.
-MAX_EXCITATION_BYTES = 1 << 28
+MAX_FOLD_BYTES = 1 << 28
 
 #: Windows per block of :meth:`_Stack.windows`: a pass or a factor over the records
 #: holds one block of this many columns, however many windows were recorded
@@ -141,9 +141,24 @@ class _Stack:
         them all where their starts span at most the factor's rows plus
         :data:`PASS_BLOCK`: each fold step holds [factor; block'] of that many
         rows, and with more rows than :data:`PASS_BLOCK` the first of
-        :data:`PASS_BLOCK` windows would leave a wide factor, then a stacked copy."""
-        span, rows = self.W.shape[1], len(self.W) * depth
+        :data:`PASS_BLOCK` windows would leave a wide factor, then a stacked copy.
+        Refuses a factor plus block above :data:`MAX_FOLD_BYTES` before folding."""
+        span, rows, cols = self.W.shape[1], len(self.W) * depth, self.columns(depth)
+        held = rows * (min(rows, cols) + min(PASS_BLOCK, cols)) * self.W.itemsize
+        if held > MAX_FOLD_BYTES:
+            raise InputError(f"the depth-{depth} fold needs {held} bytes to factor its {rows} x "
+                             f"{cols} matrix, above the {MAX_FOLD_BYTES}-byte limit")
         return gram_factor(self.windows(depth, span if span - depth < rows + PASS_BLOCK else None))
+
+    def sample(self, depth: int) -> _Stack | None:
+        """The first 2k windows of the longest record (k = d ``depth`` rows) as a
+        one-record stack, or None where it is shorter than (2d + 1) ``depth`` - 1
+        samples: a k x 2k sample keeps sigma_min off 0, a square one not."""
+        width, longest = (2 * len(self.W) + 1) * depth - 1, self.lengths.argmax()
+        if self.lengths[longest] < width:
+            return None
+        start = int(self.ends[longest] - self.lengths[longest])
+        return _Stack(self.W[:, start:start + width], np.array([width]), self.m)
 
     def mosaic(self, depth: int) -> np.ndarray:
         """The depth-``depth`` mosaic of the records at least ``depth`` long, the first m
@@ -241,13 +256,8 @@ def excitation_report(signals, depth: int, rtol: float = DEFAULT_RANK_RTOL) -> E
 
 def _excitation(stack: _Stack, depth: int, rtol: float) -> ExcitationReport:
     """:func:`excitation_report` on a stack, leaving out records shorter than
-    ``depth``: the report has no column of theirs.  Refuses a factor plus
-    block above :data:`MAX_EXCITATION_BYTES` before folding."""
+    ``depth``: the report has no column of theirs."""
     rows, cols = depth * len(stack.W), stack.columns(depth)
-    held = rows * (min(rows, cols) + min(PASS_BLOCK, cols)) * stack.W.itemsize
-    if held > MAX_EXCITATION_BYTES:
-        raise InputError(f"the depth-{depth} excitation test needs {held} bytes to factor its "
-                         f"{rows} x {cols} matrix, above the {MAX_EXCITATION_BYTES}-byte limit")
     decision = rank_of(stack.fold(depth), rtol)
     return ExcitationReport(**vars(decision), depth=depth, required_rank=rows,
                             n_columns=cols, exciting=decision.rank == rows)

@@ -190,12 +190,12 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
     input/output runs: the order, and the depth-L* dictionary of the first
     stall and its certified :func:`~ddlti.willems._completion`.
 
-    Each depth is decided by :func:`_sampled_depth` on the first 2k windows
-    of the longest run (k = (m+p)L rows), a column subset of the depth's
-    matrix M with ||M||_F <= sqrt(L) ||W||_F, as a sample enters at most L
-    windows, or else built and factored, and decided on its factor.  Runs
-    whose ||W||_F overflows are refused before any depth: no rank decision or
-    certificate bound is finite on them.
+    Each depth is decided by :func:`_sampled_depth` on the stack's sample, the
+    first 2k windows of the longest run (k = (m+p)L rows), a column subset of
+    the depth's matrix M with ||M||_F <= sqrt(L) ||W||_F, as a sample enters
+    at most L windows, or else built and factored, and decided on its factor.
+    Runs whose ||W||_F overflows are refused before any depth: no rank
+    decision or certificate bound is finite on them.
 
     Past depth :data:`PROBE_AFTER`, while the previous depth had full row
     rank, a probe (:func:`_full_rank_through`) certifies full row rank up to
@@ -210,8 +210,6 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
         if max_order < 0:
             raise InputError("max_order must be nonnegative")
         cap = min(cap, max_order + 1)
-    longest = int(np.argmax(lengths))
-    start = int(stack.ends[longest] - lengths[longest])
     with np.errstate(over="ignore"):  # an overflowing norm is refused, not warned of
         w_norm = float(np.linalg.norm(W))
     if not np.isfinite(w_norm):
@@ -225,17 +223,15 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
         if n_cols < k:
             break
         if probing and depth > PROBE_AFTER and p and seen[-1] == p * (depth - 1):
-            top = _full_rank_through(stack, depth, cap, start, w_norm, rtol)
+            top = _full_rank_through(stack, depth, cap, w_norm, rtol)
             probing = top is not None
             if probing:
                 seen += [p * j for j in range(depth, top + 1)]
                 depth = top
                 continue
-        # 2k windows: a k x 2k sample keeps sigma_min off 0, a square one not.
-        width, previous, step = 2 * k + depth - 1, seen[-1] if seen else None, None
-        if lengths[longest] >= width:
-            step = _sampled_depth(stack, depth, W[:, start:start + width],
-                                  np.sqrt(depth) * w_norm, n_cols, rtol, previous)
+        previous, sample = seen[-1] if seen else None, stack.sample(depth)
+        step = None if sample is None else _sampled_depth(
+            stack, sample, depth, np.sqrt(depth) * w_norm, n_cols, rtol, previous)
         if step is None:
             d = DataDictionary(depth, stack)
             estimate = rank_of(d.factor, rtol).rank - m * depth
@@ -259,59 +255,53 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
     return (order,) + step[1:]
 
 
-def _full_rank_through(stack: _Stack, depth: int, cap: int, start: int, w_norm: float,
+def _full_rank_through(stack: _Stack, depth: int, cap: int, w_norm: float,
                        rtol: float) -> int | None:
     """The deepest depth ``top`` up to min(2 ``depth``, ``cap``) with at least
     as many windows as rows, if one decision at ``top`` certifies that the rank
     rule on each depth's factor gives full row rank from ``depth`` to ``top``;
-    else None.  It is taken on the first 2k windows of the longest run (from
-    sample ``start``) where that run holds them, else on the depth's factor.
+    else None.  It is taken on the stack's sample at ``top``, else on the
+    depth's factor.
 
-    Write M_j for depth j's k_j x N_j matrix, B = sqrt(top) ||W||_F >= ||M_j||_F
-    and gamma = eps max_j k_j N_j over these depths.  M_top's rows at times
-    0 .. j-1 are some of M_j's columns, and deleting rows of a wide matrix or
-    adding columns never lowers its least singular value (Cauchy interlacing
-    on M M'): sigma_kj(M_j) >= sigma_k(M_top) >= sigma_k(S), S the sample.
-    As :func:`~ddlti._linalg.certifies_rank` derives, the decision's s_k is
-    within gamma B of sigma_k(S), or of sigma_k(M_top) on the factor, and the
-    rule on M_j's factor sees singular values within gamma B of M_j's, at most
-    (1 + gamma) B.  So it gives full row rank once
-    s_k > (rtol (1 + gamma) + 2 gamma) B."""
+    Write M_j for depth j's k_j x N_j matrix.  M_top's rows at times 0 .. j-1
+    are some of M_j's columns, and deleting rows of a wide matrix or adding
+    columns never lowers its least singular value (Cauchy interlacing on
+    M M'): sigma_kj(M_j) >= sigma_k(M_top) >= sigma_k(S), S the sample (the
+    factor has M_top's).  So :func:`~ddlti._linalg.certifies_rank` at full
+    row rank (no null basis), with B = sqrt(top) ||W||_F >= ||M_j||_F and
+    k N = max_j k_j N_j, certifies every depth from ``depth`` to ``top``."""
     rows, top, kn = len(stack.W), depth, 0
     for j in range(depth, min(2 * depth, cap) + 1):
         n_cols = stack.columns(j)
         if n_cols < rows * j:  # and at every deeper depth: windows fall, rows grow
             break
         top, kn = j, max(kn, rows * j * n_cols)
-    k, gamma = rows * top, kn * np.finfo(float).eps
-    width = 2 * k + top - 1
-    if stack.lengths.max() >= width:
-        M = _Stack(stack.W[:, start:start + width], np.array([width]), stack.m).mosaic(top)
-    else:
-        M = DataDictionary(top, stack).factor
-    s_k = rank_of(M, rtol).singular_values[k - 1]
-    return top if s_k > (rtol * (1.0 + gamma) + 2.0 * gamma) * np.sqrt(top) * w_norm else None
+    k, sample = rows * top, stack.sample(top)
+    decision = rank_of(DataDictionary(top, stack).factor if sample is None
+                       else sample.mosaic(top), rtol)
+    certified = decision.rank == k and certifies_rank(decision, np.zeros((k, 0)), 0.0,
+                                                      np.sqrt(top) * w_norm, kn / k, rtol)
+    return top if certified else None
 
 
-def _sampled_depth(stack: _Stack, depth, run, norm_bound, n_cols, rtol, previous):
-    """The sample route of :func:`_scan` at one depth, on the first 2k windows
-    of ``run``: (estimate, and where it stalls at ``previous`` the sample's
-    dictionary and completion, else None and None), or None where the sample
-    cannot decide.  The rank rule on the sample S gives a rank r and a basis
-    perp of its left null space.  One pass over the records' windows
-    (``stack.windows``) forms perp' M and, at a stall, [theta, -I] M and
-    M_new for the sample's completion map theta; at full row rank it has no
-    rows.  The sample decides where :func:`~ddlti._linalg.certifies_rank`
-    certifies that the rule on M's own factor gives r and, at a stall, where
-    :func:`~ddlti.willems._defect_bound` bounds the completion's defect on M
-    within the cutoff that :func:`~ddlti.willems._complete` certifies, and its
-    measured part within its rounding part: a larger defect (a mode below the
-    rank cutoff) makes the completion depend on the windows sampled, so M's
-    own factor completes it."""
-    sample = _Stack(run, np.array([run.shape[1]]), stack.m)
+def _sampled_depth(stack: _Stack, sample: _Stack, depth, norm_bound, n_cols, rtol, previous):
+    """The sample route of :func:`_scan` at one depth, on the stack's
+    ``sample`` (:meth:`~ddlti.hankel._Stack.sample`): (estimate, and where it
+    stalls at ``previous`` the sample's dictionary and completion, else None
+    and None), or None where the sample cannot decide.  The rank rule on the
+    sample's mosaic S gives a rank r and a basis perp of its left null space.
+    One pass over the records' windows (``stack.windows``) forms perp' M and,
+    at a stall, [theta, -I] M and M_new for the sample's completion map theta;
+    at full row rank it has no rows.  The sample decides where
+    :func:`~ddlti._linalg.certifies_rank` certifies that the rule on M's own
+    factor gives r and, at a stall, where :func:`~ddlti.willems._defect_bound`
+    bounds the completion's defect on M within the cutoff that
+    :func:`~ddlti.willems._complete` certifies, and its measured part within
+    its rounding part: a larger defect (a mode below the rank cutoff) makes the
+    completion depend on the windows sampled, so M's own factor completes it."""
     S = sample.mosaic(depth)
     decision, perp = rank_basis(S, rtol)
-    estimate, (k, null), p = decision.rank - stack.m * depth, perp.shape, len(run) - stack.m
+    estimate, (k, null), p = decision.rank - stack.m * depth, perp.shape, len(stack.W) - stack.m
     rows, dictionary, completion = [perp.T], None, None
     if previous == estimate >= 0:
         dictionary = DataDictionary(depth, sample)

@@ -145,44 +145,46 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
 def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000):
     """(P, K, residual) of the Riccati equation for validated weights.
 
-    Doubling gives a first P (P = Q if it breaks down or overflows).  Then
-    one loop applies the Riccati map F(P) = A'PA - A'PBX + Q, with
-    X = (R + B'PB)^{-1} B'PA: its step F(P) - P, relative to max(1, ||P||),
-    is the residual, so P is accepted with gain K = -X once the step is
-    within ``max(tol, 1e-12)``, and refined by it otherwise.  Raises
-    :class:`RiccatiDivergenceError` when P stops being finite, R + B'PB
-    cannot be solved, or ``max_iter`` steps do not reach the tolerance.
+    Doubling gives a first P.  Its k-th iterate is step 2^k from 0 of the
+    Riccati map F(P) = A'PA - A'PBX + Q, X = (R + B'PB)^{-1} B'PA, so no run
+    of F converges where doubling does not.  Then one loop applies F: its
+    step F(P) - P, relative to max(1, ||P||), is the residual, so P is
+    accepted with gain K = -X once the step is within ``max(tol, 1e-12)``,
+    and refined by it otherwise.  Raises :class:`RiccatiDivergenceError`
+    when doubling breaks down or overflows, P stops being finite, R + B'PB
+    cannot be solved, or ``max_iter`` steps, of doubling or of F, do not
+    reach the tolerance.
     """
     n = A.shape[0]
     Q, R = _fitted(weights, *B.shape)
 
-    def doubling() -> np.ndarray | None:
+    def doubling():
+        """(H, norm, stopped): the last iterate, its norm (inf where I + GH is
+        singular), and whether it converged or overflowed within ``max_iter`` steps."""
         Ak, Gk, Hk = A.copy(), B @ np.linalg.solve(R, B.T), Q.copy()
-        eye = np.eye(n)
+        eye, norm = np.eye(n), 0.0
         for _ in range(max_iter):
             try:  # one LU of I + GH serves both right-hand sides
                 V = np.linalg.solve(eye + Gk @ Hk, np.hstack([Ak, Gk]))
             except np.linalg.LinAlgError:
-                return None
+                return Hk, np.inf, False
             V1, V2 = V[:, :n], V[:, n:]
             Hn = Hk + Ak.T @ Hk @ V1
             Gk = Gk + Ak @ V2 @ Ak.T
             Ak = Ak @ V1
             Hn = 0.5 * (Hn + Hn.T)
             norm = np.linalg.norm(Hn)
-            if not np.isfinite(norm):
-                return None
-            if np.linalg.norm(Hn - Hk) <= tol * max(1.0, norm):
-                return Hn
+            if not np.isfinite(norm) or np.linalg.norm(Hn - Hk) <= tol * max(1.0, norm):
+                return Hn, norm, True
             Hk = Hn
-        return None
+        return Hk, norm, False
 
     resid_tol = max(tol, 1e-12)
-    P = doubling()
-    if P is None:  # broke down or overflowed: refine from Q
-        P = Q.copy()
+    P, norm, stopped = doubling()
+    certify("iterate norm", float(norm), np.finfo(float).max, RiccatiDivergenceError,
+            "the doubling iteration broke down or overflowed")
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(max_iter if stopped else 0):  # a doubling out of steps is refused
         try:
             X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
         except np.linalg.LinAlgError:

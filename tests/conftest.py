@@ -1,14 +1,26 @@
-"""Shared helpers: random system/test-signal generators and fixed fixtures."""
+"""Shared helpers: random system/test-signal generators and fixed fixtures.
+
+BLAS runs on one thread, as in ``benchmarks/run.py``: the variables are set
+before numpy is first imported, since BLAS reads them once, when it loads.  A
+second thread that waits on a busy core made a test's time bound fail.
+"""
 from __future__ import annotations
 
 import math
+import os
+import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
-import pytest
+assert "numpy" not in sys.modules, "numpy was imported before the BLAS thread count was set"
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import ddlti as dd
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import ddlti as dd  # noqa: E402
 
 DATA_DIR = Path(__file__).parent / "data"
 RECORD_CSV = DATA_DIR / "corrupted_record.csv"
@@ -146,7 +158,7 @@ def least_refused_depth():
     PASS_BLOCK block at a time, and 8 d (d + PASS_BLOCK) bytes, which is
     8 ((d + PASS_BLOCK / 2)^2 - (PASS_BLOCK / 2)^2), exceed the limit."""
     half = dd.hankel.PASS_BLOCK // 2
-    return math.isqrt(dd.hankel.MAX_EXCITATION_BYTES // 8 + half ** 2) + 1 - half
+    return math.isqrt(dd.hankel.MAX_FOLD_BYTES // 8 + half ** 2) + 1 - half
 
 
 def simulate_records(rng, sys, lengths, order):

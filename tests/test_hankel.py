@@ -233,10 +233,10 @@ def test_excitation_tests_above_the_memory_limit_are_refused_before_allocating()
     side, block = least_refused_depth(), dd.hankel.PASS_BLOCK
     signal = np.zeros(2 * side)
     size = 8 * side * (side + block)
-    assert 8 * (side - 1) * (side - 1 + block) <= dd.hankel.MAX_EXCITATION_BYTES < size
-    message = (f"^the depth-{side} excitation test needs {size} bytes to factor its "
+    assert 8 * (side - 1) * (side - 1 + block) <= dd.hankel.MAX_FOLD_BYTES < size
+    message = (f"^the depth-{side} fold needs {size} bytes to factor its "
                f"{side} x {side + 1} matrix, above the "
-               f"{dd.hankel.MAX_EXCITATION_BYTES}-byte limit$")
+               f"{dd.hankel.MAX_FOLD_BYTES}-byte limit$")
     tracemalloc.start()
     try:
         for call in (dd.excitation_report, dd.is_persistently_exciting):
@@ -248,3 +248,53 @@ def test_excitation_tests_above_the_memory_limit_are_refused_before_allocating()
     finally:
         tracemalloc.stop()
     assert peak < size // 100
+
+
+def test_every_fold_refuses_above_the_limit_before_allocating(monkeypatch):
+    # The byte limit is the fold's own, so the order scan's deep folds, a
+    # dictionary's factor and the rank condition refuse as an excitation test
+    # does.  At a 1 MiB limit each is refused with its depth, its bytes and the
+    # limit before its fold allocates: the peak traced from the fold's start
+    # stays below the limit.  On 800 noise samples with m = p = 2 the scan
+    # probes its way to depth 158, whose 632 x 643 matrix has no sample.
+    limit, peaks, real = 1 << 20, [], dd.hankel._Stack.fold
+
+    def fold(stack, depth):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            return real(stack, depth)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    monkeypatch.setattr(dd.hankel, "MAX_FOLD_BYTES", limit)
+    monkeypatch.setattr(dd.hankel._Stack, "fold", fold)
+    rng = np.random.default_rng(25)
+    ct = dd.CorruptedTrajectory(u=rng.standard_normal((800, 2)), y=rng.standard_normal((800, 2)))
+    system = dd.LtiSystem(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
+                          D=np.zeros((1, 1)))
+    states, inputs = rng.standard_normal((3_000, 2)), rng.standard_normal((3_000, 1))
+    for call, depth, rows, cols in [
+            (lambda: dd.identify(ct), 158, 632, 643),
+            (lambda: dd.build_data_matrix([(ct.u, ct.y)], 40).factor, 40, 160, 761),
+            (lambda: dd.check_rank_condition(system, [states], [inputs], 100), 100, 300, 2_901)]:
+        held = 8 * rows * (min(rows, cols) + min(dd.hankel.PASS_BLOCK, cols))
+        message = (f"^the depth-{depth} fold needs {held} bytes to factor its {rows} x {cols} "
+                   f"matrix, above the {limit}-byte limit$")
+        tracemalloc.start()
+        try:
+            with pytest.raises(dd.InputError, match=message):
+                call()
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 3 and max(peaks) < limit, peaks
+
+
+def test_a_flat_list_of_numbers_is_one_signal():
+    # The reading rule: a flat list of numbers is one signal, as its ndarray is.
+    samples = [1.0, 0.0, 2.0, -1.0, 0.0, 3.0, 1.0]
+    signal = np.array(samples)
+    assert np.array_equal(dd.hankel_matrix(samples, 3), dd.hankel_matrix(signal, 3))
+    assert np.array_equal(dd.mosaic_hankel(samples, 3), dd.mosaic_hankel(signal, 3))
+    listed, given = dd.excitation_report(samples, 3), dd.excitation_report(signal, 3)
+    for name, value in vars(given).items():
+        assert np.array_equal(getattr(listed, name), value), name

@@ -5,9 +5,10 @@ files, cli formats output); records are converted once, by hankel's stack,
 so only segment_trajectory, whose output needs start times, builds a
 SignalSegment; only the experiment generator raises ExcitationError;
 certificate and rank errors are raised only by _linalg's certificate and
-rank-requirement rules; no pipeline factors a formed window matrix; and
+rank-requirement rules; no pipeline factors a formed window matrix;
 records' windows are folded only by the stack, which a dictionary reads
-through its factor."""
+through its factor, and only the fold reads its byte limit; and outside
+hankel only the record builders build a stack."""
 import ast
 from pathlib import Path
 
@@ -123,14 +124,14 @@ def test_no_pipeline_factors_a_formed_window_matrix():
     assert factored_formed_matrices(source, "f") == ["f:4", "f:4", "f:6", "f:7"]
 
 
-def calls_within(source: str, stem: str, match) -> list[str]:
-    """``stem.definition`` of every call for which ``match(call)`` holds, by the
-    function, or class and method, it sits in."""
+def calls_within(source: str, stem: str, match, kind=ast.Call) -> list[str]:
+    """``stem.definition`` of every node of ``kind``, a call by default, for
+    which ``match(node)`` holds, by the function, or class and method, it sits in."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and match(child):
+            if isinstance(child, kind) and match(child):
                 found.append(where)
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, f"{where}.{child.name}" if named else where)
@@ -166,6 +167,49 @@ def test_records_are_folded_only_by_the_stack():
               "                gram_factor([self.mosaic(depth)]))\n")
     assert calls_within(source, "willems", folds_windows) == \
         ["willems.datadriven_simulate", "willems.Stack.f"]
+
+
+def builds_stack(call: ast.Call) -> bool:
+    """A ``_Stack(...)`` call."""
+    return "_Stack" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+
+
+def test_only_the_record_builders_build_a_stack_outside_hankel():
+    # hankel._Stack owns the records' layout, the order scan's sample of the
+    # longest run included (_Stack.sample).  Outside hankel only the two
+    # builders of records, the complete runs of a corrupted record and the
+    # generated experiments, lay out a stack's columns themselves.
+    sources = [(path.read_text(), path.stem) for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "hankel"]
+    assert [c for src, stem in sources for c in calls_within(src, stem, builds_stack)] == \
+        ["ident._complete_runs", "lqr.generate_experiments"]
+    source = ("def _full_rank_through(stack, depth, cap, start, w_norm, rtol):\n"
+              "    M = _Stack(stack.W[:, start:start + width], np.array([width]), "
+              "stack.m).mosaic(top)\n"
+              "def _sampled_depth(stack, depth, run, norm_bound, n_cols, rtol, previous):\n"
+              "    sample = hankel._Stack(run, np.array([run.shape[1]]), stack.m)\n")
+    assert calls_within(source, "ident", builds_stack) == \
+        ["ident._full_rank_through", "ident._sampled_depth"]
+
+
+def reads_fold_limit(node: ast.expr) -> bool:
+    """A read of ``MAX_FOLD_BYTES``, as a name or an attribute."""
+    return (isinstance(node.ctx, ast.Load)
+            and "MAX_FOLD_BYTES" in (getattr(node, "id", None), getattr(node, "attr", None)))
+
+
+def test_only_the_fold_reads_the_byte_limit():
+    # Every fold of records' windows holds the limit, because the fold checks
+    # it: a guard in front of one caller leaves the others unbounded.
+    found = {c for path in sorted(PACKAGE.glob("*.py")) for c in calls_within(
+        path.read_text(), path.stem, reads_fold_limit, (ast.Name, ast.Attribute))}
+    assert found == {"hankel._Stack.fold"}
+    source = ("def _excitation(stack, depth, rtol):\n"
+              "    if held > MAX_FOLD_BYTES:\n"
+              "        raise InputError(f'above the {hankel.MAX_FOLD_BYTES}-byte limit')\n"
+              "    return rank_of(stack.fold(depth), rtol)\n")
+    assert calls_within(source, "hankel", reads_fold_limit, (ast.Name, ast.Attribute)) == \
+        ["hankel._excitation"] * 2
 
 
 def test_every_module_has_a_layer():

@@ -145,6 +145,20 @@ def test_dare_unstabilizable_diverges():
             dd.dare_solve([[2.0]], [[0.0]], [[1.0]], [[1.0]], max_iter=200)
 
 
+def test_a_failed_doubling_is_refused_by_its_cause():
+    # Doubling's k-th iterate is step 2^k of the Riccati map from 0, so no
+    # restart of the map converges where doubling did not.  An overflowing
+    # doubling and one that uses up its budget are refused, each by its cause.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dd.RiccatiDivergenceError, match=r"^the doubling iteration broke down "
+                                                            r"or overflowed: iterate norm inf "):
+            dd.dare_solve([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+    # P = 1 / (1 - 0.999^2), summed 2^k terms at a time: 3 steps give 8 terms.
+    with pytest.raises(dd.RiccatiDivergenceError, match=r"^the Riccati iteration did not converge "
+                                                        r"in its 3-step budget: Riccati residual"):
+        dd.dare_solve([[0.999]], [[0.0]], [[1.0]], [[1.0]], max_iter=3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dare_and_lmi_reject_non_finite_matrices(bad):
     with pytest.raises(dd.InputError, match="A contains non-finite entries"):
