@@ -35,7 +35,8 @@ from .lti import _set_start_time
 #: Largest factor plus one block of windows, in bytes, that :meth:`_Stack.fold`
 #: folds (256 MiB).  Each fold's QR holds [factor; block'], or the one block of a
 #: family that fits it, twice, so a fold peaks near three times this; a larger
-#: one raises InputError (exit 1) beforehand.
+#: one raises InputError (exit 1) beforehand.  A larger sample
+#: (:meth:`_Stack.sample`) is not cut: its depth is folded instead.
 MAX_FOLD_BYTES = 1 << 28
 
 #: Windows per block of :meth:`_Stack.windows`: a pass or a factor over the records
@@ -153,9 +154,11 @@ class _Stack:
     def sample(self, depth: int) -> _Stack | None:
         """The first 2k windows of the longest record (k = d ``depth`` rows) as a
         one-record stack, or None where it is shorter than (2d + 1) ``depth`` - 1
-        samples: a k x 2k sample keeps sigma_min off 0, a square one not."""
-        width, longest = (2 * len(self.W) + 1) * depth - 1, self.lengths.argmax()
-        if self.lengths[longest] < width:
+        samples (a k x 2k sample keeps sigma_min off 0, a square one not) or its
+        mosaic's bytes exceed :data:`MAX_FOLD_BYTES`, so that the fold refuses."""
+        k, longest = len(self.W) * depth, self.lengths.argmax()
+        width = 2 * k + depth - 1
+        if self.lengths[longest] < width or 2 * k * k * self.W.itemsize > MAX_FOLD_BYTES:
             return None
         start = int(self.ends[longest] - self.lengths[longest])
         return _Stack(self.W[:, start:start + width], np.array([width]), self.m)

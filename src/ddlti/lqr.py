@@ -151,43 +151,40 @@ def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000)
     step F(P) - P, relative to max(1, ||P||), is the residual, so P is
     accepted with gain K = -X once the step is within ``max(tol, 1e-12)``,
     and refined by it otherwise.  Raises :class:`RiccatiDivergenceError`
-    when doubling breaks down or overflows, P stops being finite, R + B'PB
-    cannot be solved, or ``max_iter`` steps, of doubling or of F, do not
-    reach the tolerance.
+    when doubling breaks down (I + GP singular) or overflows, when the
+    refinement does (R + B'PB singular, or a residual not finite), or when
+    ``max_iter`` steps, of doubling or of F, do not reach the tolerance.
     """
     n = A.shape[0]
     Q, R = _fitted(weights, *B.shape)
-
-    def doubling():
-        """(H, norm, stopped): the last iterate, its norm (inf where I + GH is
-        singular), and whether it converged or overflowed within ``max_iter`` steps."""
-        Ak, Gk, Hk = A.copy(), B @ np.linalg.solve(R, B.T), Q.copy()
-        eye, norm = np.eye(n), 0.0
-        for _ in range(max_iter):
-            try:  # one LU of I + GH serves both right-hand sides
-                V = np.linalg.solve(eye + Gk @ Hk, np.hstack([Ak, Gk]))
-            except np.linalg.LinAlgError:
-                return Hk, np.inf, False
-            V1, V2 = V[:, :n], V[:, n:]
-            Hn = Hk + Ak.T @ Hk @ V1
-            Gk = Gk + Ak @ V2 @ Ak.T
-            Ak = Ak @ V1
-            Hn = 0.5 * (Hn + Hn.T)
-            norm = np.linalg.norm(Hn)
-            if not np.isfinite(norm) or np.linalg.norm(Hn - Hk) <= tol * max(1.0, norm):
-                return Hn, norm, True
-            Hk = Hn
-        return Hk, norm, False
-
-    resid_tol = max(tol, 1e-12)
-    P, norm, stopped = doubling()
+    Ak, G, P = A.copy(), B @ np.linalg.solve(R, B.T), Q.copy()
+    eye, norm, stopped = np.eye(n), 0.0, False
+    for _ in range(max_iter):
+        try:  # one LU of I + GP serves both right-hand sides
+            V = np.linalg.solve(eye + G @ P, np.hstack([Ak, G]))
+        except np.linalg.LinAlgError:
+            norm = np.inf
+            break
+        V1, V2 = V[:, :n], V[:, n:]
+        H = P + Ak.T @ P @ V1
+        G = G + Ak @ V2 @ Ak.T
+        Ak = Ak @ V1
+        H = 0.5 * (H + H.T)
+        norm = np.linalg.norm(H)
+        stopped = not np.isfinite(norm) or np.linalg.norm(H - P) <= tol * max(1.0, norm)
+        P = H
+        if stopped:  # overflowed, or converged
+            break
     certify("iterate norm", float(norm), np.finfo(float).max, RiccatiDivergenceError,
             "the doubling iteration broke down or overflowed")
-    residual = np.inf
+
+    resid_tol, residual = max(tol, 1e-12), np.inf
+    cause = "the Riccati refinement broke down or overflowed"
     for _ in range(max_iter if stopped else 0):  # a doubling out of steps is refused
         try:
             X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
         except np.linalg.LinAlgError:
+            residual = np.inf
             break
         step = A.T @ P @ A - P - A.T @ P @ B @ X + Q  # F(P) - P
         residual = float(np.linalg.norm(step) / max(1.0, np.linalg.norm(P)))
@@ -195,8 +192,9 @@ def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000)
             break
         P = P + step
         P = 0.5 * (P + P.T)
-    certify("Riccati residual", residual, resid_tol, RiccatiDivergenceError,
-            f"the Riccati iteration did not converge in its {max_iter}-step budget")
+    else:  # every step taken, or none allowed
+        cause = f"the Riccati iteration did not converge in its {max_iter}-step budget"
+    certify("Riccati residual", residual, resid_tol, RiccatiDivergenceError, cause)
     return P, -X, residual
 
 
@@ -208,10 +206,15 @@ def _fitted(weights: LqrWeights, n: int, m: int):
 def lmi_operator(P, batch: ExperimentBatch, weights: LqrWeights) -> np.ndarray:
     """The data-side operator L(P) = Xm'PXm - Xp'PXp - Xm'QXm - Um'RUm (N x N)."""
     P = as_matrix(P, "P", (batch.n, batch.n))
-    Q, R = _fitted(weights, batch.n, batch.m)
-    Xm, Xp, Um = batch.Xm, batch.Xp, batch.Um
-    L = Xm.T @ P @ Xm - Xp.T @ P @ Xp - Xm.T @ Q @ Xm - Um.T @ R @ Um
-    return 0.5 * (L + L.T)
+    return _lmi(P, *_fitted(weights, batch.n, batch.m), batch.Xm, batch.Xp, batch.Um)[1]
+
+
+def _lmi(P, Q, R, Xm, Xp, Um):
+    """(terms, L): L(P)'s four terms Xm'PXm, Xp'PXp, Xm'QXm and Um'RUm on the
+    data columns Xm, Xp and Um, and L(P), their difference symmetrized."""
+    terms = (Xm.T @ P @ Xm, Xp.T @ P @ Xp, Xm.T @ Q @ Xm, Um.T @ R @ Um)
+    L = terms[0] - terms[1] - terms[2] - terms[3]
+    return terms, 0.5 * (L + L.T)
 
 
 def _factor_ab(batch: ExperimentBatch, rtol: float):
@@ -265,11 +268,8 @@ def lqr_from_data(batch: ExperimentBatch, weights: LqrWeights,
     # Q's columns are orthonormal: C has L(P)'s term norms and nonzero spectrum.
     # A core that overflows has no spectrum: its NaN eigenvalue refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (Rx @ P @ Rx.T, Rp @ P @ Rp.T,
-                 Rx @ weights.Q @ Rx.T, Ru @ weights.R @ Ru.T)
+        terms, C = _lmi(P, weights.Q, weights.R, Rx.T, Rp.T, Ru.T)
         scale = max(*(np.linalg.norm(T) for T in terms), 1.0)
-        C = terms[0] - terms[1] - terms[2] - terms[3]
-        C = 0.5 * (C + C.T)
     finite = np.isfinite(C).all()
     lmi_max_eig = float(np.linalg.eigvalsh(C)[-1]) if finite else np.nan
     if batch.n_columns > C.shape[0]:
@@ -317,36 +317,33 @@ def export_sdp(batch: ExperimentBatch, weights: LqrWeights, destination=None) ->
     Xm, Xp, Um = batch.Xm, batch.Xp, batch.Um
 
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    nvar = len(pairs)
     lines = [
         '"maximize tr(P) s.t. P >= 0 and Xp\'PXp + Xm\'QXm + Um\'RUm - Xm\'PXm >= 0"',
-        f"{nvar} = mDIM",
+        f"{len(pairs)} = mDIM",
         "2 = nBLOCK",
         f"{n} {N} = bLOCKsTRUCT",
+        " ".join("-1" if i == j else "0" for i, j in pairs),
     ]
-    c = ["-1" if i == j else "0" for i, j in pairs]
-    lines.append(" ".join(c))
 
-    entries: list[str] = []
-
-    def emit(mat_no: int, block: int, M: np.ndarray):
+    def emit(mat_no: int, M: np.ndarray):
+        """The upper-triangle nonzeros of matrix ``mat_no``'s block 2, M."""
         rows, cols = np.nonzero(np.triu(M))
-        for r, cc in zip(rows, cols):
-            entries.append(f"{mat_no} {block} {r + 1} {cc + 1} {float(M[r, cc])!r}")
+        lines.extend(f"{mat_no} 2 {r} {c} {v!r}" for r, c, v in
+                     zip((rows + 1).tolist(), (cols + 1).tolist(), M[rows, cols].tolist()))
 
     # F0: nothing in block 1; block 2 constant part is -(Xm'QXm + Um'RUm).
     C0 = Xm.T @ Q @ Xm + Um.T @ R @ Um
-    emit(0, 2, -0.5 * (C0 + C0.T))
+    emit(0, -0.5 * (C0 + C0.T))
 
     for k, (i, j) in enumerate(pairs, start=1):
         E = np.zeros((n, n))
         E[i, j] = 1.0
         E[j, i] = 1.0
-        entries.append(f"{k} 1 {i + 1} {j + 1} 1.0")
+        lines.append(f"{k} 1 {i + 1} {j + 1} 1.0")
         Fk = Xp.T @ E @ Xp - Xm.T @ E @ Xm
-        emit(k, 2, 0.5 * (Fk + Fk.T))
+        emit(k, 0.5 * (Fk + Fk.T))
 
-    text = "\n".join(lines + entries) + "\n"
+    text = "\n".join(lines) + "\n"
     if destination is not None:
         _write_text(destination, text)
     return text

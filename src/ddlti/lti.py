@@ -123,12 +123,9 @@ class CorruptedTrajectory:
             raise InputError("u and y must cover the same time steps")
         if u.shape[0] == 0:
             raise InputError("record must contain at least one time step")
-        u_ok = np.all(np.isfinite(u), axis=1)
-        y_ok = np.all(np.isfinite(y), axis=1)
-        u_gone = np.all(~np.isfinite(u), axis=1)
-        y_gone = np.all(~np.isfinite(y), axis=1)
-        present = u_ok & y_ok
-        whole = present | (u_gone & y_gone)
+        finite = np.isfinite(np.hstack([u, y]))
+        present = finite.all(axis=1)
+        whole = present | ~finite.any(axis=1)
         if not np.all(whole):
             bad = int(np.flatnonzero(~whole)[0])
             raise InputError(

@@ -35,9 +35,9 @@ class DataDictionary:
 
     ``matrix``, formed when first read, is the (m+p)L x N depth-L input mosaic
     over the output mosaic: column c is the c-th recorded window (records
-    shorter than L have none), flattened time-major.  Pipelines read its
-    :meth:`blocks`, and its one factorization, ``factor``, folded from them
-    when first read.  A dictionary without windows raises :class:`NoUsableDataError`.
+    shorter than L have none), flattened time-major.  Pipelines walk its
+    ``stack.windows(L)``, and its one factorization, ``factor``, folded from
+    them when first read.  A dictionary without windows raises :class:`NoUsableDataError`.
     """
 
     depth: int
@@ -59,10 +59,6 @@ class DataDictionary:
         the stack folds its windows (:meth:`~ddlti.hankel._Stack.fold`): its
         rank, row-space relations and min-norm solves are ``matrix``'s."""
         return self.stack.fold(self.depth)
-
-    def blocks(self):
-        """``matrix``'s columns in blocks of at most ``hankel.PASS_BLOCK`` windows."""
-        return self.stack.windows(self.depth)
 
     @property
     def m(self) -> int:
@@ -128,7 +124,7 @@ def synthesize_trajectory(dictionary: DataDictionary, g) -> tuple[np.ndarray, np
     k = dictionary.m * dictionary.depth
     w = np.zeros(k + dictionary.p * dictionary.depth)
     at = 0
-    for B in dictionary.blocks():
+    for B in dictionary.stack.windows(dictionary.depth):
         w += B @ g[at:at + B.shape[1]]
         at += B.shape[1]
     return w[:k], w[k:]
@@ -158,7 +154,7 @@ def is_system_trajectory(dictionary: DataDictionary, u, y,
     c = U.T @ b
     res = float(residual_ratio(U @ c - b, b))
     w = U @ (c / s / s)
-    g = np.concatenate([B.T @ w for B in dictionary.blocks()])
+    g = np.concatenate([B.T @ w for B in dictionary.stack.windows(L)])
     return Membership(member=bool(res <= tol), residual=res, g=g)
 
 

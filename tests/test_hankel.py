@@ -254,10 +254,11 @@ def test_every_fold_refuses_above_the_limit_before_allocating(monkeypatch):
     # The byte limit is the fold's own, so the order scan's deep folds, a
     # dictionary's factor and the rank condition refuse as an excitation test
     # does.  At a 1 MiB limit each is refused with its depth, its bytes and the
-    # limit before its fold allocates: the peak traced from the fold's start
-    # stays below the limit.  On 800 noise samples with m = p = 2 the scan
-    # probes its way to depth 158, whose 632 x 643 matrix has no sample.
-    limit, peaks, real = 1 << 20, [], dd.hankel._Stack.fold
+    # limit before its fold allocates: the peak traced from the fold's start,
+    # and the whole call's, stay below the limit.  On 800 noise samples with
+    # m = p = 2 the scan probes its way to depth 78, whose 312 x 624 sample
+    # (1.5 MiB) is above the limit, so the depth is folded and refused.
+    limit, peaks, calls, real = 1 << 20, [], [], dd.hankel._Stack.fold
 
     def fold(stack, depth):
         tracemalloc.reset_peak()
@@ -274,7 +275,7 @@ def test_every_fold_refuses_above_the_limit_before_allocating(monkeypatch):
                           D=np.zeros((1, 1)))
     states, inputs = rng.standard_normal((3_000, 2)), rng.standard_normal((3_000, 1))
     for call, depth, rows, cols in [
-            (lambda: dd.identify(ct), 158, 632, 643),
+            (lambda: dd.identify(ct), 78, 312, 723),
             (lambda: dd.build_data_matrix([(ct.u, ct.y)], 40).factor, 40, 160, 761),
             (lambda: dd.check_rank_condition(system, [states], [inputs], 100), 100, 300, 2_901)]:
         held = 8 * rows * (min(rows, cols) + min(dd.hankel.PASS_BLOCK, cols))
@@ -284,9 +285,11 @@ def test_every_fold_refuses_above_the_limit_before_allocating(monkeypatch):
         try:
             with pytest.raises(dd.InputError, match=message):
                 call()
+            calls.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert len(peaks) == 3 and max(peaks) < limit, peaks
+    assert max(calls) < limit, calls
 
 
 def test_a_flat_list_of_numbers_is_one_signal():

@@ -7,8 +7,8 @@ SignalSegment; only the experiment generator raises ExcitationError;
 certificate and rank errors are raised only by _linalg's certificate and
 rank-requirement rules; no pipeline factors a formed window matrix;
 records' windows are folded only by the stack, which a dictionary reads
-through its factor, and only the fold reads its byte limit; and outside
-hankel only the record builders build a stack."""
+through its factor, and only the fold and the sample read the byte limit;
+and outside hankel only the record builders build a stack."""
 import ast
 from pathlib import Path
 
@@ -200,10 +200,12 @@ def reads_fold_limit(node: ast.expr) -> bool:
 
 def test_only_the_fold_reads_the_byte_limit():
     # Every fold of records' windows holds the limit, because the fold checks
-    # it: a guard in front of one caller leaves the others unbounded.
+    # it: a guard in front of one caller leaves the others unbounded.  The
+    # stack's sample reads it too: a sample above it is not cut, so its depth
+    # goes to the fold, which refuses.
     found = {c for path in sorted(PACKAGE.glob("*.py")) for c in calls_within(
         path.read_text(), path.stem, reads_fold_limit, (ast.Name, ast.Attribute))}
-    assert found == {"hankel._Stack.fold"}
+    assert found == {"hankel._Stack.fold", "hankel._Stack.sample"}
     source = ("def _excitation(stack, depth, rtol):\n"
               "    if held > MAX_FOLD_BYTES:\n"
               "        raise InputError(f'above the {hankel.MAX_FOLD_BYTES}-byte limit')\n"

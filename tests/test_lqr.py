@@ -159,6 +159,30 @@ def test_a_failed_doubling_is_refused_by_its_cause():
         dd.dare_solve([[0.999]], [[0.0]], [[1.0]], [[1.0]], max_iter=3)
 
 
+@pytest.mark.parametrize("shape, nth, message", [
+    ((2, 2), 1, r"^the doubling iteration broke down or overflowed: iterate norm inf exceeds "),
+    ((1, 1), 2, r"^the Riccati refinement broke down or overflowed: Riccati residual inf "
+                r"exceeds 1\.000e-12$"),
+    ((1, 1), 3, r"^the Riccati refinement broke down or overflowed: Riccati residual inf "
+                r"exceeds 1\.000e-12$")],
+    ids=["doubling", "first-refinement", "second-refinement"])
+def test_a_failed_solve_is_refused_as_a_breakdown(monkeypatch, shape, nth, message):
+    # The nth solve of a shape fails: I + GP (2 x 2) in a doubling step, or
+    # R + B'PB (1 x 1) in a refinement step, whose first 1 x 1 solve is R^-1 B'.
+    # Either is a breakdown, not an exhausted budget, and a refinement that
+    # breaks down after a step reports no earlier residual.
+    real, seen = np.linalg.solve, []
+
+    def solve(a, b):
+        seen.append(np.shape(a))
+        if seen.count(shape) == nth:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(dd.RiccatiDivergenceError, match=message):
+        dd.dare_solve(*TINY_R_PAIR)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dare_and_lmi_reject_non_finite_matrices(bad):
     with pytest.raises(dd.InputError, match="A contains non-finite entries"):
@@ -632,6 +656,43 @@ def test_export_sdp_coefficients_reconstruct_lmi():
     block2 = sum(x[k] * mats[(k + 1, 2)] for k in range(nvar)) - mats[(0, 2)]
     assert_allclose(block1, P, atol=1e-12)
     assert_allclose(block2, -dd.lmi_operator(P, batch, W), atol=1e-9)
+
+
+def reference_sdpa(batch, W):
+    """The SDPA text written entry by entry: a header list, then an entry list
+    filled one upper-triangle nonzero at a time, each value a numpy scalar."""
+    n, N = batch.n, batch.n_columns
+    Xm, Xp, Um = batch.Xm, batch.Xp, batch.Um
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    lines = ['"maximize tr(P) s.t. P >= 0 and Xp\'PXp + Xm\'QXm + Um\'RUm - Xm\'PXm >= 0"',
+             f"{len(pairs)} = mDIM", "2 = nBLOCK", f"{n} {N} = bLOCKsTRUCT",
+             " ".join("-1" if i == j else "0" for i, j in pairs)]
+    entries = []
+
+    def emit(mat_no, block, M):
+        rows, cols = np.nonzero(np.triu(M))
+        for r, cc in zip(rows, cols):
+            entries.append(f"{mat_no} {block} {r + 1} {cc + 1} {float(M[r, cc])!r}")
+
+    C0 = Xm.T @ W.Q @ Xm + Um.T @ W.R @ Um
+    emit(0, 2, -0.5 * (C0 + C0.T))
+    for k, (i, j) in enumerate(pairs, start=1):
+        E = np.zeros((n, n))
+        E[i, j] = 1.0
+        E[j, i] = 1.0
+        entries.append(f"{k} 1 {i + 1} {j + 1} 1.0")
+        Fk = Xp.T @ E @ Xp - Xm.T @ E @ Xm
+        emit(k, 2, 0.5 * (Fk + Fk.T))
+    return "\n".join(lines + entries) + "\n"
+
+
+@pytest.mark.parametrize("seed, q, T", [(15, 3, 6), (16, 5, 6), (17, 8, 10)])
+def test_export_sdp_text_matches_the_entrywise_writer(seed, q, T):
+    # Block 2's values reach the text through tolist(), whose floats print as
+    # float() of each numpy scalar does: the text is the same byte for byte.
+    batch = reactor_batch(seed=seed, q=q, T=T, pe_order=3)
+    W = dd.LqrWeights(Q=np.diag([1.0, 2.0, 0.5, 3.0]), R=np.array([[1.0, 0.2], [0.2, 0.7]]))
+    assert dd.export_sdp(batch, W) == reference_sdpa(batch, W)
 
 
 def test_export_sdp_scalar_hand_check():

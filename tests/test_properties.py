@@ -488,7 +488,7 @@ def test_certified_depths_have_the_certified_rank(n, m, p, T, gap, kind, radius,
         mp.setattr(dd.ident, "certifies_rank", lambda *args: False)
         reference, ref_id = scan_result(stack), identify_result(ct)
     for depth, rank in set(certified):
-        factor = gram_factor(dd.DataDictionary(depth, stack).blocks())
+        factor = gram_factor(stack.windows(depth))
         assert dd.numerical_rank(factor) == rank, depth
     assert found == reference
     assert type(found_id) is type(ref_id)
@@ -520,7 +520,7 @@ def test_no_accepted_identify_had_a_falling_estimate(n, m, p, T, gap, kind, radi
         return
     stack = dd.ident._complete_runs(ct)[0]
     stall = dd.ident._scan(stack, None, dd.DEFAULT_RANK_RTOL)[1].depth
-    estimates = [dd.numerical_rank(gram_factor(dd.DataDictionary(depth, stack).blocks()))
+    estimates = [dd.numerical_rank(gram_factor(stack.windows(depth)))
                  - m * depth for depth in range(1, stall + 1)]
     assert estimates == sorted(estimates)
     assert estimates[-2:] == [found.order] * 2
