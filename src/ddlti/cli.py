@@ -62,6 +62,13 @@ def rtol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _count(text: str) -> int:
+    """A ``--length``, ``--depth`` or ``--order`` value: an integer of at least 1."""
+    if text.strip().isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+
+
 def _fmt(M) -> str:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     return "\n".join("  [" + "  ".join(f"{v: .6g}" for v in row) + "]" for row in M)
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("generate", cmd_generate, "simulate a system to a CSV fixture")
     p.add_argument("--system", required=True, help="system JSON file")
-    p.add_argument("--length", type=int, default=20)
+    p.add_argument("--length", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--missing", type=lambda s: [int(x) for x in s.split(",") if x],
                    default=None, help="comma-separated time indices to blank")
@@ -244,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pe-check", cmd_pe_check, "excitation orders of recorded data", ranks=True)
     p.add_argument("files", nargs="+")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_count, required=True)
 
     p = add("dd-simulate", cmd_dd_simulate, "model-free continuation from data", ranks=True)
     p.add_argument("data", help="recorded trajectory CSV (dictionary source)")
     p.add_argument("--past", required=True, help="CSV with the depth-1 recent samples")
     p.add_argument("--future", required=True, help="CSV with the inputs to apply")
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_count, default=None,
                    help="window depth L (default: estimated order + 1)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="relative residual bound for the completion solves")
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("demo-instability", cmd_demo_instability,
             "norm growth of one long open-loop run")
     p.add_argument("--system", required=True)
-    p.add_argument("--length", type=int, default=20)
+    p.add_argument("--length", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
 
     return parser

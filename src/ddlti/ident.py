@@ -209,7 +209,9 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
     if max_order is not None:
         if max_order < 0:
             raise InputError("max_order must be nonnegative")
-        cap = min(cap, max_order + 1)
+        # An order n <= max_order stalls by depth max_order + 1 (its lag is at
+        # most n), and a stall compares two depths, so max_order 0 scans to 2.
+        cap = min(cap, max(max_order + 1, 2))
     with np.errstate(over="ignore"):  # an overflowing norm is refused, not warned of
         w_norm = float(np.linalg.norm(W))
     if not np.isfinite(w_norm):
@@ -245,7 +247,10 @@ def _scan(stack: _Stack, max_order: int | None, rtol: float):
             order = previous
             break
     if order is None:
-        estimates = ", ".join(f"{e} at depth {L}" for L, e in enumerate(seen, 1))
+        listed = [f"{e} at depth {L}" for L, e in enumerate(seen, 1)]
+        if len(listed) > 10:  # the first and last five depths
+            listed[5:-5] = [f"... {len(listed) - 10} not shown ..."]
+        estimates = ", ".join(listed)
         raise OrderUndeterminedError(
             "no window depth produced a stable order estimate "
             f"(estimates: {estimates or 'none, no depth had enough columns'})")

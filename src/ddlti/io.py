@@ -52,12 +52,15 @@ def _checked(path, make):
 
 
 def _group_columns(header: list[str], prefix: str) -> list[int]:
-    """Indices of columns named prefix1..prefixk, validated contiguous from 1."""
+    """Indices of columns named prefix1..prefixk, each once, contiguous from 1."""
     found = {}
     for idx, name in enumerate(header):
         name = name.strip()
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            found[int(name[len(prefix):])] = idx
+        if name.startswith(prefix) and name[len(prefix):].isdecimal():
+            number = int(name[len(prefix):])
+            if number < 1 or number in found:
+                raise ParseError(f"CSV header column {name!r}: channels are numbered once, from 1")
+            found[number] = idx
     k = max(found, default=0)
     missing = [i for i in range(1, k + 1) if i not in found]
     if missing:
@@ -77,7 +80,8 @@ def _read_table(path, *prefixes: str) -> tuple[int, list[np.ndarray]]:
     """(start, blocks) of a ``t,<prefix>1..k,...`` CSV: the first time index,
     and one (rows, k) array per prefix, a blank or 'nan' cell being NaN.  Blank
     lines are skipped, though an error names the line of the file; t must run
-    consecutively in whole numbers."""
+    consecutively in whole numbers.  One pass parses each row into one table, whose
+    column slices are the blocks, so a file's first fault is the one reported."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -92,31 +96,26 @@ def _read_table(path, *prefixes: str) -> tuple[int, list[np.ndarray]]:
     if not all(groups):
         needed = " and ".join(f"{prefix}1.." for prefix in prefixes)
         raise ParseError(f"{path}: header needs {needed} columns")
-    times = []
-    for line_no, row in rows:
+    cols = [idx for group in groups for idx in group]
+    table = np.empty((len(rows), len(cols)))
+    for r, (line_no, row) in enumerate(rows):
         try:
             t = float(row[0])
             if not t.is_integer():  # also rejects inf and nan
                 raise ValueError
         except (ValueError, IndexError):
             raise ParseError(f"{path}: line {line_no}: bad time index {row[:1]!r}") from None
-        times.append(int(t))
-    for k, t in enumerate(times):
-        if t != times[0] + k:
+        start = start if r else int(t)
+        if t != start + r:
             raise ParseError(f"{path}: time indices must be consecutive; expected "
-                             f"{times[0] + k}, found {t}")
-    blocks = []
-    for cols in groups:
-        block = np.empty((len(rows), len(cols)))
-        for r, (line_no, row) in enumerate(rows):
-            try:
-                block[r] = [_cell(row[idx]) for idx in cols]
-            except IndexError:
-                raise ParseError(f"{path}: line {line_no}: too few fields") from None
-            except ParseError as e:
-                raise ParseError(f"{path}: line {line_no}: {e}") from None
-        blocks.append(block)
-    return times[0], blocks
+                             f"{start + r}, found {int(t)}")
+        try:
+            table[r] = [_cell(row[idx]) for idx in cols]
+        except IndexError:
+            raise ParseError(f"{path}: line {line_no}: too few fields") from None
+        except ParseError as e:
+            raise ParseError(f"{path}: line {line_no}: {e}") from None
+    return start, np.split(table, np.cumsum([len(group) for group in groups])[:-1], axis=1)
 
 
 def _write_table(path, start: int, **blocks: np.ndarray) -> None:

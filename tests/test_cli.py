@@ -82,6 +82,20 @@ def test_identify_static_model_feeds_generate(tmp_path, capsys):
     assert_allclose(ct.y, 3 * ct.u, rtol=1e-12)
 
 
+def test_identify_max_order_0(tmp_path, capsys):
+    # A stall compares two depths, so a cap of order 0 still decides order 0,
+    # and refuses a first-order record by its estimate.
+    u = np.random.default_rng(0).standard_normal((15, 1))
+    static, first = tmp_path / "static.csv", tmp_path / "first.csv"
+    dd.write_trajectory_csv(static, dd.CorruptedTrajectory(u=u, y=2 * u))
+    traj = dd.simulate(dd.LtiSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]]), [1.0], u)
+    dd.write_trajectory_csv(first, dd.CorruptedTrajectory(u=traj.u, y=traj.y))
+    assert main(["identify", str(static), "--max-order", "0"]) == 0
+    assert "estimated order: 0" in capsys.readouterr().out
+    assert main(["identify", str(first), "--max-order", "0"]) == 5
+    assert capsys.readouterr().err == "error: estimated order 1 exceeds the requested cap 0\n"
+
+
 def test_identify_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,u1,y1\n0,1,2\n")
@@ -386,6 +400,25 @@ def test_usage_errors(capsys):
     assert main(["pe-check", str(RECORD_CSV)]) == 1   # --order required
     err = capsys.readouterr().err
     assert "usage:" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["generate", "--system", "sys.json", "--out", "g.csv", "--length"],
+    ["generate", "--system", "sys.json", "--out", "g.csv", "--states", "--length"],
+    ["demo-instability", "--system", "sys.json", "--length"],
+    ["dd-simulate", str(RECORD_CSV), "--past", "p.csv", "--future", "f.csv", "--depth"],
+    ["pe-check", str(RECORD_CSV), "--order"],
+])
+def test_counts_below_1_are_bad_usage(capsys, argv, value):
+    # Each count is refused as it is read, before any file is opened; unchecked,
+    # --length -1 ends in a numpy error, --depth 0 asks for a past of -1
+    # samples and --states --length 0 writes a file that lqr refuses.
+    assert main([*argv, value]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"\nerror: argument {argv[-1]}: must be an integer of at least 1, "
+                        f"got '{value}'\n"), err
+    assert "Traceback" not in err
 
 
 def test_tol_rank_only_where_a_rank_is_decided(tmp_path, capsys, reactor, reactor_json,

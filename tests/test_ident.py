@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 import warnings
@@ -276,6 +277,40 @@ def test_scan_order_undetermined_lists_estimates(record):
         dd.scan_order(pairs, max_order=1)
 
 
+def test_undetermined_refusal_lists_at_most_ten_depths():
+    # Noise has full row rank at every depth, so the scan walks to the column
+    # cap (T + 1 - L >= 2L): 10 depths at T = 29 are all listed, 11 at T = 32
+    # are not: the first and last five stand for them.
+    rng = np.random.default_rng(3)
+    for T, listing in [
+            (29, ", ".join(f"{L} at depth {L}" for L in range(1, 11))),
+            (32, "1 at depth 1, 2 at depth 2, 3 at depth 3, 4 at depth 4, 5 at depth 5, "
+                 "... 1 not shown ..., 7 at depth 7, 8 at depth 8, 9 at depth 9, "
+                 "10 at depth 10, 11 at depth 11")]:
+        ct = dd.CorruptedTrajectory(u=rng.standard_normal((T, 1)), y=rng.standard_normal((T, 1)))
+        with pytest.raises(dd.OrderUndeterminedError) as err:
+            dd.identify(ct)
+        assert str(err.value) == ("no window depth produced a stable order estimate "
+                                  f"(estimates: {listing})")
+
+
+def test_max_order_0_decides_static_records():
+    # A stall compares two depths, so even a cap of order 0 scans depth 2:
+    # a static record gives order 0, and a first-order one its order, refused.
+    u = np.random.default_rng(0).standard_normal((15, 1))
+    assert dd.scan_order([(u, 2.0 * u)], max_order=0) == 0
+    result = dd.identify(dd.CorruptedTrajectory(u=u, y=2.0 * u), max_order=0)
+    assert result.order == 0
+    assert_allclose(result.system.D, [[2.0]], rtol=1e-12)
+    sys = dd.LtiSystem(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
+    traj = dd.simulate(sys, [1.0], u)
+    for call in (lambda: dd.scan_order([(traj.u, traj.y)], max_order=0),
+                 lambda: dd.identify(dd.CorruptedTrajectory(u=traj.u, y=traj.y), max_order=0)):
+        with pytest.raises(dd.OrderUndeterminedError,
+                           match="^estimated order 1 exceeds the requested cap 0$"):
+            call()
+
+
 def unstable_record(T):
     """The response of a plant with poles 1.3 and 0.5 to T Gaussian input
     samples, input and initial state drawn from ``default_rng(0)``: its
@@ -339,10 +374,11 @@ def test_scan_passes_full_row_rank_depths_in_one_decision():
         ct = dd.CorruptedTrajectory(u=rng.standard_normal((800, m)),
                                     y=rng.standard_normal((800, p)))
         cap = max(L for L in range(1, 801) if 801 - L >= (m + p) * L)  # windows at least rows
-        estimates = ", ".join(f"{p * L} at depth {L}" for L in range(1, cap + 1))
+        listed = [f"{p * L} at depth {L}" for L in range(1, cap + 1)]
+        estimates = ", ".join(listed[:5] + [f"... {cap - 10} not shown ..."] + listed[-5:])
         refused_within_a_second(lambda: dd.identify(ct), dd.OrderUndeterminedError,
-                                "^no window depth produced a stable order estimate "
-                                rf"\(estimates: {estimates}\)$")
+                                "^" + re.escape("no window depth produced a stable order "
+                                                f"estimate (estimates: {estimates})") + "$")
 
 
 def test_probes_past_depth_8_change_no_answer(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
+from ddlti.cli import main
 from conftest import RECORD_CSV, random_system
 
 
@@ -99,6 +100,37 @@ def test_trajectory_rejects_bad_header(tmp_path):
         dd.read_trajectory_csv(path)
     path.write_text("t,u1,u3,y1\n0,1,2,3\n")
     with pytest.raises(dd.ParseError, match="missing u2"):
+        dd.read_trajectory_csv(path)
+
+
+def test_header_refuses_a_repeated_channel(tmp_path, capsys):
+    # Reading one of the two u1 columns would drop the other without a word.
+    path = tmp_path / "rec.csv"
+    path.write_text("t,u1,u1,y1\n0,1,2,3\n")
+    with pytest.raises(dd.ParseError, match=r"^CSV header column 'u1': channels are numbered "
+                                            r"once, from 1$"):
+        dd.read_trajectory_csv(path)
+    assert main(["identify", str(path)]) == 1
+    assert "error: CSV header column 'u1'" in capsys.readouterr().err
+
+
+def test_header_refuses_a_channel_numbered_0(tmp_path, capsys):
+    # Channels count from 1, so u0 would be dropped without a word.
+    path = tmp_path / "rec.csv"
+    path.write_text("t,u0,u1,y1\n0,1,2,3\n")
+    with pytest.raises(dd.ParseError, match=r"^CSV header column 'u0': channels are numbered "
+                                            r"once, from 1$"):
+        dd.read_trajectory_csv(path)
+    assert main(["identify", str(path)]) == 1
+    assert "error: CSV header column 'u0'" in capsys.readouterr().err
+
+
+def test_the_first_fault_in_the_file_is_reported(tmp_path):
+    # One pass reads each row's time and cells together, so a bad cell on
+    # line 3 is reported before a bad time index on line 5.
+    path = tmp_path / "rec.csv"
+    path.write_text("t,u1,y1\n0,1,2\n1,one,4\n2,5,6\n3.5,7,8\n")
+    with pytest.raises(dd.ParseError, match=r"rec.csv: line 3: cannot parse numeric field 'one'$"):
         dd.read_trajectory_csv(path)
 
 

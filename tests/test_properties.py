@@ -390,7 +390,7 @@ def downward_scan(segments, max_order=None, rtol=dd.DEFAULT_RANK_RTOL):
     p = segments[0][1].channels
     cap = max(u.length for u, _ in segments)
     if max_order is not None:
-        cap = min(cap, max_order + 1)
+        cap = min(cap, max(max_order + 1, 2))  # a stall compares two depths
     order = None
     for depth in range(cap, 1, -1):
         pairs = [(u, y) for u, y in segments if u.length >= depth]
