@@ -170,6 +170,12 @@ def cmd_identify(args) -> int:
     return 0
 
 
+#: The certificate fields of an LqrSolution that ``lqr`` prints and writes,
+#: each with its printed format.
+_CERTIFICATES = (("lmi_max_eig", ".6e"), ("riccati_residual", ".6e"),
+                 ("right_inverse_residual", ".6e"), ("closed_loop_radius", ".6f"))
+
+
 def cmd_lqr(args) -> int:
     experiments = [read_experiment_csv(p) for p in args.files]
     batch = assemble_batch(experiments)
@@ -180,18 +186,11 @@ def cmd_lqr(args) -> int:
     print(_fmt(sol.P))
     print("K =")
     print(_fmt(sol.K))
-    print(f"lmi_max_eig = {sol.lmi_max_eig:.6e}")
-    print(f"riccati_residual = {sol.riccati_residual:.6e}")
-    print(f"right_inverse_residual = {sol.right_inverse_residual:.6e}")
-    print(f"closed_loop_radius = {sol.closed_loop_radius:.6f}")
+    certificates = {name: getattr(sol, name) for name, _ in _CERTIFICATES}
+    for name, spec in _CERTIFICATES:
+        print(f"{name} = {certificates[name]:{spec}}")
     if args.out:
-        write_json(args.out, {
-            "K": sol.K, "P": sol.P,
-            "lmi_max_eig": sol.lmi_max_eig,
-            "riccati_residual": sol.riccati_residual,
-            "right_inverse_residual": sol.right_inverse_residual,
-            "closed_loop_radius": sol.closed_loop_radius,
-        })
+        write_json(args.out, {"K": sol.K, "P": sol.P, **certificates})
         print(f"wrote gain to {args.out}")
     return 0
 

@@ -53,7 +53,7 @@ class CertificationError(DdltiError):
 
 
 class RiccatiDivergenceError(CertificationError):
-    """Riccati iteration failed to converge within the iteration budget."""
+    """The Riccati solve broke down, overflowed, stalled, or ran out of doubling steps."""
 
 
 class OrderUndeterminedError(DdltiError):

@@ -44,7 +44,7 @@ def _write_text(destination, text: str) -> None:
 
 
 def _checked(path, make):
-    """``make()``, with an InputError from the object it builds named by the file."""
+    """``make()``, with an InputError it raises named by the file."""
     try:
         return make()
     except InputError as e:
@@ -92,7 +92,7 @@ def _read_table(path, *prefixes: str) -> tuple[int, list[np.ndarray]]:
         raise ParseError(f"{path}: no data rows")
     if not header or header[0].strip() != "t":
         raise ParseError(f"{path}: first CSV column must be 't'")
-    groups = [_group_columns(header, prefix) for prefix in prefixes]
+    groups = _checked(path, lambda: [_group_columns(header, prefix) for prefix in prefixes])
     if not all(groups):
         needed = " and ".join(f"{prefix}1.." for prefix in prefixes)
         raise ParseError(f"{path}: header needs {needed} columns")
@@ -107,8 +107,8 @@ def _read_table(path, *prefixes: str) -> tuple[int, list[np.ndarray]]:
             raise ParseError(f"{path}: line {line_no}: bad time index {row[:1]!r}") from None
         start = start if r else int(t)
         if t != start + r:
-            raise ParseError(f"{path}: time indices must be consecutive; expected "
-                             f"{start + r}, found {int(t)}")
+            raise ParseError(f"{path}: line {line_no}: time indices must be consecutive; "
+                             f"expected {start + r}, found {int(t)}")
         try:
             table[r] = [_cell(row[idx]) for idx in cols]
         except IndexError:

@@ -126,10 +126,10 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
         P = A'PA - A'PB (R + B'PB)^{-1} B'PA + Q
 
     solved by the structure-preserving doubling iteration (quadratically
-    convergent for stabilizable pairs), then refined by steps of the Riccati
-    map itself until its relative residual is within ``max(tol, 1e-12)``
-    (see :func:`_dare`).  Returns (P, K) with the stationary gain
-    K = -(R + B'PB)^{-1} B'PA; the closed loop A + BK is verified stable.
+    convergent for stabilizable pairs; ``max_iter`` caps each run), then
+    refined by Newton steps until its relative residual is within
+    ``max(tol, 1e-12)`` or its own rounding (:func:`_dare`).  Returns (P, K)
+    with the stationary gain K = -(R + B'PB)^{-1} B'PA; A + BK is verified stable.
     Q and R are validated as :class:`~ddlti.lti.LqrWeights` once per call;
     :func:`lqr_from_data` runs the same solve on weights validated when they
     were built, and certifies stability on its data gain instead.
@@ -142,30 +142,19 @@ def dare_solve(A, B, Q, R, tol: float = 1e-12, max_iter: int = 10_000):
     return P, K
 
 
-def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000):
-    """(P, K, residual) of the Riccati equation for validated weights.
-
-    Doubling gives a first P.  Its k-th iterate is step 2^k from 0 of the
-    Riccati map F(P) = A'PA - A'PBX + Q, X = (R + B'PB)^{-1} B'PA, so no run
-    of F converges where doubling does not.  Then one loop applies F: its
-    step F(P) - P, relative to max(1, ||P||), is the residual, so P is
-    accepted with gain K = -X once the step is within ``max(tol, 1e-12)``,
-    and refined by it otherwise.  Raises :class:`RiccatiDivergenceError`
-    when doubling breaks down (I + GP singular) or overflows, when the
-    refinement does (R + B'PB singular, or a residual not finite), or when
-    ``max_iter`` steps, of doubling or of F, do not reach the tolerance.
-    """
-    n = A.shape[0]
-    Q, R = _fitted(weights, *B.shape)
-    Ak, G, P = A.copy(), B @ np.linalg.solve(R, B.T), Q.copy()
-    eye, norm, stopped = np.eye(n), 0.0, False
+def _doubling(Ak, G, P, tol: float, max_iter: int):
+    """The fixed point H = Ak'H(I + GH)^{-1}Ak + P by doubling: the Riccati
+    solution for G = BR^{-1}B' and P = Q, the Stein sum of Ak^k'P Ak^k for
+    G = 0.  Refused when I + GH is singular, H overflows, or no step of the
+    first ``max_iter`` moves H by at most ``tol`` relative to max(1, ||H||)."""
+    eye, norm, stopped = np.eye(len(Ak)), 0.0, False
     for _ in range(max_iter):
         try:  # one LU of I + GP serves both right-hand sides
             V = np.linalg.solve(eye + G @ P, np.hstack([Ak, G]))
         except np.linalg.LinAlgError:
             norm = np.inf
             break
-        V1, V2 = V[:, :n], V[:, n:]
+        V1, V2 = V[:, :len(eye)], V[:, len(eye):]
         H = P + Ak.T @ P @ V1
         G = G + Ak @ V2 @ Ak.T
         Ak = Ak @ V1
@@ -177,24 +166,47 @@ def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000)
             break
     certify("iterate norm", float(norm), np.finfo(float).max, RiccatiDivergenceError,
             "the doubling iteration broke down or overflowed")
+    certify("Riccati residual", 0.0 if stopped else np.inf, max(tol, 1e-12), RiccatiDivergenceError,
+            f"the Riccati iteration did not converge in its {max_iter}-step budget")
+    return P
 
-    resid_tol, residual = max(tol, 1e-12), np.inf
-    cause = "the Riccati refinement broke down or overflowed"
-    for _ in range(max_iter if stopped else 0):  # a doubling out of steps is refused
+
+def _dare(A, B, weights: LqrWeights, tol: float = 1e-12, max_iter: int = 10_000):
+    """(P, K, residual) of the Riccati equation for validated weights.
+
+    Doubling gives a first P; Newton-Kleinman steps (Hewer, IEEE TAC 1971)
+    refine it.  At P, X = (R + B'PB)^{-1}B'PA, A_K = A - BX, and the step
+    E = A_K'PA_K + X'RX + Q - P is F(P) - P for the Riccati map F, in a form
+    stationary in X: an error in X enters E only to second order.  P is
+    accepted with K = -X once the residual ||E|| / max(1, ||P||) is within
+    ``max(tol, 1e-12)`` or its rounding floor; else P += D, the Stein solution
+    D = A_K'DA_K + E by doubling with G = 0.  Forming E errs by up to n eps
+    sum_i ||term_i|| (Higham, 2nd ed., Sec. 3.5), and P's rounding dP moves E
+    by A_K'dPA_K - dP, up to eps (||A_K||^2 + 1) ||P||: the floor is their sum
+    over max(1, ||P||).  Refused when a doubling run is, when R + B'PB is
+    singular or E not finite, and as soon as the residual stops falling.
+    """
+    Q, R = _fitted(weights, *B.shape)
+    P = _doubling(A.copy(), B @ np.linalg.solve(R, B.T), Q.copy(), tol, max_iter)
+    norm, last = np.linalg.norm, np.inf
+    while True:
+        bound, residual = max(tol, 1e-12), np.inf
         try:
             X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
         except np.linalg.LinAlgError:
-            residual = np.inf
             break
-        step = A.T @ P @ A - P - A.T @ P @ B @ X + Q  # F(P) - P
-        residual = float(np.linalg.norm(step) / max(1.0, np.linalg.norm(P)))
-        if not resid_tol < residual < np.inf:  # accepted, or no longer finite
+        Ak = A - B @ X
+        terms = (Ak.T @ P @ Ak, X.T @ R @ X, Q, P)
+        E, scale = terms[0] + terms[1] + Q - P, max(1.0, norm(P))
+        residual = float(norm(E) / scale)
+        if 1e-12 < residual < np.inf:  # the rounding floor
+            floor = len(A) * np.finfo(float).eps * (sum(map(norm, terms)) + norm(Ak) ** 2 * norm(P))
+            bound = max(bound, floor / scale)
+        if not bound < residual < last:  # accepted, stalled, or no longer finite
             break
-        P = P + step
-        P = 0.5 * (P + P.T)
-    else:  # every step taken, or none allowed
-        cause = f"the Riccati iteration did not converge in its {max_iter}-step budget"
-    certify("Riccati residual", residual, resid_tol, RiccatiDivergenceError, cause)
+        P, last = P + _doubling(Ak, np.zeros_like(A), E, tol, max_iter), residual
+    certify("Riccati residual", residual, bound, RiccatiDivergenceError, "the Riccati refinement "
+            + ("stalled" if residual < np.inf else "broke down or overflowed"))
     return P, -X, residual
 
 

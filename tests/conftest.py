@@ -72,6 +72,27 @@ def gappy_record(rng, n, m, p, T, gap, kind, radius=0.9, exponents=(0,) * 6):
                                        y=rec.y * blank * scale[m:])
 
 
+def riccati_draw(seed, i):
+    """Draw i of the Riccati fuzz at ``seed``: (A, B, Q, R) with n of 1..6
+    states and m of 1..3 inputs, A scaled to a spectral radius uniform on
+    [0.5, 10], B's second column a copy of its first in 30% of the draws with
+    m > 1, one zero row of B in 15%, Q of rank one in 40% and I otherwise,
+    and R = 10^U(-8, 1) I.  Each draw has its own generator, so draw i does
+    not depend on the draws before it."""
+    rng = np.random.default_rng([seed, i])
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.5, 10.0) / dd.spectral_radius(A)
+    B = rng.standard_normal((n, m))
+    if m > 1 and rng.random() < 0.3:
+        B[:, 1] = B[:, 0]
+    if rng.random() < 0.15:
+        B[rng.integers(n)] = 0.0
+    q = rng.standard_normal((1, n))
+    Q = q.T @ q if rng.random() < 0.4 else np.eye(n)
+    return A, B, Q, 10.0 ** rng.uniform(-8.0, 1.0) * np.eye(m)
+
+
 def lag(sys):
     """Observability index of an observable system with n >= 1: the least k
     whose k-step observability matrix has rank n."""

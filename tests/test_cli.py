@@ -287,8 +287,18 @@ def test_lqr_end_to_end(tmp_path, capsys, reactor, eye_weights_json):
                "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "closed_loop_radius" in text and "lmi_max_eig" in text
+    # stdout and the JSON carry the same four certificates, in one order.
+    sol = dd.lqr_from_data(dd.assemble_batch([dd.read_experiment_csv(f) for f in files]),
+                           dd.LqrWeights(Q=np.eye(4), R=np.eye(2)))
+    assert text.splitlines()[-5:-1] == [
+        f"lmi_max_eig = {sol.lmi_max_eig:.6e}",
+        f"riccati_residual = {sol.riccati_residual:.6e}",
+        f"right_inverse_residual = {sol.right_inverse_residual:.6e}",
+        f"closed_loop_radius = {sol.closed_loop_radius:.6f}"]
     payload = json.loads(out.read_text())
+    assert list(payload) == ["K", "P", "lmi_max_eig", "riccati_residual",
+                             "right_inverse_residual", "closed_loop_radius"]
+    assert all(payload[name] == getattr(sol, name) for name in list(payload)[2:])
     K = np.array(payload["K"])
     assert K.shape == (2, 4)
     _, K_model = dd.dare_solve(reactor.A, reactor.B, np.eye(4), np.eye(2))

@@ -69,6 +69,14 @@ def test_trajectory_rejects_gap_in_time(tmp_path):
         dd.read_trajectory_csv(path)
 
 
+def test_a_time_gap_names_its_line(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("t,u1,y1\n0,1,2\n\n1,3,4\n3,5,6\n")
+    with pytest.raises(dd.ParseError, match=r"gap\.csv: line 5: time indices must be "
+                                            r"consecutive; expected 2, found 3$"):
+        dd.read_trajectory_csv(path)
+
+
 @pytest.mark.parametrize("cell", ["inf", "nan", "1.5"])
 def test_trajectory_rejects_non_integer_time(tmp_path, cell):
     path = tmp_path / "rec.csv"
@@ -107,22 +115,31 @@ def test_header_refuses_a_repeated_channel(tmp_path, capsys):
     # Reading one of the two u1 columns would drop the other without a word.
     path = tmp_path / "rec.csv"
     path.write_text("t,u1,u1,y1\n0,1,2,3\n")
-    with pytest.raises(dd.ParseError, match=r"^CSV header column 'u1': channels are numbered "
-                                            r"once, from 1$"):
+    with pytest.raises(dd.ParseError, match=r"^" + re.escape(f"{path}: CSV header column 'u1': "
+                                                             "channels are numbered once, from 1")):
         dd.read_trajectory_csv(path)
     assert main(["identify", str(path)]) == 1
-    assert "error: CSV header column 'u1'" in capsys.readouterr().err
+    assert f"error: {path}: CSV header column 'u1'" in capsys.readouterr().err
 
 
 def test_header_refuses_a_channel_numbered_0(tmp_path, capsys):
     # Channels count from 1, so u0 would be dropped without a word.
     path = tmp_path / "rec.csv"
     path.write_text("t,u0,u1,y1\n0,1,2,3\n")
-    with pytest.raises(dd.ParseError, match=r"^CSV header column 'u0': channels are numbered "
-                                            r"once, from 1$"):
+    with pytest.raises(dd.ParseError, match=r"^" + re.escape(f"{path}: CSV header column 'u0': "
+                                                             "channels are numbered once, from 1")):
         dd.read_trajectory_csv(path)
     assert main(["identify", str(path)]) == 1
-    assert "error: CSV header column 'u0'" in capsys.readouterr().err
+    assert f"error: {path}: CSV header column 'u0'" in capsys.readouterr().err
+
+
+def test_a_header_refusal_names_its_file(tmp_path, capsys):
+    # Of two records, the one whose header is refused is named.
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("t,u1,y1\n0,1,2\n1,3,4\n")
+    bad.write_text("t,u1,u3,y1\n0,1,2,3\n")
+    assert main(["pe-check", str(good), str(bad), "--order", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: CSV header has u3 but is missing u2\n"
 
 
 def test_the_first_fault_in_the_file_is_reported(tmp_path):

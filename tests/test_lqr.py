@@ -8,8 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ddlti as dd
-from conftest import random_system, unstabilized_runs
+from conftest import random_system, riccati_draw, unstabilized_runs
 
+EPS = np.finfo(float).eps
 PRINTED_P = np.array([
     [3.604, 0.049, 1.762, -1.306],
     [0.049, 1.170, 0.072, 0.142],
@@ -94,21 +95,23 @@ def test_dare_matches_scipy():
         assert dd.spectral_radius(sys.A + sys.B @ K) < 1.0
 
 
-#: A tiny input weight: doubling converges in four steps but stalls at a
-#: Riccati residual of about 9e-11, above the 1e-12 tolerance.
+#: A tiny input weight: doubling converges in five steps to a P whose
+#: Riccati residual, about 9e-11, is above the 1e-12 tolerance.
 TINY_R_PAIR = (np.array([[0.7, 1.6], [0.7, -2.6]]), np.array([[0.9], [0.4]]),
                np.eye(2), 1e-6 * np.eye(1))
 
 
 def riccati_residual(A, B, Q, R, P):
-    """Relative Riccati residual at P, in the solver's expression order."""
+    """Relative Riccati residual at P, in the solver's expression order: the
+    step A_K'PA_K + X'RX + Q - P, a form of F(P) - P stationary in X."""
     X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    res = A.T @ P @ A - P - A.T @ P @ B @ X + Q
+    Ak = A - B @ X
+    res = Ak.T @ P @ Ak + X.T @ R @ X + Q - P
     return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(P)))
 
 
 def test_dare_fixed_point_fallback_matches_scipy():
-    # Steps of the Riccati map refine doubling's result under the tolerance.
+    # A Newton step refines doubling's result under the tolerance.
     scipy_linalg = pytest.importorskip("scipy.linalg")
     A, B, Q, R = TINY_R_PAIR
     P, K = dd.dare_solve(A, B, Q, R)
@@ -119,10 +122,12 @@ def test_dare_fixed_point_fallback_matches_scipy():
 
 
 def test_dare_refines_from_the_doubling_result(linalg_calls):
-    # R^-1 B' takes one 1 x 1 solve and each step of the Riccati loop one:
-    # a few steps refine doubling's P, where a run from Q takes 18.
+    # R^-1 B' takes one 1 x 1 solve and each residual check one: doubling's P
+    # misses the tolerance, one Newton step refines it, and the check after
+    # it accepts.  The step's Stein equation is three 2 x 2 doubling steps.
     dd.dare_solve(*TINY_R_PAIR)
-    assert sum(a == (1, 1) for name, a, _ in linalg_calls if name == "solve") <= 6
+    solves = [a for name, a, _ in linalg_calls if name == "solve"]
+    assert solves == [(1, 1)] + [(2, 2)] * 5 + [(1, 1)] + [(2, 2)] * 3 + [(1, 1)]
 
 
 def test_dare_reactor_residual(reactor):
@@ -164,13 +169,16 @@ def test_a_failed_doubling_is_refused_by_its_cause():
     ((1, 1), 2, r"^the Riccati refinement broke down or overflowed: Riccati residual inf "
                 r"exceeds 1\.000e-12$"),
     ((1, 1), 3, r"^the Riccati refinement broke down or overflowed: Riccati residual inf "
-                r"exceeds 1\.000e-12$")],
-    ids=["doubling", "first-refinement", "second-refinement"])
+                r"exceeds 1\.000e-12$"),
+    ((2, 2), 6, r"^the doubling iteration broke down or overflowed: iterate norm inf exceeds ")],
+    ids=["doubling", "first-refinement", "second-refinement", "newton-doubling"])
 def test_a_failed_solve_is_refused_as_a_breakdown(monkeypatch, shape, nth, message):
     # The nth solve of a shape fails: I + GP (2 x 2) in a doubling step, or
-    # R + B'PB (1 x 1) in a refinement step, whose first 1 x 1 solve is R^-1 B'.
-    # Either is a breakdown, not an exhausted budget, and a refinement that
-    # breaks down after a step reports no earlier residual.
+    # R + B'PB (1 x 1) in a residual check, whose first 1 x 1 solve is R^-1 B'.
+    # Doubling's P takes five 2 x 2 solves, so the sixth is the first step of
+    # the Newton step's Stein doubling, between the two checks.  Each is a
+    # breakdown, not an exhausted budget, and a check that breaks down after
+    # a Newton step reports no earlier residual.
     real, seen = np.linalg.solve, []
 
     def solve(a, b):
@@ -181,6 +189,89 @@ def test_a_failed_solve_is_refused_as_a_breakdown(monkeypatch, shape, nth, messa
     monkeypatch.setattr(np.linalg, "solve", solve)
     with pytest.raises(dd.RiccatiDivergenceError, match=message):
         dd.dare_solve(*TINY_R_PAIR)
+
+
+# Draws of the Riccati fuzz (conftest.riccati_draw) at seed 424242 that steps
+# of the Riccati map cannot settle: from doubling's P, 11, 21 and 43 do not
+# reach 1e-12 in 10,000 map steps, and 1134 does only on a step that happens
+# to dip under it.
+
+def riccati_step(A, B, Q, R, P):
+    """(E, A_K, floor): the Riccati step at P in the solver's stationary form,
+    the closed loop, and the step's rounding floor, unscaled."""
+    X = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    Ak = A - B @ X
+    terms = (Ak.T @ P @ Ak, X.T @ R @ X, Q, P)
+    norm = np.linalg.norm
+    floor = len(A) * EPS * (sum(map(norm, terms)) + norm(Ak) ** 2 * norm(P))
+    return terms[0] + terms[1] + Q - P, Ak, floor
+
+
+def riccati_error_bound(A, B, Q, R, P, P_ref):
+    """Bound on ||P - P_ref||_F for two approximate stabilizing solutions.
+
+    At the solution the step E(P) = F(P) - P has derivative
+    dP -> A_K'dPA_K - dP, which on vec(dP) is kron(A_K', A_K') - I; so to
+    first order each P lies ||S^{-1}||_2 ||E(P)||_F from the solution, with
+    S that matrix, and each computed E errs by up to its rounding floor.
+    The factor 2 covers the second-order terms and A_K taken at P, not at
+    the solution."""
+    E, Ak, floor = riccati_step(A, B, Q, R, P)
+    E_ref, _, floor_ref = riccati_step(A, B, Q, R, P_ref)
+    S = np.kron(Ak.T, Ak.T) - np.eye(len(A) ** 2)
+    s_min = np.linalg.svd(S, compute_uv=False)[-1]
+    return 2 / s_min * (np.linalg.norm(E) + np.linalg.norm(E_ref) + floor + floor_ref)
+
+
+@pytest.mark.parametrize("i", [11, 21, 43])
+def test_newton_solves_draws_the_map_refused(i):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    A, B, Q, R = riccati_draw(424242, i)
+    P, K = dd.dare_solve(A, B, Q, R)
+    assert dd.spectral_radius(A + B @ K) < 1.0
+    P_ref = scipy_linalg.solve_discrete_are(A, B, Q, R)
+    assert np.linalg.norm(P - P_ref) <= riccati_error_bound(A, B, Q, R, P, P_ref)
+
+
+@pytest.mark.parametrize("i", [568, 1035])
+def test_the_stationary_step_accepts_where_the_map_form_misses(i):
+    # R + B'PB is ill-conditioned here.  The map's form of F(P) - P carries
+    # the X solve's error at first order, 2e-12 to 3e-11; the stationary form
+    # accepts doubling's P itself.
+    A, B, Q, R = riccati_draw(99, i)
+    P, K, residual = dd.lqr._dare(A, B, dd.LqrWeights(Q=Q, R=R))
+    assert residual <= 1e-12 and residual == riccati_residual(A, B, Q, R, P)
+    X = -K
+    map_form = A.T @ P @ A - P - A.T @ P @ B @ X + Q
+    assert np.linalg.norm(map_form) / max(1.0, np.linalg.norm(P)) > 1e-12
+
+
+def test_the_rounding_floor_accepts_a_residual_above_the_cutoff():
+    # ||A_K||^2 ||P|| puts the step's rounding above 1e-12, so Newton stops
+    # falling there; P is accepted on the floor, and is as close to scipy's
+    # as the residuals allow.
+    A, B, Q, R = riccati_draw(424242, 1134)
+    P, K, residual = dd.lqr._dare(A, B, dd.LqrWeights(Q=Q, R=R))
+    _, _, floor = riccati_step(A, B, Q, R, P)
+    assert 1e-12 < residual <= floor / max(1.0, np.linalg.norm(P))
+    assert dd.spectral_radius(A + B @ K) < 1.0
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    P_ref = scipy_linalg.solve_discrete_are(A, B, Q, R)
+    assert np.linalg.norm(P - P_ref) <= riccati_error_bound(A, B, Q, R, P, P_ref)
+
+
+@pytest.mark.parametrize("i, message", [
+    (383, r"^the Riccati refinement stalled: Riccati residual 2\.42\de-11 exceeds 5\.11\de-12$"),
+    (1376, r"^the doubling iteration broke down or overflowed: iterate norm inf ")],
+    ids=["stalled", "unstable-closed-loop"])
+def test_newton_refuses_at_once(linalg_calls, i, message):
+    # Where the residual stops falling (383), or where doubling's P leaves
+    # A_K unstable, so the Newton step's Stein sum overflows (1376), the
+    # solve is refused after a few dozen solves.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dd.RiccatiDivergenceError, match=message):
+            dd.dare_solve(*riccati_draw(424242, i))
+    assert sum(name == "solve" for name, *_ in linalg_calls) < 100
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -438,10 +529,10 @@ def test_lqr_from_data_fixed_point_fallback(linalg_calls):
     W = dd.LqrWeights(Q=Q, R=R)
     linalg_calls.clear()
     sol = dd.lqr_from_data(batch, W)
-    # R^-1 B' takes one 1 x 1 solve and each step of the Riccati loop one:
-    # doubling's P misses the tolerance, refining steps follow, and the
-    # step that accepts P gives the gain.
-    assert 4 < sum(a == (1, 1) for name, a, _ in linalg_calls if name == "solve") <= 6
+    # R^-1 B' takes one 1 x 1 solve and each residual check one: doubling's
+    # P misses the tolerance, one Newton step follows, and the check that
+    # accepts P gives the gain.
+    assert sum(a == (1, 1) for name, a, _ in linalg_calls if name == "solve") == 3
     A_hat, B_hat = dd.identify_ab(batch)
     assert np.array_equal(sol.P, dd.dare_solve(A_hat, B_hat, W.Q, W.R)[0])
     assert sol.riccati_residual <= 1e-12
@@ -452,8 +543,8 @@ def test_lqr_from_data_fixed_point_fallback(linalg_calls):
 
 def test_lqr_from_data_work_count(linalg_calls):
     # Each doubling step solves I + GH once for [A | G]; around it come
-    # R^-1 B' and one step of the Riccati loop, which accepts doubling's P
-    # and whose solve gives the gain.  The only symmetric eigensolve is the
+    # R^-1 B' and one residual check, which accepts doubling's P and whose
+    # solve gives the gain, so no Newton step runs.  The only symmetric eigensolve is the
     # LMI check on the r x r core, and the only general one the stability
     # check of the data gain.
     batch, W = pooled_batch(1, 80), eye_weights()
@@ -472,8 +563,6 @@ def test_lqr_from_data_work_count(linalg_calls):
 
 
 # --- the factor route computes the N x N operator's certificates ----------
-
-EPS = np.finfo(float).eps
 
 
 def lmi_error_bound(batch, W, P):
